@@ -180,6 +180,12 @@ class MeasurementSet:
             raise InvalidGeometry(
                 f"responses shape {responses.shape} does not match plan/grid {want}"
             )
+        if not np.isfinite(responses).all():
+            k, m, n, f = np.argwhere(~np.isfinite(responses))[0].tolist()
+            raise InvalidGeometry(
+                f"responses hold a non-finite sample at (k, m, n, f) = "
+                f"({k}, {m}, {n}, {f})"
+            )
         self.responses = responses
 
     def energy(self):

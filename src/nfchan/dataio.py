@@ -111,9 +111,12 @@ def read_dataset(path) -> MeasurementSet:
         grid = FrequencyGrid(center=center, bandwidth=bandwidth, num_tones=f)
     except InvalidGeometry as exc:
         raise DatasetFormatError(f"invalid stored metadata: {exc}") from exc
-    return MeasurementSet(responses=responses, plan=plan, grid=grid,
-                          snr_db=float(snr_db) if snr_flag else None,
-                          coherent=bool(coherent), seed=int(seed))
+    try:
+        return MeasurementSet(responses=responses, plan=plan, grid=grid,
+                              snr_db=float(snr_db) if snr_flag else None,
+                              coherent=bool(coherent), seed=int(seed))
+    except InvalidGeometry as exc:
+        raise DatasetFormatError(f"invalid payload: {exc}") from exc
 
 
 ZERO_DB_SENTINEL = -400.0

@@ -18,6 +18,17 @@ placement-local).  Recovery proceeds in stages:
 Delays inside the sweep are only meaningful relative to one another;
 extraction reports them shifted so the earliest path sits at zero, and
 stage 3 reattaches the absolute scale.
+
+The first-order atom factors exactly into a delay factor (F), a receive
+factor (K, M, F) and a transmit factor (N, F), and stages 1-2 never
+build a full (K, M, N, F) atom to score one.  The sweep contracts the
+residual with the receive and transmit factors of a whole block, then
+correlates the delay axis either with one GEMM against the dictionary's
+own delays or, for delays on the half-bin comb that are dense enough
+for a fixed cost rule on the dictionary shape, with a zero-padded
+inverse FFT over every bin.  The off-grid line searches contract the
+peeled data with the two fixed factors once and rebuild only the moving
+factor at each evaluation.
 """
 
 from dataclasses import dataclass, field
@@ -51,9 +62,11 @@ _PARALLEL_TOL = 1e-6
 class DictionaryGrid:
     """Candidate (aoa, aod, delay) axes for the matching-pursuit sweep.
 
-    Axes must be strictly increasing.  Delays that all sit on bins
-    ``q / (2 * bandwidth)`` let the engine evaluate the delay axis with
-    a zero-padded inverse FFT instead of dense inner products.
+    Axes must be strictly increasing.  The engine scores the delay axis
+    with one GEMM against these delays; when they all sit on bins
+    ``q / (2 * bandwidth)`` and are many enough for the FFT to cost less
+    (:func:`_fft_beats_gemm`), it reads them off a zero-padded inverse
+    FFT over every bin instead.
     """
 
     aoas: np.ndarray
@@ -86,8 +99,10 @@ class DictionaryGrid:
 def fft_delay_bins(grid: FrequencyGrid, lo=0.0, hi=None):
     """Delay candidates on the half-bin comb ``q / (2 * bandwidth)``.
 
-    These are exactly the delays the sweep engine can score via FFT.
-    ``hi`` defaults to the full unambiguous span of the tone comb.
+    These are exactly the delays the sweep engine can score via FFT; it
+    does so only when a dictionary holds enough of them for the FFT to
+    beat a GEMM over just those delays.  ``hi`` defaults to the full
+    unambiguous span of the tone comb.
     """
     step = 1.0 / (2.0 * grid.bandwidth)
     n_max = 2 * grid.num_tones
@@ -132,23 +147,77 @@ def steering_phase(aoa, aod, delta, x_r, x_t, refs, f):
 
     ``exp(-2j pi f d / c)`` with the plane-wave distance
     ``d = c * delta - u(aoa).(x_r - rx_ref) - u(aod).(x_t - tx_ref)``,
-    ``refs = (tx_ref, rx_ref)``.  All arguments broadcast.
+    ``refs = (tx_ref, rx_ref)``, built as the product of the three
+    separable factors that :func:`response_atom` multiplies.  Positions
+    broadcast against each other and against ``delta`` and ``f``.
     """
     tx_ref, rx_ref = refs
-    x_r = np.asarray(x_r, dtype=float)
-    x_t = np.asarray(x_t, dtype=float)
-    d = (SPEED_OF_LIGHT * np.asarray(delta, dtype=float)
-         - (x_r - as_vec2(rx_ref)) @ unit_vector(aoa)
-         - (x_t - as_vec2(tx_ref)) @ unit_vector(aod))
-    return np.exp(-2j * np.pi / SPEED_OF_LIGHT * d * np.asarray(f, dtype=float))
+    f = np.asarray(f, dtype=float)
+    dr = np.asarray(x_r, dtype=float) - as_vec2(rx_ref)
+    dt = np.asarray(x_t, dtype=float) - as_vec2(tx_ref)
+    return (_phase_factor(np.asarray(delta, dtype=float), f)
+            * _phase_factor(_plane_delay(aoa, dr), f)
+            * _phase_factor(_plane_delay(aod, dt), f))
+
+
+def _phase_factor(tau, freqs):
+    """``exp(-2j pi f tau)``; ``tau`` and ``freqs`` broadcast."""
+    return np.exp(-2j * np.pi * (tau * freqs))
+
+
+def _plane_delay(angle, disp):
+    """Plane-wave delay offsets ``-u(angle).disp / c``.
+
+    Shape ``angle.shape + disp.shape[:-1]``: every angle against every
+    displacement.
+    """
+    proj = np.tensordot(unit_vector(angle), disp, axes=(-1, -1))
+    return proj / -SPEED_OF_LIGHT
+
+
+def _atom_factor(plan, coord, value, freqs, conj=False):
+    """One separable factor of the first-order atom.
+
+    The atom is exactly ``e[f] * r[k, m, f] * t[n, f]``.  ``coord``
+    names the factor the way a path is a triple ``[aoa, aod, delay]``:
+    0 gives the receive factor ``r`` (..., K, M, F), 1 the transmit
+    factor ``t`` (..., N, F) and 2 the delay factor ``e`` (..., F), an
+    array ``value`` prepending its shape.  ``conj`` gives the conjugate,
+    the matched filter that correlates data against the factor.
+    """
+    if coord == 0:
+        tau = _plane_delay(value, plan.rx_positions - plan.rx_ref)
+    elif coord == 1:
+        tau = _plane_delay(value, plan.tx_positions - plan.tx_ref)
+    else:
+        tau = np.asarray(value, dtype=float)
+    return _phase_factor((-tau if conj else tau)[..., None], freqs)
+
+
+def _fft_beats_gemm(n_tones, n_delays):
+    """Cost rule for the delay axis of a sweep block.
+
+    Per (aod, placement) row, a GEMM against the (D, F) delay matrix
+    costs F * D multiply-adds whatever the comb, while the zero-padded
+    FFT over ``2F`` bins costs about ``12 * 2F * log2(2F)`` whatever D.
+    The constant 12 puts the switch at D > 24 log2(2F) (192 delays at
+    F = 128, 240 at F = 512), where the two measured block times cross
+    on a single-threaded OpenBLAS x86-64 host.
+    """
+    n_fft = 2 * n_tones
+    return n_tones * n_delays > 12 * n_fft * np.log2(n_fft)
 
 
 class ScoreEngine:
     """Evaluates atom correlations against campaign data.
 
-    Precomputes the conjugated receive and transmit steering factors for
-    a dictionary, then scores blocks of candidates one arrival angle at
-    a time so the full score tensor never has to be materialized.
+    Precomputes the conjugated receive, transmit and delay factors of a
+    dictionary, then scores blocks of candidates one arrival angle at a
+    time so the full score tensor never has to be materialized.  The
+    delay axis is a GEMM against the dictionary's own delays, or, when
+    every delay sits on the half-bin comb and :func:`_fft_beats_gemm`
+    says so, a zero-padded inverse FFT over all ``2F`` bins
+    (``_use_fft``).
     """
 
     def __init__(self, plan: MeasurementPlan, grid: FrequencyGrid,
@@ -158,42 +227,41 @@ class ScoreEngine:
         self.dictionary = dictionary
         freqs = grid.tones()
         self.freqs = freqs
-        k2 = 2.0 * np.pi / SPEED_OF_LIGHT
-        dr = plan.rx_positions - plan.rx_ref
-        dt = plan.tx_positions - plan.tx_ref
-        proj_r = np.einsum("ax,kmx->akm", unit_vector(dictionary.aoas), dr)
-        proj_t = unit_vector(dictionary.aods) @ dt.T
-        # Conjugated steering factors: multiplying the residual by these
-        # and summing realizes <atom, residual> without forming atoms.
-        self._wr = np.exp(-1j * k2 * proj_r[..., None] * freqs)
-        self._wt = np.exp(-1j * k2 * proj_t[..., None] * freqs)
+        # Matched filters: multiplying the residual by these and summing
+        # realizes <atom, residual> without forming atoms.
+        self._wr = _atom_factor(plan, 0, dictionary.aoas, freqs, conj=True)
+        self._wt = np.ascontiguousarray(
+            _atom_factor(plan, 1, dictionary.aods, freqs, conj=True)
+            .transpose(2, 0, 1))
         self.mnf = plan.n_rx * plan.n_tx * grid.num_tones
 
+        n_fft = 2 * grid.num_tones
         q = dictionary.delays * (2.0 * grid.bandwidth)
         q_round = np.round(q)
-        self._use_fft = (
-            np.all(np.abs(q - q_round) < 1e-6)
-            and (q_round.size == 0 or q_round.max() < 2 * grid.num_tones)
-        )
+        on_comb = (np.all(np.abs(q - q_round) < 1e-6)
+                   and (q_round.size == 0 or q_round.max() < n_fft))
+        self._use_fft = bool(
+            on_comb and _fft_beats_gemm(grid.num_tones, q.size))
         if self._use_fft:
             self._q_idx = q_round.astype(int)
-            self._n_fft = 2 * grid.num_tones
+            self._n_fft = n_fft
         else:
-            self._dmat = np.exp(2j * np.pi * np.outer(freqs, dictionary.delays))
-
-    def _delay_correlate(self, t):
-        """Collapse the tone axis of ``t`` (..., F) against every delay."""
-        if self._use_fft:
-            c = np.fft.ifft(t, n=self._n_fft, axis=-1) * self._n_fft
-            return c[..., self._q_idx]
-        return t @ self._dmat
+            # Offsets from the first tone, as the FFT's bin phases are:
+            # the common phase exp(-2j pi f0 delta) cancels in |.|^2.
+            self._dmat = _atom_factor(plan, 2, dictionary.delays,
+                                      freqs - freqs[0], conj=True)
 
     def _score_block(self, residual, ia):
         """(B, D) scores for one arrival angle."""
-        g = np.einsum("kmf,kmnf->knf", self._wr[ia], residual)
-        t = np.einsum("bnf,knf->bkf", self._wt, g)
-        c = self._delay_correlate(t)
-        return np.sum(np.abs(c) ** 2, axis=1) / self.mnf
+        g = np.einsum("kmf,kmnf->fnk", self._wr[ia], residual)
+        t = np.matmul(self._wt, g)  # (F, B, K)
+        if self._use_fft:
+            c = np.fft.ifft(t, n=self._n_fft, axis=0)[self._q_idx]
+            c *= self._n_fft
+        else:
+            c = self._dmat @ t.reshape(t.shape[0], -1)
+            c = c.reshape(-1, *t.shape[1:])  # (D, B, K)
+        return np.sum(c.real ** 2 + c.imag ** 2, axis=-1).T / self.mnf
 
     def scores(self, residual):
         """Full (A, B, D) score tensor.  Meant for small dictionaries."""
@@ -238,14 +306,14 @@ def response_atom(plan: MeasurementPlan, grid: FrequencyGrid, aoa, aod, delta):
     """First-order unit-modulus response of a path over a whole plan.
 
     Shape (K, M, N, F): ``exp(-2j pi f d / c)`` with the plane-wave
-    distance ``d = c delta - u(aoa).dr - u(aod).dt``.
+    distance ``d = c delta - u(aoa).dr - u(aod).dt``, formed as the
+    product of its delay, receive and transmit factors.
     """
-    dr = plan.rx_positions - plan.rx_ref
-    dt = plan.tx_positions - plan.tx_ref
-    d = (SPEED_OF_LIGHT * delta
-         - (dr @ unit_vector(aoa))[:, :, None]
-         - (dt @ unit_vector(aod))[None, None, :])
-    return np.exp(-2j * np.pi / SPEED_OF_LIGHT * d[..., None] * grid.tones())
+    freqs = grid.tones()
+    e = _atom_factor(plan, 2, delta, freqs)
+    r = _atom_factor(plan, 0, aoa, freqs)
+    t = _atom_factor(plan, 1, aod, freqs)
+    return e * r[:, :, None, :] * t
 
 
 def rm_response_atom(plan: MeasurementPlan, grid: FrequencyGrid,
@@ -303,19 +371,49 @@ def _package_paths(raw, gains):
     return paths, float(origin)
 
 
+def _line_score(plan, freqs, params, coord, peeled):
+    """Energy an atom captures from ``peeled`` as one coordinate moves.
+
+    Returns ``score(x)``, the ``sum_k |<atom_k, peeled_k>|^2 / (M N F)``
+    of the atom at ``params`` ([aoa, aod, delay]) with ``params[coord]``
+    replaced by ``x``.  The two fixed factors are contracted with
+    ``peeled`` once, so each call builds only the moving factor: K*M*F
+    exponentials for the aoa, N*F for the aod and F for the delay.
+    """
+    _, m, n, f = peeled.shape
+    mnf = m * n * f
+    r, t, e = (None if c == coord else
+               _atom_factor(plan, c, params[c], freqs, conj=True)
+               for c in range(3))
+    if coord == 0:
+        h, spec = np.einsum("nf,kmnf->kmf", t * e, peeled), "kmf,kmf->k"
+    elif coord == 1:
+        h, spec = np.einsum("kmf,kmnf->knf", r * e, peeled), "nf,knf->k"
+    else:
+        h = np.einsum("nf,knf->kf", t, np.einsum("kmf,kmnf->knf", r, peeled))
+        spec = "f,kf->k"
+
+    def score(x):
+        c = np.einsum(spec, _atom_factor(plan, coord, x, freqs, conj=True), h)
+        return float(np.sum(c.real ** 2 + c.imag ** 2)) / mnf
+
+    return score
+
+
 def _cyclic_polish(plan, grid, params, data, steps, passes):
     """Cyclic coordinate descent of every path against its peeled residual.
 
     ``params`` is a list of [aoa, aod, raw_delay] triples, modified in
     place.  Each path in turn is peeled out using the current joint
-    gains, then each coordinate is line-searched inside +-1 step; a move
-    is accepted only if it captures at least as much peeled energy as
-    the current atom, and gains are refit jointly after every path
-    update.  That ordering makes the joint residual non-increasing.
+    gains, then each coordinate is line-searched inside +-1 step on its
+    separable score (:func:`_line_score`); a move is accepted only if it
+    captures at least as much peeled energy as the current atom, and
+    gains are refit jointly after every path update.  That ordering
+    makes the joint residual non-increasing.
 
     Returns (params, atom stack, gains, residual energy).
     """
-    mnf = plan.n_rx * plan.n_tx * grid.num_tones
+    freqs = grid.tones()
     atoms = [response_atom(plan, grid, *p) for p in params]
     gains = _per_placement_lsq(np.stack(atoms), data)
     for _ in range(max(passes, 0)):
@@ -330,19 +428,12 @@ def _cyclic_polish(plan, grid, params, data, steps, passes):
                 if step <= 0:
                     continue
                 center = params[j][coord]
-
-                def negscore(x):
-                    trial = list(params[j])
-                    trial[coord] = x
-                    return -_atom_score(response_atom(plan, grid, *trial),
-                                        peeled, mnf)
-
-                best = minimize_scalar(negscore,
+                score = _line_score(plan, freqs, params[j], coord, peeled)
+                best = minimize_scalar(lambda x: -score(x),
                                        bounds=(center - step, center + step),
                                        method="bounded",
                                        options={"xatol": step * 1e-7})
-                if -best.fun >= _atom_score(
-                        response_atom(plan, grid, *params[j]), peeled, mnf):
+                if -best.fun >= score(center):
                     params[j][coord] = float(best.x)
             atoms[j] = response_atom(plan, grid, *params[j])
             gains = _per_placement_lsq(np.stack(atoms), data)
@@ -431,11 +522,6 @@ def omp_extract(mset: MeasurementSet, dictionary: DictionaryGrid,
         delay_origin=origin,
         residual_history=history,
     )
-
-
-def _atom_score(atom, residual, mnf):
-    corr = np.einsum("kmnf,kmnf->k", atom.conj(), residual)
-    return float(np.sum(np.abs(corr) ** 2)) / mnf
 
 
 def refine_extraction(mset: MeasurementSet, result: ExtractionResult,

@@ -154,6 +154,15 @@ class TestSimulateCampaign:
         with pytest.raises(InvalidGeometry):
             MeasurementSet(responses=m.responses[:, :, :, :-1], plan=self.plan, grid=self.grid)
 
+    def test_non_finite_rejected_with_first_index(self):
+        m = simulate_campaign(self.paths, self.plan, self.grid)
+        bad = m.responses.copy()
+        bad[2, 1, 0, 7] = complex(0.0, np.inf)
+        bad[1, 0, 2, 5] = np.nan
+        with pytest.raises(InvalidGeometry,
+                           match=r"\(k, m, n, f\) = \(1, 0, 2, 5\)"):
+            MeasurementSet(responses=bad, plan=self.plan, grid=self.grid)
+
 
 class TestPdp:
     def test_parseval(self):

@@ -1,5 +1,7 @@
 """NFCM dataset container and the CSV/text emitters."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,18 @@ class TestDatasetErrors:
         blob[8:12] = (0).to_bytes(4, "little")  # K field
         p.write_bytes(blob)
         with pytest.raises(DatasetFormatError, match="dimensions"):
+            read_dataset(p)
+
+    def test_non_finite_payload_names_sample(self, quick_synth, tmp_path):
+        mset, _ = quick_synth
+        p, blob = self._blob(quick_synth, tmp_path)
+        k, m, n, f = mset.responses.shape
+        flat = np.ravel_multi_index((k - 1, 0, n - 1, 3), (k, m, n, f))
+        at = len(blob) - mset.responses.size * 16 + flat * 16
+        blob[at:at + 8] = struct.pack("<d", float("nan"))
+        p.write_bytes(blob)
+        with pytest.raises(DatasetFormatError,
+                           match=rf"\({k - 1}, 0, {n - 1}, 3\)"):
             read_dataset(p)
 
     def test_trailing_bytes_rejected(self, quick_synth, tmp_path):

@@ -33,6 +33,7 @@ from nfchan.estimation import (
     steering_phase,
     triangulate,
 )
+from nfchan.estimation import _line_score
 
 WL = C / 10e9
 TX3 = np.array([[12.0, 7.5], [12.0 - WL / 2, 7.5], [12.0, 7.5 + WL / 2]])
@@ -122,6 +123,26 @@ class TestScoreEngine:
         want = naive_scores(plan, grid, dic, m.responses)
         assert np.allclose(got, want, rtol=1e-10)
 
+    @pytest.mark.parametrize("span, use_fft", [
+        ((38e-9, 46e-9), False),  # sparse on-comb support: GEMM
+        ((0.0, None), True),      # full comb: FFT
+    ])
+    def test_cost_rule_picks_delay_path(self, span, use_fft):
+        grid = FrequencyGrid(center=10e9, bandwidth=500e6, num_tones=128)
+        plan = small_plan()
+        dic = DictionaryGrid(
+            aoas=np.array([0.3, 0.55, 0.9]),
+            aods=np.array([-2.0, -1.2]),
+            delays=fft_delay_bins(grid, *span),
+        )
+        m = simulate_campaign([rm_from_alpha(1.0, 41.5e-9, 0.55, 0.0, 1)],
+                              plan, grid, snr_db=15, seed=5)
+        engine = ScoreEngine(plan, grid, dic)
+        assert engine._use_fft == use_fft
+        got = engine.scores(m.responses)
+        want = naive_scores(plan, grid, dic, m.responses)
+        assert np.allclose(got, want, rtol=1e-10)
+
     def test_best_equals_scores_argmax(self):
         grid = grid64()
         plan = small_plan()
@@ -154,6 +175,29 @@ class TestScoreEngine:
         assert d[-1] <= 5e-9
         with pytest.raises(InvalidGeometry):
             fft_delay_bins(grid, 5e-9, 4e-9)
+
+
+class TestLineScore:
+    def test_matches_full_atom_score(self):
+        grid = grid64()
+        plan = small_plan()
+        paths = [rm_from_alpha(1.0, 41.5e-9, 0.55, 0.0, 1),
+                 rm_from_alpha(0.4, 44.0e-9, 0.8, 0.3, -1)]
+        m = simulate_campaign(paths, plan, grid, snr_db=15, seed=4)
+        mnf = plan.n_rx * plan.n_tx * grid.num_tones
+        p = paths[0]
+        params = [p.aoa + 0.013, p.aod - 0.021, p.tau + 0.37e-9]
+        offsets = {0: (-0.017, 0.004, 0.029), 1: (-0.031, 0.011, 0.022),
+                   2: (-0.61e-9, 0.13e-9, 0.83e-9)}
+        for coord, deltas in offsets.items():
+            score = _line_score(plan, grid.tones(), params, coord, m.responses)
+            for dx in deltas:
+                trial = list(params)
+                trial[coord] += dx
+                atom = response_atom(plan, grid, *trial)
+                corr = np.einsum("kmnf,kmnf->k", atom.conj(), m.responses)
+                want = np.sum(np.abs(corr) ** 2) / mnf
+                assert score(trial[coord]) == pytest.approx(want, rel=1e-12)
 
 
 class TestOmpExtract:
