@@ -39,9 +39,11 @@ from .channel import (
     path_distance_rm,
     path_distance_tx_form,
     path_distance_pwa,
+    path_lengths,
     rayleigh_distance,
     rm_from_alpha,
     synth_channel,
+    tone_phasors,
 )
 from .aperture import (
     MeasurementPlan,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import FrequencyGrid, synth_channel
 from .errors import EmptyChannel, InvalidGeometry
-from .validation import as_points, as_vec2
+from .validation import as_points, as_vec2, check_finite
 
 
 @dataclass(eq=False)
@@ -214,10 +214,16 @@ def simulate_campaign(paths, plan, grid, snr_db=None, coherent=False,
     if not paths:
         raise EmptyChannel("cannot simulate a campaign with no propagation paths")
     if snr_db is not None:
+        snr = check_finite(float(snr_db), "snr_db")
         peak = max(abs(p.gain) for p in paths)
         if peak == 0:
             raise EmptyChannel("all path gains are zero; snr is undefined")
-        sigma2 = peak * peak / 10.0 ** (float(snr_db) / 10.0)
+        try:
+            sigma2 = peak * peak / 10.0 ** (snr / 10.0)
+        except (OverflowError, ZeroDivisionError):
+            raise InvalidGeometry(
+                f"snr_db = {snr:g} puts the noise level out of floating-point range"
+            ) from None
     children = np.random.SeedSequence(seed).spawn(plan.n_placements)
     shape = (plan.n_rx, plan.n_tx, grid.num_tones)
     responses = np.zeros((plan.n_placements,) + shape, dtype=complex)

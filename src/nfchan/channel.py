@@ -12,15 +12,27 @@ which is what makes wideband synthesis over an aperture cheap.
 
 Two distance models are provided: the exact mirrored-source form and its
 first-order (plane-wave) approximation around the reference points.
+
+Synthesis runs on one batched kernel.  :func:`path_lengths` writes both
+distance formulas once and evaluates every path over the whole element
+grid in one broadcast; :func:`tone_phasors` turns lengths into tone
+phasors with a two-level split of the uniform comb, tone ``i = a * B +
+b`` with ``B = ceil(sqrt(F))``, so each length costs ``A + B`` complex
+exponentials and one outer product instead of ``F`` exponentials.
+:func:`synth_channel` then adds ``gain_l * phasor_l`` path by path in
+input order, which keeps every path's contribution bit-identical however
+the paths are grouped.  The one-path distance functions and the exact
+response atom of the estimator are views of the same kernel.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyChannel, InvalidGeometry, SingularGeometry
 from .geometry import ImagePath, OrthoMap2, wrap_angle
-from .validation import as_vec2, check_parity, check_positive
+from .validation import as_vec2, check_finite, check_parity, check_positive
 
 SPEED_OF_LIGHT = 299_792_458.0
 """Propagation speed used throughout, in meters per second."""
@@ -85,9 +97,9 @@ class RmPathParams:
     def __post_init__(self):
         check_positive(self.tau, "tau")
         check_parity(self.parity)
-        self.aoa = wrap_angle(float(self.aoa))
-        self.aod = wrap_angle(float(self.aod))
-        self.gain = complex(self.gain)
+        self.aoa = wrap_angle(check_finite(float(self.aoa), "aoa"))
+        self.aod = wrap_angle(check_finite(float(self.aod), "aod"))
+        self.gain = check_finite(complex(self.gain), "gain")
 
     @property
     def alpha(self):
@@ -179,26 +191,57 @@ def image_to_rm_params(path: ImagePath, tx_ref, rx_ref) -> RmPathParams:
     )
 
 
-def path_distance_rm(params: RmPathParams, x_r, x_t, rx_ref, tx_ref):
-    """Exact path length for element positions ``x_r`` and ``x_t``.
+def path_lengths(paths, x_r, x_t, rx_ref, tx_ref, model="rm"):
+    """Lengths of every path for element positions ``x_r`` and ``x_t``.
 
-    The mirrored transmitter for an element at ``x_t`` sits at
-    ``z0 + Q (x_t - tx_ref)`` with ``z0`` the image of the reference, so
-    the straight-line distance from ``x_r`` is
+    ``model="rm"`` gives the exact mirrored-source length.  The mirrored
+    transmitter for an element at ``x_t`` sits at ``z0 + Q (x_t -
+    tx_ref)`` with ``z0`` the image of the reference, so the
+    straight-line distance from ``x_r`` is
 
     ``|| (x_r - rx_ref) - c * tau * u(aoa) - Q (x_t - tx_ref) ||``.
+
+    ``model="pwa"`` gives its first-order expansion around the reference
+    points, ``c * tau - u(aoa) . (x_r - rx_ref) - u(aod) . (x_t -
+    tx_ref)``: exact at the references and accurate to second order in
+    the displacements.
+
+    ``x_r`` and ``x_t`` may carry leading batch dimensions; they
+    broadcast against each other, and the result has shape ``(L,) +
+    batch`` for ``L`` paths.
+    """
+    if model not in ("rm", "pwa"):
+        raise ValueError(f"unknown distance model {model!r}")
+    dr = np.asarray(x_r, dtype=float) - as_vec2(rx_ref, "rx_ref")
+    dt = np.asarray(x_t, dtype=float) - as_vec2(tx_ref, "tx_ref")
+    batch = np.broadcast_shapes(dr.shape[:-1], dt.shape[:-1])
+
+    def column(values):
+        return np.array(values, dtype=float).reshape((-1,) + (1,) * len(batch))
+
+    base = SPEED_OF_LIGHT * column([p.tau for p in paths])
+    aoa = column([p.aoa for p in paths])
+    aod = column([p.aod for p in paths])
+    rx, ry, tx, ty = dr[..., 0], dr[..., 1], dt[..., 0], dt[..., 1]
+    if model == "pwa":
+        return (base - (rx * np.cos(aoa) + ry * np.sin(aoa))
+                - (tx * np.cos(aod) + ty * np.sin(aod)))
+    parity = column([p.parity for p in paths])
+    alpha = alpha_from_bearings(aoa, aod, parity)
+    c, s = np.cos(alpha), np.sin(alpha)
+    # Q = R(alpha) @ diag(1, parity), as in OrthoMap2.matrix
+    sep_x = rx - base * np.cos(aoa) - (c * tx - parity * s * ty)
+    sep_y = ry - base * np.sin(aoa) - (s * tx + parity * c * ty)
+    return np.hypot(sep_x, sep_y)
+
+
+def path_distance_rm(params: RmPathParams, x_r, x_t, rx_ref, tx_ref):
+    """Exact path length of one path; see :func:`path_lengths`.
 
     ``x_r`` and ``x_t`` may carry leading batch dimensions; they
     broadcast against each other and the result drops the trailing axis.
     """
-    x_r = np.asarray(x_r, dtype=float)
-    x_t = np.asarray(x_t, dtype=float)
-    rx_ref = as_vec2(rx_ref, "rx_ref")
-    tx_ref = as_vec2(tx_ref, "tx_ref")
-    z0_off = SPEED_OF_LIGHT * params.tau * unit_vector(params.aoa)
-    moved = (x_t - tx_ref) @ params.map.matrix().T
-    sep = (x_r - rx_ref) - z0_off - moved
-    return np.linalg.norm(sep, axis=-1)
+    return path_lengths([params], x_r, x_t, rx_ref, tx_ref, "rm")[0]
 
 
 def path_distance_tx_form(params: RmPathParams, x_r, x_t, rx_ref, tx_ref):
@@ -219,19 +262,8 @@ def path_distance_tx_form(params: RmPathParams, x_r, x_t, rx_ref, tx_ref):
 
 
 def path_distance_pwa(params, x_r, x_t, rx_ref, tx_ref):
-    """First-order path length around the reference points.
-
-    ``c * tau - u(aoa) . (x_r - rx_ref) - u(aod) . (x_t - tx_ref)``;
-    exact at the references and accurate to second order in the
-    displacements.
-    """
-    x_r = np.asarray(x_r, dtype=float)
-    x_t = np.asarray(x_t, dtype=float)
-    rx_ref = as_vec2(rx_ref, "rx_ref")
-    tx_ref = as_vec2(tx_ref, "tx_ref")
-    base = SPEED_OF_LIGHT * params.tau
-    d = base - (x_r - rx_ref) @ unit_vector(params.aoa)
-    return d - (x_t - tx_ref) @ unit_vector(params.aod)
+    """First-order path length of one path; see :func:`path_lengths`."""
+    return path_lengths([params], x_r, x_t, rx_ref, tx_ref, "pwa")[0]
 
 
 @dataclass(eq=False)
@@ -272,6 +304,33 @@ class FrequencyGrid:
         return self.center - self.bandwidth / 2.0 + i * self.spacing
 
 
+def tone_phasors(lengths, grid: FrequencyGrid):
+    """Phasors ``exp(-2j pi f_i d / c)`` of every length at every tone.
+
+    The tone index is split as ``i = a * B + b`` with ``B = ceil(sqrt(F))``
+    and ``A = ceil(F / B)``.  Since ``f_i = f_{aB} + b * spacing``, each
+    phasor is the product of a coarse factor ``exp(-2j pi f_{aB} d / c)``
+    and a fine factor ``exp(-2j pi b spacing d / c)``: ``A + B`` complex
+    exponentials per length instead of ``F``, multiplied as an outer
+    product and truncated to ``F`` tones.  Each factor's phase carries
+    the same relative rounding as the direct phase, so the product
+    differs from the direct exponential by a few ``eps * |2 pi f d / c|``.
+
+    Returns an array of shape ``lengths.shape + (F,)``, which may be a
+    view into a slightly longer comb.
+    """
+    d = np.asarray(lengths, dtype=float)[..., None]
+    f = grid.num_tones
+    b = math.isqrt(f - 1) + 1
+    a = -(-f // b)
+    k = -2j * np.pi / SPEED_OF_LIGHT
+    start = grid.center - grid.bandwidth / 2.0
+    coarse = np.exp(k * d * (start + np.arange(0, a * b, b, dtype=float) * grid.spacing))
+    fine = np.exp(k * d * (np.arange(b, dtype=float) * grid.spacing))
+    comb = coarse[..., :, None] * fine[..., None, :]
+    return comb.reshape(comb.shape[:-2] + (a * b,))[..., :f]
+
+
 def synth_channel(paths, tx_positions, rx_positions, grid: FrequencyGrid,
                   refs, model="rm"):
     """Frequency response of a multipath channel over an element grid.
@@ -294,6 +353,12 @@ def synth_channel(paths, tx_positions, rx_positions, grid: FrequencyGrid,
     -------
     (M, N, F) complex ndarray
         ``H[m, n, i] = sum_l gain_l * exp(-2j pi f_i d_l(m, n) / c)``.
+
+    All path lengths come from one :func:`path_lengths` call and all
+    phasors from one :func:`tone_phasors` call (the two-level tone
+    split).  The sum is then accumulated path by path in input order,
+    ``H += gain_l * phasor_l``, so a path contributes the same bits
+    whether it is synthesized alone or with others.
     """
     from .validation import as_points
 
@@ -303,16 +368,12 @@ def synth_channel(paths, tx_positions, rx_positions, grid: FrequencyGrid,
     tx_ref, rx_ref = refs
     tx_positions = as_points(tx_positions, "tx_positions")
     rx_positions = as_points(rx_positions, "rx_positions")
-    if model not in ("rm", "pwa"):
-        raise ValueError(f"unknown distance model {model!r}")
-    dist_fn = path_distance_rm if model == "rm" else path_distance_pwa
-    freqs = grid.tones()
-    out = np.zeros((len(rx_positions), len(tx_positions), grid.num_tones),
-                   dtype=complex)
-    for p in paths:
-        d = dist_fn(p, rx_positions[:, None, :], tx_positions[None, :, :],
-                    rx_ref, tx_ref)
-        out += p.gain * np.exp(-2j * np.pi / SPEED_OF_LIGHT * d[:, :, None] * freqs)
+    lengths = path_lengths(paths, rx_positions[:, None, :],
+                           tx_positions[None, :, :], rx_ref, tx_ref, model)
+    phasors = tone_phasors(lengths, grid)
+    out = np.zeros(phasors.shape[1:], dtype=complex)
+    for p, e in zip(paths, phasors):
+        out += p.gain * e
     return out
 
 

@@ -43,8 +43,8 @@ from .channel import (
     PwaPathParams,
     RmPathParams,
     alpha_from_bearings,
-    path_distance_rm,
-    rm_from_alpha,
+    path_lengths,
+    tone_phasors,
     unit_vector,
 )
 from .errors import (
@@ -318,17 +318,20 @@ def response_atom(plan: MeasurementPlan, grid: FrequencyGrid, aoa, aod, delta):
 
 def rm_response_atom(plan: MeasurementPlan, grid: FrequencyGrid,
                      tau, aoa, aod, parity):
-    """Exact mirrored-source response atom (K, M, N, F) for unit gain."""
-    prm = rm_from_alpha(1.0, tau, aoa,
-                        alpha_from_bearings(aoa, aod, parity), parity)
-    d = path_distance_rm(
-        prm,
+    """Exact mirrored-source response atom (K, M, N, F) for unit gain.
+
+    The same kernel :func:`~nfchan.channel.synth_channel` synthesizes
+    with: :func:`path_lengths` over the whole plan, then
+    :func:`tone_phasors`.
+    """
+    d = path_lengths(
+        [RmPathParams(1.0, tau, aoa, aod, parity)],
         plan.rx_positions[:, :, None, :],
         plan.tx_positions[None, None, :, :],
         plan.rx_ref,
         plan.tx_ref,
     )
-    return np.exp(-2j * np.pi / SPEED_OF_LIGHT * d[..., None] * grid.tones())
+    return tone_phasors(d[0], grid)
 
 
 def _per_placement_lsq(atoms, data):

@@ -21,7 +21,8 @@ mirror lines regardless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,23 +55,23 @@ class Wall:
     """A finite wall segment from ``a`` to ``b``.
 
     ``reflective`` marks whether the wall produces specular images; every
-    wall blocks propagation either way.
+    wall blocks propagation either way.  ``direction``, the unit vector
+    from ``a`` to ``b``, is computed once here.
     """
 
     a: np.ndarray
     b: np.ndarray
     reflective: bool = True
+    direction: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.a = as_vec2(self.a, "wall endpoint a")
         self.b = as_vec2(self.b, "wall endpoint b")
-        if np.linalg.norm(self.b - self.a) <= 0.0:
-            raise InvalidGeometry("wall endpoints coincide")
-
-    @property
-    def direction(self) -> np.ndarray:
         d = self.b - self.a
-        return d / np.linalg.norm(d)
+        length = np.linalg.norm(d)
+        if length <= 0.0:
+            raise InvalidGeometry("wall endpoints coincide")
+        self.direction = d / length
 
     def __repr__(self):
         flag = "" if self.reflective else ", reflective=False"
@@ -207,10 +208,15 @@ class ImagePath:
 
 def reflect_point(point, wall: Wall) -> np.ndarray:
     """Mirror ``point`` across the infinite line carrying ``wall``."""
-    p = as_vec2(point)
-    t = wall.direction
-    d = p - wall.a
-    return wall.a + 2.0 * np.dot(d, t) * t - d
+    return _mirror(as_vec2(point), wall)
+
+
+def _mirror(p, wall):
+    """:func:`reflect_point` for a point that is already a finite (2,) array."""
+    (ax, ay), (tx, ty), (px, py) = wall.a.tolist(), wall.direction.tolist(), p.tolist()
+    dx, dy = px - ax, py - ay
+    k = 2.0 * (dx * tx + dy * ty)
+    return np.array([ax + k * tx - dx, ay + k * ty - dy])
 
 
 def reflection_linear_part(wall: Wall) -> OrthoMap2:
@@ -294,7 +300,7 @@ def enumerate_images(room: Room, tx_ref, max_order: int,
                 if seq and seq[-1] == w:
                     continue
                 wall = room.walls[w]
-                z2 = reflect_point(z, wall)
+                z2 = _mirror(z, wall)
                 q2 = compose(reflection_linear_part(wall), q)
                 s2 = seq + (w,)
                 out.append(ImagePath(s2, z2, q2, _gain(len(s2), z2)))
@@ -312,7 +318,7 @@ def _segment_intersection(p, q, a, b):
     r = q - p
     s = b - a
     denom = r[0] * s[1] - r[1] * s[0]
-    if abs(denom) < 1e-15 * max(1.0, np.linalg.norm(r) * np.linalg.norm(s)):
+    if abs(denom) < 1e-15 * max(1.0, math.hypot(r[0], r[1]) * math.hypot(s[0], s[1])):
         return None
     d = a - p
     t = (d[0] * s[1] - d[1] * s[0]) / denom
@@ -333,7 +339,7 @@ def _backtrace(room: Room, seq, txp, rxp):
     """
     images = [txp]
     for w in seq:
-        images.append(reflect_point(images[-1], room.walls[w]))
+        images.append(_mirror(images[-1], room.walls[w]))
     points = [rxp]
     target = rxp
     for k in range(len(seq), 0, -1):
@@ -384,7 +390,7 @@ def validate_path(room: Room, wall_sequence, tx, rx):
 
     for i in range(len(polyline) - 1):
         p, q = polyline[i], polyline[i + 1]
-        if np.linalg.norm(q - p) <= _EPS:
+        if math.hypot(q[0] - p[0], q[1] - p[1]) <= _EPS:
             return False, None
         for wall in room.walls:
             hit = _segment_intersection(p, q, wall.a, wall.b)

@@ -15,6 +15,7 @@ formatting a parsed scenario and parsing it again is a fixed point.
 """
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,6 +259,8 @@ def parse_scenario(text):
     if item is not None:
         v, ln = item
         cfg.snr_db = None if v == "none" else _parse_float(v, ln)
+        if cfg.snr_db is not None and not math.isfinite(cfg.snr_db):
+            raise ScenarioError(f"snr_db must be finite or none, got {v!r}", line=ln)
     item = take("measurement", "coherent")
     if item is not None:
         cfg.coherent = _parse_bool(*item)

@@ -33,6 +33,13 @@ def check_positive(value, name: str):
     return float(value)
 
 
+def check_finite(value, name: str):
+    """A finite real or complex scalar, returned unchanged."""
+    if not np.isfinite(value):
+        raise InvalidGeometry(f"{name} must be finite, got {value}")
+    return value
+
+
 def check_fraction(value, name: str):
     """A fraction in [0, 1)."""
     if not (0 <= value < 1):

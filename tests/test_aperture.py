@@ -149,6 +149,11 @@ class TestSimulateCampaign:
         with pytest.raises(EmptyChannel):
             simulate_campaign([], self.plan, self.grid)
 
+    def test_bad_snr_named(self):
+        for snr in (-np.inf, np.nan, np.inf, -4000.0, 4000.0):
+            with pytest.raises(InvalidGeometry, match="snr_db"):
+                simulate_campaign(self.paths, self.plan, self.grid, snr_db=snr)
+
     def test_shape_checked(self):
         m = simulate_campaign(self.paths, self.plan, self.grid)
         with pytest.raises(InvalidGeometry):

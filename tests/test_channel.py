@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -14,13 +15,17 @@ from nfchan.channel import (
     path_distance_pwa,
     path_distance_rm,
     path_distance_tx_form,
+    path_lengths,
     rayleigh_distance,
     rm_from_alpha,
     synth_channel,
+    tone_phasors,
     unit_vector,
 )
 from nfchan.errors import EmptyChannel, InvalidGeometry
+from nfchan.aperture import plan_linear_track, simulate_campaign
 from nfchan.geometry import (
+    OrthoMap2,
     Room,
     enumerate_images,
     unfolded_polyline,
@@ -264,6 +269,106 @@ class TestSynthChannel:
                           (self.tx_ref, self.rx_ref))
 
 
+def random_paths(rng, n):
+    return [
+        rm_from_alpha(
+            gain=rng.normal() + 1j * rng.normal(),
+            tau=rng.uniform(10e-9, 200e-9),
+            aoa=rng.uniform(-np.pi, np.pi),
+            alpha=rng.uniform(-np.pi, np.pi),
+            parity=rng.choice([-1, 1]),
+        )
+        for _ in range(n)
+    ]
+
+
+def scalar_length(p, x_r, x_t, rx_ref, tx_ref, model):
+    """One path length from Python floats, written out term by term."""
+    rx, ry = x_r[0] - rx_ref[0], x_r[1] - rx_ref[1]
+    tx, ty = x_t[0] - tx_ref[0], x_t[1] - tx_ref[1]
+    base = C * p.tau
+    if model == "pwa":
+        return (base - rx * math.cos(p.aoa) - ry * math.sin(p.aoa)
+                - tx * math.cos(p.aod) - ty * math.sin(p.aod))
+    (q00, q01), (q10, q11) = OrthoMap2(p.alpha, p.parity).matrix().tolist()
+    return math.hypot(rx - base * math.cos(p.aoa) - (q00 * tx + q01 * ty),
+                      ry - base * math.sin(p.aoa) - (q10 * tx + q11 * ty))
+
+
+def phasor_bound(phase_max):
+    """Worst gap between ``tone_phasors`` and a direct ``np.exp``.
+
+    Each side forms its phase with at most three roundings (the product
+    ``k * d``, the tone, the product with the tone), each within
+    ``eps/2`` of the phase, and the split's two phases sum to at most
+    the largest phase plus the fine one, so the phases differ by less
+    than ``3 * eps * phase_max``.  The exponentials and the product of
+    the two unit factors add a few ``eps``; ``4 * eps * (phase_max + 1)``
+    covers both.
+    """
+    return 4.0 * np.finfo(float).eps * (phase_max + 1.0)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("n_tones", [2, 3, 97, 128, 512])
+    def test_tone_phasors_match_direct_exp(self, n_tones):
+        grid = FrequencyGrid(center=10e9, bandwidth=500e6, num_tones=n_tones)
+        lengths = np.random.default_rng(n_tones).uniform(0.5, 60.0, (5, 2, 3))
+        got = tone_phasors(lengths, grid)
+        phase = 2.0 * np.pi / C * lengths[..., None] * grid.tones()
+        want = np.exp(-2j * np.pi / C * lengths[..., None] * grid.tones())
+        assert got.shape == lengths.shape + (n_tones,)
+        assert np.max(np.abs(got - want)) <= phasor_bound(phase.max())
+
+    def test_path_lengths_match_scalar_formula(self):
+        rng = np.random.default_rng(17)
+        paths = random_paths(rng, 4)
+        rx_ref = rng.uniform(-5, 5, 2)
+        tx_ref = rng.uniform(-5, 5, 2)
+        x_r = rx_ref + rng.uniform(-1, 1, (4, 1, 2))
+        x_t = tx_ref + rng.uniform(-1, 1, (1, 3, 2))
+        for model in ("rm", "pwa"):
+            got = path_lengths(paths, x_r, x_t, rx_ref, tx_ref, model)
+            assert got.shape == (4, 4, 3)
+            for l, p in enumerate(paths):
+                for i in range(4):
+                    for j in range(3):
+                        want = scalar_length(p, x_r[i, 0], x_t[0, j],
+                                             rx_ref, tx_ref, model)
+                        assert got[l, i, j] == pytest.approx(want, rel=1e-12)
+            # unbatched receive side against a batch of transmit elements
+            flat = path_lengths(paths, x_r[0, 0], x_t[0], rx_ref, tx_ref, model)
+            assert flat.shape == (4, 3)
+            assert np.array_equal(flat, got[:, 0, :])
+
+    def test_six_wall_campaign_matches_per_path_formula(self):
+        room = Room.from_polygon([(0, 0), (14, 0), (20, 4), (20, 10), (6, 10), (0, 6)])
+        tx = np.array([[12.0, 7.5], [12.015, 7.5], [12.0075, 7.513]])
+        plan = plan_linear_track([1.0, 1.0], np.arange(40) * 0.1,
+                                 [0.015, 0.03, 0.06], tx)
+        grid = FrequencyGrid(center=10e9, bandwidth=500e6, num_tones=512)
+        paths = [
+            image_to_rm_params(p, plan.tx_ref, plan.rx_ref)
+            for p in enumerate_images(room, tx.mean(axis=0), 5, rx_ref=plan.rx_ref)
+            if validate_path(room, p.wall_sequence, tx.mean(axis=0), plan.rx_ref)[0]
+        ]
+        assert plan.n_placements == 120 and len(paths) > 40
+        got = simulate_campaign(paths, plan, grid, coherent=True).responses
+        want = np.zeros_like(got)
+        bound = 0.0
+        for p in paths:
+            d = path_distance_rm(p, plan.rx_positions[:, :, None, :],
+                                 plan.tx_positions[None, None, :, :],
+                                 plan.rx_ref, plan.tx_ref)
+            want += p.gain * np.exp(-2j * np.pi / C * d[..., None] * grid.tones())
+            phase_max = 2.0 * np.pi / C * d.max() * grid.tones()[-1]
+            # each term within the phasor bound, plus one rounding of the
+            # running sum per path on each side
+            bound += abs(p.gain) * (phasor_bound(phase_max)
+                                    + 2.0 * np.finfo(float).eps * len(paths))
+        assert np.max(np.abs(got - want)) <= bound
+
+
 class TestRayleigh:
     def test_values(self):
         assert rayleigh_distance(0.8, 0.03) == pytest.approx(2 * 0.64 / 0.03)
@@ -282,6 +387,14 @@ class TestParamValidation:
             PwaPathParams([1.0], -1e-9, 0.0, np.pi)
         # a zero relative delay is legitimate (earliest path of a set)
         assert PwaPathParams([1.0, 2.0], 0.0, 0.0, np.pi).delta == 0.0
+
+    def test_non_finite_fields_named(self):
+        for field, args in (("gain", (np.nan, 5e-9, 0.0, np.pi)),
+                            ("gain", (complex(1.0, np.inf), 5e-9, 0.0, np.pi)),
+                            ("aoa", (1.0, 5e-9, np.nan, np.pi)),
+                            ("aod", (1.0, 5e-9, 0.0, -np.inf))):
+            with pytest.raises(InvalidGeometry, match=field):
+                RmPathParams(*args)
 
     def test_bad_parity(self):
         with pytest.raises(InvalidGeometry):

@@ -79,6 +79,13 @@ class TestParsing:
             parse_scenario(broken)
         assert "lots" in str(err.value) and err.value.line > 0
 
+    def test_non_finite_snr_names_line(self):
+        for value in ("nan", "-inf", "inf"):
+            text = MINIMAL + f"\n[measurement]\nsnr_db = {value}\n"
+            with pytest.raises(ScenarioError, match="snr_db") as err:
+                parse_scenario(text)
+            assert err.value.line == text.splitlines().index(f"snr_db = {value}") + 1
+
     def test_range_expansion(self):
         cfg = parse_scenario(MINIMAL.replace(
             "offsets = 0 0.4", "offsets = 0:0.2:0.6"))
