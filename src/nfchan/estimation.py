@@ -29,6 +29,17 @@ for a fixed cost rule on the dictionary shape, with a zero-padded
 inverse FFT over every bin.  The off-grid line searches contract the
 peeled data with the two fixed factors once and rebuild only the moving
 factor at each evaluation.
+
+The sweep's argmax is an exact branch and bound over (aoa, aod) rows.
+Delay factors have unit modulus, so by Cauchy-Schwarz no score in a row
+exceeds ``F`` times the row's energy after the receive and transmit
+contractions; that energy is a quadratic form of the transmit factor in
+the per-tone Gram of the receive-contracted residual over placements,
+and one real GEMM gives it for every row.  Arrival angles are visited
+by descending best-row bound, and only rows whose bound (widened by a
+relative ``1e-9`` for rounding) still reaches the best score so far are
+scored, so the winner, with ties going to the lowest (aoa, aod, delay)
+index triple, is the full scan's.
 """
 
 from dataclasses import dataclass, field
@@ -218,6 +229,11 @@ class ScoreEngine:
     every delay sits on the half-bin comb and :func:`_fft_beats_gemm`
     says so, a zero-padded inverse FFT over all ``2F`` bins
     (``_use_fft``).
+
+    :meth:`best` only scores the (aoa, aod) rows whose upper bound
+    (:meth:`_row_bounds`) can still reach the best score found so far;
+    ``rows_scored`` counts the rows it has scored over the engine's
+    life.
     """
 
     def __init__(self, plan: MeasurementPlan, grid: FrequencyGrid,
@@ -234,6 +250,18 @@ class ScoreEngine:
             _atom_factor(plan, 1, dictionary.aods, freqs, conj=True)
             .transpose(2, 0, 1))
         self.mnf = plan.n_rx * plan.n_tx * grid.num_tones
+        self.rows_scored = 0
+
+        # Transmit-factor products that turn per-angle placement Grams
+        # into row bounds with one real GEMM: (B, J * F) with J = N * N
+        # reals per tone, [|w_n|^2, 2 Re(w_n w_n'*), -2 Im(w_n w_n'*)]
+        # over n < n'.
+        w = self._wt.transpose(1, 2, 0)  # (B, N, F)
+        self._pairs = np.triu_indices(plan.n_tx, 1)
+        z = 2.0 * w[:, self._pairs[0]] * w[:, self._pairs[1]].conj()
+        self._pmat = np.concatenate(
+            [w.real ** 2 + w.imag ** 2, z.real, -z.imag], axis=1
+        ).reshape(w.shape[0], -1)
 
         n_fft = 2 * grid.num_tones
         q = dictionary.delays * (2.0 * grid.bandwidth)
@@ -251,43 +279,91 @@ class ScoreEngine:
             self._dmat = _atom_factor(plan, 2, dictionary.delays,
                                       freqs - freqs[0], conj=True)
 
-    def _score_block(self, residual, ia):
-        """(B, D) scores for one arrival angle."""
-        g = np.einsum("kmf,kmnf->fnk", self._wr[ia], residual)
-        t = np.matmul(self._wt, g)  # (F, B, K)
+    def _receive(self, residual, ia):
+        """Residual contracted with the receive factor: (..., K, N, F)
+        for an arrival-angle index or slice ``ia``."""
+        return np.einsum("...kmf,kmnf->...knf", self._wr[ia], residual)
+
+    def _delay_scores(self, t):
+        """(R, D) scores of the transmit-contracted rows ``t`` (F, R, K)."""
         if self._use_fft:
             c = np.fft.ifft(t, n=self._n_fft, axis=0)[self._q_idx]
             c *= self._n_fft
         else:
             c = self._dmat @ t.reshape(t.shape[0], -1)
-            c = c.reshape(-1, *t.shape[1:])  # (D, B, K)
+            c = c.reshape(-1, *t.shape[1:])  # (D, R, K)
         return np.sum(c.real ** 2 + c.imag ** 2, axis=-1).T / self.mnf
 
+    def _row_bounds(self, residual):
+        """(A, B) upper bounds on every score of each (aoa, aod) row.
+
+        Every delay factor has unit modulus, so by Cauchy-Schwarz over
+        tones a row's scores are at most ``F * sum_{f,k} |t[f,b,k]|^2 /
+        (M N F)``, and ``sum_k |t[f,b,k]|^2 = w^T G_f w*`` with ``G_f``
+        the N x N Gram over placements of the receive-contracted
+        residual.  The Grams are built a few angles at a time (about
+        1 MB of transients) and meet the transmit products in one GEMM.
+        """
+        k, _, n, f = residual.shape
+        a = self.dictionary.aoas.size
+        iu, ju = self._pairs
+        out = np.empty((a, self._pmat.shape[0]))
+        step = max(1, (1 << 20) // (16 * k * n * f))
+        for lo in range(0, a, step):
+            g = self._receive(residual, slice(lo, lo + step))
+            z = np.sum(g[:, :, iu] * g[:, :, ju].conj(), axis=1)
+            gram = np.concatenate(
+                [np.sum(g.real ** 2 + g.imag ** 2, axis=1), z.real, z.imag],
+                axis=1)
+            out[lo:lo + step] = gram.reshape(gram.shape[0], -1) @ self._pmat.T
+        return out / (self.plan.n_rx * n)
+
     def scores(self, residual):
-        """Full (A, B, D) score tensor.  Meant for small dictionaries."""
+        """Full (A, B, D) score tensor, the scan :meth:`best` must agree
+        with.  Meant for small dictionaries."""
         a, b, d = self.dictionary.shape
         out = np.empty((a, b, d))
         for ia in range(a):
-            out[ia] = self._score_block(residual, ia)
+            out[ia] = self._delay_scores(
+                np.matmul(self._wt, self._receive(residual, ia).T))
         return out
 
     def best(self, residual):
         """Argmax over the whole dictionary without materializing it.
 
-        Ties resolve to the lowest (aoa, aod, delay) index triple, same
-        as a flat C-order argmax.
+        Exact branch and bound over (aoa, aod) rows.  Every row gets an
+        upper bound (:meth:`_row_bounds`), widened by a relative margin
+        of ``1e-9`` for rounding.  The row with the highest bound is
+        scored first to seed the best score; arrival angles are then
+        visited by descending best-row bound, each scoring only the rows
+        whose bound still reaches the best score so far, until the next
+        angle's bound falls below it.  Ties resolve to the lowest (aoa,
+        aod, delay) index triple, same as a flat C-order argmax of
+        :meth:`scores`.
         """
-        best_val = -1.0
-        best_idx = (0, 0, 0)
-        for ia in range(self.dictionary.aoas.size):
-            block = self._score_block(residual, ia)
-            flat = int(np.argmax(block))
-            val = float(block.flat[flat])
-            if val > best_val:
-                ib, idl = np.unravel_index(flat, block.shape)
-                best_val = val
-                best_idx = (ia, int(ib), int(idl))
+        bound = self._row_bounds(residual) * (1.0 + 1e-9)
+        top = bound.max(axis=1)
+        order = np.argsort(-top, kind="stable")
+        best_val, best_idx = self._score_rows(
+            residual, order[0], np.argmax(bound[order[0]], keepdims=True))
+        for ia in order:
+            if top[ia] < best_val:
+                break
+            val, idx = self._score_rows(
+                residual, ia, np.flatnonzero(bound[ia] >= best_val))
+            if val > best_val or (val == best_val and idx < best_idx):
+                best_val, best_idx = val, idx
         return best_idx, best_val
+
+    def _score_rows(self, residual, ia, rows):
+        """Best (score, index triple) over the given aod rows of one
+        arrival angle, ties going to the lowest (aod, delay) pair."""
+        w = self._wt if rows.size == self._wt.shape[1] else self._wt[:, rows]
+        block = self._delay_scores(np.matmul(w, self._receive(residual, ia).T))
+        self.rows_scored += rows.size
+        flat = int(np.argmax(block))
+        ir, idl = np.unravel_index(flat, block.shape)
+        return float(block.flat[flat]), (int(ia), int(rows[ir]), int(idl))
 
     def atom(self, ia, ib, idl):
         """Unit-modulus atom (K, M, N, F) for a grid index triple."""
@@ -573,12 +649,15 @@ def detect_paths_pdp(pdp: Pdp, threshold_db=30.0, min_separation_bins=2,
     Finds circular local maxima of the profile, keeps those within
     ``threshold_db`` (power) of the strongest, then greedily suppresses
     neighbors closer than ``min_separation_bins``, strongest first with
-    ties going to the lower bin.  Returned peaks are sorted by delay.
+    ties going to the lower bin, keeping at most ``max_paths`` (at least
+    1) when given.  Returned peaks are sorted by delay.
     """
     if threshold_db <= 0:
         raise InvalidGeometry("threshold_db must be positive")
     if min_separation_bins < 1:
         raise InvalidGeometry("min_separation_bins must be at least 1")
+    if max_paths is not None and max_paths < 1:
+        raise InvalidGeometry("max_paths must be at least 1")
     m = np.asarray(pdp.magnitudes, dtype=float)
     empty = PdpPeaks(delays=np.empty(0), magnitudes=np.empty(0),
                      bins=np.empty(0, dtype=int))

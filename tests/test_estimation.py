@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfchan.aperture import Pdp, mean_pdp, plan_linear_track, simulate_campaign
 from nfchan.channel import (
@@ -34,6 +36,21 @@ from nfchan.estimation import (
     triangulate,
 )
 from nfchan.estimation import _line_score
+from nfchan.pipeline import (
+    COARSE_AOA_STEP_DEG,
+    COARSE_AOD_STEP_DEG,
+    _angle_comb,
+    _fold,
+    _fold_setup,
+    _pdp_delay_support,
+)
+from nfchan.scenario import (
+    build_grid,
+    build_plan,
+    build_room,
+    load_preset,
+    true_paths,
+)
 
 WL = C / 10e9
 TX3 = np.array([[12.0, 7.5], [12.0 - WL / 2, 7.5], [12.0, 7.5 + WL / 2]])
@@ -159,6 +176,90 @@ class TestScoreEngine:
         flat = int(np.argmax(scores))
         assert idx == np.unravel_index(flat, scores.shape)
         assert val == pytest.approx(scores.max(), rel=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_best_matches_full_scan(self, data):
+        # Angles are whole degrees in (0, 180): the receive track and a
+        # two-element transmitter lie along x, where +-theta would tie.
+        draw = data.draw
+        grid = FrequencyGrid(center=10e9, bandwidth=500e6, num_tones=128)
+        degrees = st.lists(st.integers(1, 179), min_size=1, max_size=5,
+                           unique=True).map(lambda d: np.deg2rad(sorted(d)))
+        plan = plan_linear_track(
+            [1.0, 1.0],
+            draw(st.lists(st.sampled_from([0.0, 0.2, 0.4, 0.8]),
+                          min_size=1, max_size=3, unique=True)),
+            draw(st.lists(st.sampled_from([WL / 2, WL, 2 * WL]),
+                          min_size=1, max_size=2, unique=True)),
+            TX3[:draw(st.integers(2, 3))],
+            n_rx=draw(st.integers(1, 3)))
+        span, use_fft = draw(st.sampled_from([((38e-9, 46e-9), False),
+                                              ((0.0, None), True)]))
+        dic = DictionaryGrid(aoas=draw(degrees), aods=draw(degrees),
+                             delays=fft_delay_bins(grid, *span))
+        kind = draw(st.sampled_from(["noise", "path", "node"]))
+        if kind == "noise":
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            shape = (plan.n_placements, plan.n_rx, plan.n_tx, grid.num_tones)
+            residual = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        elif kind == "path":
+            path = rm_from_alpha(1.0, draw(st.floats(39e-9, 45e-9)),
+                                 draw(st.floats(0.1, 3.0)),
+                                 draw(st.floats(-np.pi, np.pi)),
+                                 draw(st.sampled_from([1, -1])))
+            residual = simulate_campaign([path], plan, grid).responses
+        else:
+            # A first-order path on a dictionary node meets its bound.
+            path = RmPathParams(1.0, draw(st.sampled_from(list(dic.delays))),
+                                draw(st.sampled_from(list(dic.aoas))),
+                                draw(st.sampled_from(list(dic.aods))))
+            residual = simulate_campaign([path], plan, grid,
+                                         model="pwa").responses
+        engine = ScoreEngine(plan, grid, dic)
+        assert engine._use_fft == use_fft
+        scores = engine.scores(residual)
+        bound = engine._row_bounds(residual)
+        assert np.all(scores.max(axis=2) <= bound * (1.0 + 1e-9))
+        idx, val = engine.best(residual)
+        assert idx == np.unravel_index(int(np.argmax(scores)), scores.shape)
+        assert val == pytest.approx(scores.max(), rel=1e-12)
+
+    def test_zero_residual_ties_to_first_triple(self):
+        grid = grid64()
+        plan = small_plan()
+        dic = DictionaryGrid(aoas=np.linspace(0.2, 1.0, 4),
+                             aods=np.linspace(-2.0, -1.0, 3),
+                             delays=fft_delay_bins(grid, 38e-9, 46e-9))
+        engine = ScoreEngine(plan, grid, dic)
+        zero = np.zeros((plan.n_placements, plan.n_rx, plan.n_tx,
+                         grid.num_tones), dtype=complex)
+        assert engine.best(zero) == ((0, 0, 0), 0.0)
+
+    def test_single_path_prunes_coarse_preset_rows(self):
+        # The room-20x10 coarse sweep: every true path alone, and all
+        # four together, must be found after scoring under a quarter of
+        # the (aoa, aod) rows.
+        cfg = load_preset("room-20x10")
+        plan, grid = build_plan(cfg), build_grid(cfg)
+        truth = true_paths(cfg, plan)
+        delays, _ = _pdp_delay_support(
+            simulate_campaign(truth, plan, grid), cfg)
+        dic = DictionaryGrid(
+            aoas=_fold(_angle_comb(COARSE_AOA_STEP_DEG),
+                       *_fold_setup(plan, build_room(cfg))),
+            aods=_angle_comb(COARSE_AOD_STEP_DEG),
+            delays=delays)
+        rows = dic.shape[0] * dic.shape[1]
+        for paths in [[p] for p in truth] + [truth]:
+            residual = simulate_campaign(paths, plan, grid).responses
+            engine = ScoreEngine(plan, grid, dic)
+            idx, val = engine.best(residual)
+            scores = engine.scores(residual)
+            assert idx == np.unravel_index(int(np.argmax(scores)),
+                                           scores.shape)
+            assert val == pytest.approx(scores.max(), rel=1e-12)
+            assert engine.rows_scored < 0.25 * rows
 
     def test_dictionary_validation(self):
         with pytest.raises(InvalidGeometry):
@@ -553,6 +654,14 @@ class TestPdpDetection:
         pdp = Pdp(delay_bins=np.arange(4.0), magnitudes=np.ones(4))
         with pytest.raises(InvalidGeometry):
             detect_paths_pdp(pdp, threshold_db=0.0)
+
+    @pytest.mark.parametrize("max_paths", [0, -1])
+    def test_max_paths_must_be_positive(self, max_paths):
+        mags = np.zeros(16)
+        mags[[4, 10]] = 1.0
+        pdp = Pdp(delay_bins=np.arange(16.0), magnitudes=mags)
+        with pytest.raises(InvalidGeometry, match="max_paths"):
+            detect_paths_pdp(pdp, max_paths=max_paths)
 
 
 class TestAssembleRm:
