@@ -367,15 +367,9 @@ class ScoreEngine:
 
     def atom(self, ia, ib, idl):
         """Unit-modulus atom (K, M, N, F) for a grid index triple."""
-        return self.atom_for(
-            self.dictionary.aoas[ia],
-            self.dictionary.aods[ib],
-            self.dictionary.delays[idl],
-        )
-
-    def atom_for(self, aoa, aod, delta):
-        """Atom for arbitrary continuous parameters."""
-        return response_atom(self.plan, self.grid, aoa, aod, delta)
+        return response_atom(self.plan, self.grid, self.dictionary.aoas[ia],
+                             self.dictionary.aods[ib],
+                             self.dictionary.delays[idl])
 
 
 def response_atom(plan: MeasurementPlan, grid: FrequencyGrid, aoa, aod, delta):
@@ -410,7 +404,7 @@ def rm_response_atom(plan: MeasurementPlan, grid: FrequencyGrid,
     return tone_phasors(d[0], grid)
 
 
-def _per_placement_lsq(atoms, data):
+def per_placement_lsq(atoms, data):
     """Joint least-squares gains per placement.
 
     atoms: (L, K, M, N, F), data: (K, M, N, F) -> gains (L, K).
@@ -430,7 +424,8 @@ def _per_placement_lsq(atoms, data):
     return gains
 
 
-def _model_sum(atoms, gains):
+def model_sum(atoms, gains):
+    """Model responses (K, M, N, F) of atoms (L, K, M, N, F) under gains (L, K)."""
     return np.einsum("lk...,lk->k...", atoms, gains)
 
 
@@ -494,12 +489,12 @@ def _cyclic_polish(plan, grid, params, data, steps, passes):
     """
     freqs = grid.tones()
     atoms = [response_atom(plan, grid, *p) for p in params]
-    gains = _per_placement_lsq(np.stack(atoms), data)
+    gains = per_placement_lsq(np.stack(atoms), data)
     for _ in range(max(passes, 0)):
         for j in range(len(params)):
             if len(params) > 1:
                 others = np.stack([a for i, a in enumerate(atoms) if i != j])
-                peeled = data - _model_sum(others, np.delete(gains, j, axis=0))
+                peeled = data - model_sum(others, np.delete(gains, j, axis=0))
             else:
                 peeled = data
             for coord in range(3):
@@ -515,9 +510,9 @@ def _cyclic_polish(plan, grid, params, data, steps, passes):
                 if -best.fun >= score(center):
                     params[j][coord] = float(best.x)
             atoms[j] = response_atom(plan, grid, *params[j])
-            gains = _per_placement_lsq(np.stack(atoms), data)
+            gains = per_placement_lsq(np.stack(atoms), data)
     stack = np.stack(atoms)
-    residual = data - _model_sum(stack, gains)
+    residual = data - model_sum(stack, gains)
     return params, stack, gains, float(np.sum(np.abs(residual) ** 2))
 
 
@@ -581,12 +576,12 @@ def omp_extract(mset: MeasurementSet, dictionary: DictionaryGrid,
             params.append(picked)
             atoms.append(engine.atom(*idx))
             stack = np.stack(atoms)
-            new_gains = _per_placement_lsq(stack, data)
+            new_gains = per_placement_lsq(stack, data)
             new_energy = float(
-                np.sum(np.abs(data - _model_sum(stack, new_gains)) ** 2))
+                np.sum(np.abs(data - model_sum(stack, new_gains)) ** 2))
         selections.append(idx)
         gains = new_gains
-        residual = data - _model_sum(stack, gains)
+        residual = data - model_sum(stack, gains)
         res_energy = new_energy
         history.append(res_energy)
         if res_energy <= stop_fraction * initial:
@@ -899,9 +894,9 @@ def estimate_parity(mset: MeasurementSet, path: PwaPathParams, tau,
     energies = {}
     for s in (+1, -1):
         atom = rm_response_atom(plan, grid, float(tau), path.aoa, path.aod, s)
-        gains = _per_placement_lsq(atom[None], y)
+        gains = per_placement_lsq(atom[None], y)
         energies[s] = float(
-            np.sum(np.abs(y - _model_sum(atom[None], gains)) ** 2))
+            np.sum(np.abs(y - model_sum(atom[None], gains)) ** 2))
     margin = abs(energies[+1] - energies[-1])
     ambiguous = margin <= 1e-12 * total
     parity = +1 if ambiguous or energies[+1] <= energies[-1] else -1

@@ -9,15 +9,17 @@ scikit-learn import is required; the protocol is duck-typed and
 ``sklearn.base.clone`` works on these objects as-is.
 """
 
-import inspect
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .aperture import MeasurementSet, simulate_campaign
 from .errors import NfchanError
-from .estimation import _model_sum, _per_placement_lsq, response_atom
+from .estimation import model_sum, per_placement_lsq, response_atom
 from .pipeline import extract_paths, run_estimate
 from .scenario import ScenarioConfig
+
+_SCENARIO_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 
 
 class NotFittedError(NfchanError, AttributeError):
@@ -25,12 +27,25 @@ class NotFittedError(NfchanError, AttributeError):
 
 
 class _BaseEstimator:
-    """get_params/set_params over the __init__ signature."""
+    """get_params/set_params over the ``ScenarioConfig`` fields named in
+    ``_fields`` (defaults taken from ``ScenarioConfig``) plus the extra
+    parameters in ``_extra``."""
+
+    _fields = ()
+    _extra = {}
+
+    def __init__(self, **params):
+        unknown = sorted(set(params) - set(self._param_names()))
+        if unknown:
+            raise TypeError(f"{type(self).__name__}() got an unexpected "
+                            f"keyword argument {unknown[0]!r}")
+        defaults = {name: _SCENARIO_DEFAULTS[name] for name in self._fields}
+        for name, default in {**defaults, **self._extra}.items():
+            setattr(self, name, params.get(name, default))
 
     @classmethod
     def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
+        return [*cls._fields, *cls._extra]
 
     def get_params(self, deep=True):
         return {name: getattr(self, name) for name in self._param_names()}
@@ -43,6 +58,10 @@ class _BaseEstimator:
                     f"invalid parameter {name!r} for {type(self).__name__}")
             setattr(self, name, value)
         return self
+
+    def _config(self):
+        return replace(ScenarioConfig(),
+                       **{name: getattr(self, name) for name in self._fields})
 
     def _check_fitted(self, attr):
         if not hasattr(self, attr):
@@ -57,7 +76,7 @@ class _BaseEstimator:
 class PathExtractor(_BaseEstimator):
     """Sparse multipath extraction as a fit/predict estimator.
 
-    ``fit`` runs the sweep cascade (and optional continuous refinement)
+    ``fit`` runs the polished sweep (and optional continuous refinement)
     on a measurement set; fitted paths live in ``paths_``.  ``predict``
     rebuilds the model response tensor for a measurement set with the
     fitted (aoa, aod, delay) triples, refitting the per-placement gains,
@@ -66,33 +85,14 @@ class PathExtractor(_BaseEstimator):
 
     Parameters mirror the estimation section of a scenario file; angles
     are degree triples ``(start, step, stop)`` or None for the automatic
-    coarse-to-fine sweep.  ``room`` (a :class:`~nfchan.geometry.Room`)
+    full-circle sweep.  ``room`` (a :class:`~nfchan.geometry.Room`)
     enables the mirror-ambiguity fold for collinear tracks.
     """
 
-    def __init__(self, l_max=6, stop_fraction=0.005, refine=True,
-                 refine_passes=2, aoa_grid_deg=None, aod_grid_deg=None,
-                 delay_pad_bins=4, detect_threshold_db=30.0,
-                 min_separation_bins=2, room=None):
-        self.l_max = l_max
-        self.stop_fraction = stop_fraction
-        self.refine = refine
-        self.refine_passes = refine_passes
-        self.aoa_grid_deg = aoa_grid_deg
-        self.aod_grid_deg = aod_grid_deg
-        self.delay_pad_bins = delay_pad_bins
-        self.detect_threshold_db = detect_threshold_db
-        self.min_separation_bins = min_separation_bins
-        self.room = room
-
-    def _config(self):
-        return ScenarioConfig(
-            l_max=self.l_max, stop_fraction=self.stop_fraction,
-            refine=self.refine, refine_passes=self.refine_passes,
-            aoa_grid_deg=self.aoa_grid_deg, aod_grid_deg=self.aod_grid_deg,
-            delay_pad_bins=self.delay_pad_bins,
-            detect_threshold_db=self.detect_threshold_db,
-            min_separation_bins=self.min_separation_bins)
+    _fields = ("l_max", "stop_fraction", "refine", "refine_passes",
+               "aoa_grid_deg", "aod_grid_deg", "delay_pad_bins",
+               "detect_threshold_db", "min_separation_bins")
+    _extra = {"room": None}
 
     def fit(self, X: MeasurementSet, y=None):
         result, fold, timing = extract_paths(X, self._config(),
@@ -115,8 +115,8 @@ class PathExtractor(_BaseEstimator):
         """Model response tensor for X's plan/grid, gains refit to X."""
         self._check_fitted("extraction_")
         atoms = self._atoms(X)
-        gains = _per_placement_lsq(atoms, X.responses)
-        return _model_sum(atoms, gains)
+        gains = per_placement_lsq(atoms, X.responses)
+        return model_sum(atoms, gains)
 
     def score(self, X: MeasurementSet, y=None):
         """Fraction of X's energy captured by the fitted paths (0..1)."""
@@ -138,37 +138,10 @@ class ReflectionModelEstimator(_BaseEstimator):
     the fitted parameters are absolute.
     """
 
-    def __init__(self, room_vertices=None, reflective="all",
-                 aoa_grid_deg=None, aod_grid_deg=None, delay_pad_bins=4,
-                 l_max=6, stop_fraction=0.005, refine=True, refine_passes=2,
-                 detect_threshold_db=30.0, min_separation_bins=2,
-                 parity=True, min_bearings=2, subsets="by-offset"):
-        self.room_vertices = room_vertices
-        self.reflective = reflective
-        self.aoa_grid_deg = aoa_grid_deg
-        self.aod_grid_deg = aod_grid_deg
-        self.delay_pad_bins = delay_pad_bins
-        self.l_max = l_max
-        self.stop_fraction = stop_fraction
-        self.refine = refine
-        self.refine_passes = refine_passes
-        self.detect_threshold_db = detect_threshold_db
-        self.min_separation_bins = min_separation_bins
-        self.parity = parity
-        self.min_bearings = min_bearings
-        self.subsets = subsets
-
-    def _config(self):
-        return ScenarioConfig(
-            room_vertices=self.room_vertices, reflective=self.reflective,
-            aoa_grid_deg=self.aoa_grid_deg, aod_grid_deg=self.aod_grid_deg,
-            delay_pad_bins=self.delay_pad_bins, l_max=self.l_max,
-            stop_fraction=self.stop_fraction, refine=self.refine,
-            refine_passes=self.refine_passes,
-            detect_threshold_db=self.detect_threshold_db,
-            min_separation_bins=self.min_separation_bins,
-            parity=self.parity, min_bearings=self.min_bearings,
-            subsets=self.subsets)
+    _fields = ("room_vertices", "reflective", "aoa_grid_deg", "aod_grid_deg",
+               "delay_pad_bins", "l_max", "stop_fraction", "refine",
+               "refine_passes", "detect_threshold_db", "min_separation_bins",
+               "parity", "min_bearings", "subsets")
 
     def fit(self, X: MeasurementSet, y=None):
         report = run_estimate(X, self._config(), truth=y)

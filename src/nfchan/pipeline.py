@@ -3,9 +3,9 @@
 The estimation side chains the lower-level stages:
 
 1. delay support from the averaged power delay profile;
-2. matching-pursuit sweep for (aoa, aod, delta) with per-placement
-   gains, multiresolution by default (coarse grid, then 1-degree
-   windows around the survivors), polished off-grid as it goes;
+2. one matching-pursuit sweep for (aoa, aod, delta) with per-placement
+   gains over a 3-degree arrival and 6-degree departure comb, polished
+   off-grid as it goes, then a final 1-degree refinement;
 3. re-extraction on single-offset placement subsets to produce one
    bearing per path per subset, then weighted triangulation of every
    path's mirrored source;
@@ -45,20 +45,19 @@ from .estimation import (
     estimate_parity,
     image_from_polar,
     localization_heatmap,
+    model_sum,
     omp_extract,
+    per_placement_lsq,
     recover_abs_delays,
     refine_extraction,
     response_atom,
     triangulate,
-    _model_sum,
-    _per_placement_lsq,
 )
 from .scenario import ScenarioConfig, build_grid, build_plan, build_room, true_paths
 
 COARSE_AOA_STEP_DEG = 3.0
 COARSE_AOD_STEP_DEG = 6.0
 FINE_STEP_DEG = 1.0
-FINE_WINDOW_DEG = 3.0
 SUBSET_WINDOW_DEG = 2.0
 SUBSET_PAD_HALFBINS = 3
 MATCH_GATE = 18.0  # squared cost in (degree, half-bin) units
@@ -150,70 +149,86 @@ def _grid_from_range(rng_deg):
     return np.deg2rad(vals)
 
 
-def extract_paths(mset, cfg, room=None):
-    """Stages 1-2: delay support, sweep, polish, final refinement.
+def _ldexp(z, e):
+    """Complex ``z * 2**e``; exact while the result stays a normal number."""
+    a = np.ascontiguousarray(z, dtype=complex)
+    return np.ldexp(a.view(float), e).view(complex).reshape(np.shape(z))
 
-    Explicit ``aoa_grid``/``aod_grid`` ranges in the scenario are swept
-    literally in one pass.  Otherwise a coarse full-circle sweep (3 and
-    6 degree steps) seeds 1-degree windows, which keeps the default
-    resolution of one degree without paying for an exhaustive
-    360x360 sweep.
+
+def _unit_scale(mset):
+    """(``mset`` scaled by ``2**-e`` so that max |y| lies in [0.5, 1), e).
+
+    A power-of-two scale is exact and needs no squaring, so the stages
+    see the same bits whatever the input scale, and squared magnitudes
+    neither underflow nor overflow.  :func:`_to_input_units` scales the
+    gains and energies back.
     """
-    axis, side = _fold_setup(mset.plan, room)
-    delays, peaks = _pdp_delay_support(mset, cfg)
-    halfstep = 1.0 / (2.0 * mset.grid.bandwidth)
-    timing = {}
+    e = math.frexp(float(np.max(np.abs(mset.responses), initial=0.0)))[1]
+    if e == 0:  # already at unit scale: spare the copy
+        return mset, 0
+    return replace(mset, responses=_ldexp(mset.responses, -e)), e
 
+
+def _to_input_units(result, e):
+    """Scale ``result``'s gains by ``2**e`` and its energies by ``4**e``,
+    in place; an energy past the float range reads inf or 0."""
+    for p in result.paths:
+        p.gains = _ldexp(p.gains, e)
+    with np.errstate(over="ignore"):
+        energies = np.ldexp([result.initial_energy, result.residual_energy,
+                             *result.residual_history], 2 * e).tolist()
+    result.initial_energy, result.residual_energy = energies[:2]
+    result.residual_history = energies[2:]
+
+
+def _sweep_and_refine(mset, dic, cfg, l_max, timing):
+    """One polished sweep over ``dic``, then the 1-degree refinement;
+    ``timing`` receives the "sweep" and "refine" wall times."""
     t0 = time.perf_counter()
-    if cfg.aoa_grid_deg is not None or cfg.aod_grid_deg is not None:
-        aoas = (_grid_from_range(cfg.aoa_grid_deg)
-                if cfg.aoa_grid_deg is not None else
-                _fold(_angle_comb(FINE_STEP_DEG), axis, side))
-        aods = (_grid_from_range(cfg.aod_grid_deg)
-                if cfg.aod_grid_deg is not None else _angle_comb(FINE_STEP_DEG))
-        dic = DictionaryGrid(aoas=aoas, aods=aods, delays=delays)
-        result = omp_extract(mset, dic, l_max=cfg.l_max,
-                             stop_fraction=cfg.stop_fraction, polish_passes=1)
-        timing["sweep"] = time.perf_counter() - t0
-    else:
-        coarse = DictionaryGrid(
-            aoas=_fold(_angle_comb(COARSE_AOA_STEP_DEG), axis, side),
-            aods=_angle_comb(COARSE_AOD_STEP_DEG),
-            delays=delays)
-        rough = omp_extract(mset, coarse, l_max=cfg.l_max,
-                            stop_fraction=cfg.stop_fraction, polish_passes=1)
-        timing["coarse_sweep"] = time.perf_counter() - t0
-        if not rough.paths:
-            return rough, (axis, side), timing
-        t1 = time.perf_counter()
-        qs = set()
-        for p in rough.paths:
-            q0 = int(round((p.delta + rough.delay_origin) / halfstep))
-            qs.update(range(q0 - SUBSET_PAD_HALFBINS, q0 + SUBSET_PAD_HALFBINS + 1))
-        fine = DictionaryGrid(
-            aoas=_fold(_angle_windows([p.aoa for p in rough.paths],
-                                      FINE_WINDOW_DEG, FINE_STEP_DEG),
-                       axis, side),
-            aods=_angle_windows([p.aod for p in rough.paths],
-                                FINE_WINDOW_DEG, FINE_STEP_DEG),
-            delays=_delay_comb(qs, mset.grid))
-        result = omp_extract(mset, fine, l_max=cfg.l_max,
-                             stop_fraction=cfg.stop_fraction, polish_passes=1)
-        timing["fine_sweep"] = time.perf_counter() - t1
-
+    result = omp_extract(mset, dic, l_max=l_max,
+                         stop_fraction=cfg.stop_fraction, polish_passes=1)
+    timing["sweep"] = time.perf_counter() - t0
     if cfg.refine and result.paths:
-        t1 = time.perf_counter()
+        t0 = time.perf_counter()
         result = refine_extraction(mset, result,
                                    aoa_step=np.deg2rad(FINE_STEP_DEG),
                                    aod_step=np.deg2rad(FINE_STEP_DEG),
                                    passes=cfg.refine_passes)
-        timing["refine"] = time.perf_counter() - t1
+        timing["refine"] = time.perf_counter() - t0
+    return result
+
+
+def extract_paths(mset, cfg, room=None):
+    """Stages 1-2: delay support, sweep, polish, final refinement.
+
+    Explicit ``aoa_grid``/``aod_grid`` ranges in the scenario are swept
+    literally; an axis without one sweeps the full circle in 3-degree
+    (arrival) or 6-degree (departure) steps.  The sweep polishes every
+    pick off the grid, so no finer grid follows; the refinement then
+    polishes all paths jointly within one degree.  The stages run on
+    responses scaled by a power of two (:func:`_unit_scale`); gains and
+    energies come back in input units.
+    """
+    mset, e = _unit_scale(mset)
+    axis, side = _fold_setup(mset.plan, room)
+    delays, _ = _pdp_delay_support(mset, cfg)
+    aoas = (_grid_from_range(cfg.aoa_grid_deg)
+            if cfg.aoa_grid_deg is not None else
+            _fold(_angle_comb(COARSE_AOA_STEP_DEG), axis, side))
+    aods = (_grid_from_range(cfg.aod_grid_deg)
+            if cfg.aod_grid_deg is not None else
+            _angle_comb(COARSE_AOD_STEP_DEG))
+    timing = {}
+    result = _sweep_and_refine(
+        mset, DictionaryGrid(aoas=aoas, aods=aods, delays=delays), cfg,
+        cfg.l_max, timing)
+    _to_input_units(result, e)
     return result, (axis, side), timing
 
 
 def subset_groups(plan, cfg):
     """Placement index groups feeding one bearing each."""
-    spec = getattr(cfg, "subsets", "by-offset")
+    spec = cfg.subsets
     if isinstance(spec, str):
         if spec != "by-offset":
             raise InvalidGeometry(f"unknown subset rule {spec!r}")
@@ -274,13 +289,7 @@ def subset_bearings(mset, result, cfg, fold_info=(None, 0.0)):
             aods=_angle_windows([b for _, b, _ in pred],
                                 SUBSET_WINDOW_DEG, FINE_STEP_DEG),
             delays=_delay_comb(qs, grid))
-        rs = omp_extract(subm, dic, l_max=len(paths),
-                         stop_fraction=cfg.stop_fraction, polish_passes=1)
-        if cfg.refine and rs.paths:
-            rs = refine_extraction(subm, rs,
-                                   aoa_step=np.deg2rad(FINE_STEP_DEG),
-                                   aod_step=np.deg2rad(FINE_STEP_DEG),
-                                   passes=cfg.refine_passes)
+        rs = _sweep_and_refine(subm, dic, cfg, len(paths), {})
         subset_results.append(rs)
         costed = []
         for si, sp in enumerate(rs.paths):
@@ -343,13 +352,13 @@ def parity_decisions(mset, result, taus):
     atoms = np.stack([response_atom(mset.plan, mset.grid, p.aoa, p.aod,
                                     p.delta + result.delay_origin)
                       for p in paths])
-    gains = _per_placement_lsq(atoms, mset.responses)
+    gains = per_placement_lsq(atoms, mset.responses)
     out = []
     for j, p in enumerate(paths):
         others = [i for i in range(len(paths)) if i != j]
         peeled = mset.responses
         if others:
-            peeled = peeled - _model_sum(atoms[others], gains[others])
+            peeled = peeled - model_sum(atoms[others], gains[others])
         out.append(estimate_parity(mset, p, taus[j], residual=peeled))
     return out
 
@@ -408,7 +417,6 @@ def _match_truth(result, taus, truth):
     """One-to-one assignment of estimates to true paths on (aoa, delay)."""
     if not result.paths or not truth:
         return [None] * len(result.paths)
-    halfbin = None
     cost = np.zeros((len(result.paths), len(truth)))
     for i, p in enumerate(result.paths):
         draw = (taus[i] if taus is not None
@@ -484,9 +492,14 @@ def _rebind_plan(mset, cfg):
 
 
 def run_estimate(mset, cfg: ScenarioConfig, truth=None) -> RunReport:
-    """Full recovery pipeline on an existing measurement set."""
+    """Full recovery pipeline on an existing measurement set.
+
+    Every stage runs on responses scaled by a power of two
+    (:func:`_unit_scale`); the report's gains and energies are in input
+    units.
+    """
     t_all = time.perf_counter()
-    mset = _rebind_plan(mset, cfg)
+    mset, e = _unit_scale(_rebind_plan(mset, cfg))
     room = build_room(cfg) if cfg.room_vertices is not None else None
     result, fold_info, timing = extract_paths(mset, cfg, room=room)
 
@@ -506,8 +519,11 @@ def run_estimate(mset, cfg: ScenarioConfig, truth=None) -> RunReport:
         parities = [d.parity for d in decisions]
         ambiguous = [d.ambiguous for d in decisions]
         rm_paths = assemble_rm(result, float(taus[anchor]), anchor, parities)
+        for p in rm_paths:
+            p.gain = complex(_ldexp(p.gain, e))
         timing["parity"] = time.perf_counter() - t1
 
+    _to_input_units(result, e)
     report = RunReport(extraction=result, bearings=bearings,
                        triangulations=tris, anchor_index=anchor, taus=taus,
                        image_points=images, parities=parities,
