@@ -194,8 +194,8 @@ def _format_report(report):
     lines += [
         "extraction:",
         f"  iterations: {ex.iterations}",
-        f"  initial_energy: {ex.initial_energy:.6e}",
-        f"  residual_energy: {ex.residual_energy:.6e}",
+        f"  initial_energy: {ex.input_energy(ex.initial_energy):.6e}",
+        f"  residual_energy: {ex.input_energy(ex.residual_energy):.6e}",
         f"  residual_fraction: {ex.residual_fraction():.3e}",
         f"  delay_origin_ns: {ex.delay_origin * 1e9:.4f}",
         "  paths (strongest first):",

@@ -26,9 +26,17 @@ residual with the receive and transmit factors of a whole block, then
 correlates the delay axis either with one GEMM against the dictionary's
 own delays or, for delays on the half-bin comb that are dense enough
 for a fixed cost rule on the dictionary shape, with a zero-padded
-inverse FFT over every bin.  The off-grid line searches contract the
-peeled data with the two fixed factors once and rebuild only the moving
-factor at each evaluation.
+inverse FFT over every bin.  Every factor is built by the two-level tone
+split that synthesis uses (:func:`~nfchan.channel.comb_phasors`), so a
+delay costs ``A + B`` exponentials instead of ``F``.
+
+The off-grid polish moves one coordinate of one path at a time.  It
+contracts the peeled data with the two fixed factors once, and each
+evaluation rebuilds only the moving factor; that one build gives the
+score and its closed-form first and second derivatives, since the
+factor's derivatives are the factor times ``2j pi f tau'`` and its
+square.  A safeguarded Newton ascent inside one grid step climbs the
+score in about three evaluations and never ends below where it started.
 
 The sweep's argmax is an exact branch and bound over (aoa, aod) rows.
 Delay factors have unit modulus, so by Cauchy-Schwarz no score in a row
@@ -45,7 +53,6 @@ index triple, is the full scan's.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .aperture import MeasurementPlan, MeasurementSet, Pdp
 from .channel import (
@@ -53,7 +60,9 @@ from .channel import (
     FrequencyGrid,
     PwaPathParams,
     RmPathParams,
+    ToneComb,
     alpha_from_bearings,
+    comb_phasors,
     path_lengths,
     tone_phasors,
     unit_vector,
@@ -67,6 +76,10 @@ from .errors import (
 from .validation import as_vec2, check_positive, check_strictly_increasing
 
 _PARALLEL_TOL = 1e-6
+# The polish's Newton ascent stops once a step would move less than this
+# fraction of its window, or after this many steps.
+_NEWTON_TOL = 1e-7
+_NEWTON_MAX_STEPS = 30
 
 
 @dataclass(eq=False)
@@ -137,6 +150,11 @@ class ExtractionResult:
     the raw grid index triples in pick order and ``residual_history``
     the residual energy after every pick (element 0 is the input
     energy).
+
+    The energies are those of the responses the stages ran on, which
+    may be the input scaled by ``2**-energy_exponent`` (the pipeline
+    runs at unit scale); :meth:`input_energy` converts one to input
+    units, where it may leave the float range.
     """
 
     paths: list
@@ -146,11 +164,18 @@ class ExtractionResult:
     iterations: int
     delay_origin: float = 0.0
     residual_history: list = field(default_factory=list)
+    energy_exponent: int = 0
 
     def residual_fraction(self):
         if self.initial_energy == 0:
             return 0.0
         return self.residual_energy / self.initial_energy
+
+    def input_energy(self, energy):
+        """``energy`` times ``4**energy_exponent``: inf or 0 past the
+        float range."""
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(energy, 2 * self.energy_exponent))
 
 
 def steering_phase(aoa, aod, delta, x_r, x_t, refs, f):
@@ -166,14 +191,26 @@ def steering_phase(aoa, aod, delta, x_r, x_t, refs, f):
     f = np.asarray(f, dtype=float)
     dr = np.asarray(x_r, dtype=float) - as_vec2(rx_ref)
     dt = np.asarray(x_t, dtype=float) - as_vec2(tx_ref)
-    return (_phase_factor(np.asarray(delta, dtype=float), f)
-            * _phase_factor(_plane_delay(aoa, dr), f)
-            * _phase_factor(_plane_delay(aod, dt), f))
+
+    def phase(tau):
+        return np.exp(-2j * np.pi * (tau * f))
+
+    return (phase(np.asarray(delta, dtype=float)) * phase(_plane_delay(aoa, dr))
+            * phase(_plane_delay(aod, dt)))
 
 
-def _phase_factor(tau, freqs):
-    """``exp(-2j pi f tau)``; ``tau`` and ``freqs`` broadcast."""
-    return np.exp(-2j * np.pi * (tau * freqs))
+def _phase_factor(tau, tones):
+    """``exp(-2j pi f tau)`` of every ``tau`` at every tone, shape
+    ``tau.shape + (F,)``.
+
+    ``tones`` is a :class:`~nfchan.channel.ToneComb`, whose factor is
+    built by the two-level tone split (:func:`comb_phasors`, ``A + B``
+    exponentials per ``tau``), or a 1-D array of arbitrary tones, whose
+    factor is one direct exponential per entry.
+    """
+    if isinstance(tones, ToneComb):
+        return comb_phasors(tau, -2j * np.pi, tones)
+    return np.exp(-2j * np.pi * (np.asarray(tau)[..., None] * tones))
 
 
 def _plane_delay(angle, disp):
@@ -186,7 +223,19 @@ def _plane_delay(angle, disp):
     return proj / -SPEED_OF_LIGHT
 
 
-def _atom_factor(plan, coord, value, freqs, conj=False):
+def _factor_delay(plan, coord, value):
+    """Delays ``tau`` of one separable atom factor (see
+    :func:`_atom_factor`): (..., K, M) plane-wave offsets for the
+    receive factor, (..., N) for the transmit factor, ``value`` itself
+    for the delay factor."""
+    if coord == 0:
+        return _plane_delay(value, plan.rx_positions - plan.rx_ref)
+    if coord == 1:
+        return _plane_delay(value, plan.tx_positions - plan.tx_ref)
+    return np.asarray(value, dtype=float)
+
+
+def _atom_factor(plan, coord, value, tones, conj=False):
     """One separable factor of the first-order atom.
 
     The atom is exactly ``e[f] * r[k, m, f] * t[n, f]``.  ``coord``
@@ -195,14 +244,10 @@ def _atom_factor(plan, coord, value, freqs, conj=False):
     factor ``t`` (..., N, F) and 2 the delay factor ``e`` (..., F), an
     array ``value`` prepending its shape.  ``conj`` gives the conjugate,
     the matched filter that correlates data against the factor.
+    ``tones`` is what :func:`_phase_factor` takes.
     """
-    if coord == 0:
-        tau = _plane_delay(value, plan.rx_positions - plan.rx_ref)
-    elif coord == 1:
-        tau = _plane_delay(value, plan.tx_positions - plan.tx_ref)
-    else:
-        tau = np.asarray(value, dtype=float)
-    return _phase_factor((-tau if conj else tau)[..., None], freqs)
+    tau = _factor_delay(plan, coord, value)
+    return _phase_factor(-tau if conj else tau, tones)
 
 
 def _fft_beats_gemm(n_tones, n_delays):
@@ -241,13 +286,13 @@ class ScoreEngine:
         self.plan = plan
         self.grid = grid
         self.dictionary = dictionary
-        freqs = grid.tones()
-        self.freqs = freqs
+        comb = grid.comb
         # Matched filters: multiplying the residual by these and summing
         # realizes <atom, residual> without forming atoms.
-        self._wr = _atom_factor(plan, 0, dictionary.aoas, freqs, conj=True)
+        self._wr = np.ascontiguousarray(
+            _atom_factor(plan, 0, dictionary.aoas, comb, conj=True))
         self._wt = np.ascontiguousarray(
-            _atom_factor(plan, 1, dictionary.aods, freqs, conj=True)
+            _atom_factor(plan, 1, dictionary.aods, comb, conj=True)
             .transpose(2, 0, 1))
         self.mnf = plan.n_rx * plan.n_tx * grid.num_tones
         self.rows_scored = 0
@@ -276,8 +321,9 @@ class ScoreEngine:
         else:
             # Offsets from the first tone, as the FFT's bin phases are:
             # the common phase exp(-2j pi f0 delta) cancels in |.|^2.
-            self._dmat = _atom_factor(plan, 2, dictionary.delays,
-                                      freqs - freqs[0], conj=True)
+            self._dmat = np.ascontiguousarray(_atom_factor(
+                plan, 2, dictionary.delays, comb._replace(start=0.0),
+                conj=True))
 
     def _receive(self, residual, ia):
         """Residual contracted with the receive factor: (..., K, N, F)
@@ -379,10 +425,10 @@ def response_atom(plan: MeasurementPlan, grid: FrequencyGrid, aoa, aod, delta):
     distance ``d = c delta - u(aoa).dr - u(aod).dt``, formed as the
     product of its delay, receive and transmit factors.
     """
-    freqs = grid.tones()
-    e = _atom_factor(plan, 2, delta, freqs)
-    r = _atom_factor(plan, 0, aoa, freqs)
-    t = _atom_factor(plan, 1, aod, freqs)
+    comb = grid.comb
+    e = _atom_factor(plan, 2, delta, comb)
+    r = _atom_factor(plan, 0, aoa, comb)
+    t = _atom_factor(plan, 1, aod, comb)
     return e * r[:, :, None, :] * t
 
 
@@ -445,75 +491,126 @@ def _package_paths(raw, gains):
     return paths, float(origin)
 
 
-def _line_score(plan, freqs, params, coord, peeled):
+def _line_score(plan, tones, params, coord, peeled):
     """Energy an atom captures from ``peeled`` as one coordinate moves.
 
-    Returns ``score(x)``, the ``sum_k |<atom_k, peeled_k>|^2 / (M N F)``
-    of the atom at ``params`` ([aoa, aod, delay]) with ``params[coord]``
-    replaced by ``x``.  The two fixed factors are contracted with
-    ``peeled`` once, so each call builds only the moving factor: K*M*F
-    exponentials for the aoa, N*F for the aod and F for the delay.
+    Returns ``score(x, derivatives=False)``: the ``s = sum_k |c_k|^2 /
+    (M N F)`` with ``c_k = <atom_k, peeled_k>`` of the atom at ``params``
+    ([aoa, aod, delay]) with ``params[coord]`` replaced by ``x``, or with
+    ``derivatives`` the triple ``(s, s', s'')`` in ``x``.  The two fixed
+    factors are contracted with ``peeled`` once, so each call builds only
+    the moving factor, through :func:`_phase_factor` on ``tones``: K*M,
+    N or 1 delays for the aoa, the aod and the delay.
+
+    The conjugated moving factor is ``phi = exp(2j pi f tau(x))``, so
+    ``phi' = 2j pi f tau' phi`` and ``phi'' = (2j pi f tau'' + (2j pi f
+    tau')^2) phi``, with ``tau' = 1, tau'' = 0`` for the delay and
+    ``tau' = -u'(x).d / c, tau'' = -tau`` for an angle.  The product of
+    ``phi`` with the contracted data and its first three tone moments
+    therefore give ``c``, ``c'`` and ``c''`` from one build, and ``s' = 2
+    Re sum_k conj(c_k) c'_k / (M N F)``, ``s'' = 2 sum_k (|c'_k|^2 + Re
+    conj(c_k) c''_k) / (M N F)``.
     """
-    _, m, n, f = peeled.shape
+    k, m, n, f = peeled.shape
     mnf = m * n * f
     r, t, e = (None if c == coord else
-               _atom_factor(plan, c, params[c], freqs, conj=True)
+               _atom_factor(plan, c, params[c], tones, conj=True)
                for c in range(3))
     if coord == 0:
-        h, spec = np.einsum("nf,kmnf->kmf", t * e, peeled), "kmf,kmf->k"
+        h = np.einsum("nf,kmnf->kmf", t * e, peeled)
     elif coord == 1:
-        h, spec = np.einsum("kmf,kmnf->knf", r * e, peeled), "nf,knf->k"
+        h = np.einsum("kmf,kmnf->knf", r * e, peeled)
     else:
         h = np.einsum("nf,knf->kf", t, np.einsum("kmf,kmnf->knf", r, peeled))
-        spec = "f,kf->k"
+    freqs = tones.tones() if isinstance(tones, ToneComb) else np.asarray(tones)
+    powers = np.stack([np.ones(f), freqs, freqs * freqs], axis=1).astype(complex)
 
-    def score(x):
-        c = np.einsum(spec, _atom_factor(plan, coord, x, freqs, conj=True), h)
-        return float(np.sum(c.real ** 2 + c.imag ** 2)) / mnf
+    def score(x, derivatives=False):
+        if coord == 2:
+            tau, dtau = x, 1.0
+        else:
+            # u'(x) = u(x + pi/2): tau and tau' from one projection
+            tau, dtau = _factor_delay(plan, coord, [x, x + np.pi / 2])
+        p = (_phase_factor(-tau, tones) * h).reshape(k, -1, f)
+        if not derivatives:
+            c = p.sum(axis=(1, 2))
+            return float(np.sum(c.real ** 2 + c.imag ** 2)) / mnf
+        q = p @ powers  # (K, R, 3) tone moments
+        d1 = 2j * np.pi * dtau
+        d2 = 0.0 if coord == 2 else -2j * np.pi * tau
+        c0 = q[..., 0].sum(axis=1)
+        c1 = (d1 * q[..., 1]).sum(axis=1)
+        c2 = (d2 * q[..., 1] + d1 * d1 * q[..., 2]).sum(axis=1)
+        return (float(np.sum(c0.real ** 2 + c0.imag ** 2)) / mnf,
+                2.0 * float(np.sum((c0.conj() * c1).real)) / mnf,
+                2.0 * float(np.sum(c1.real ** 2 + c1.imag ** 2
+                                   + (c0.conj() * c2).real)) / mnf)
 
     return score
 
 
+def _newton_ascent(score, center, step):
+    """Safeguarded Newton ascent of ``score`` inside ``center +- step``.
+
+    From the current point, a Newton step on ``(s, s', s'')`` when
+    ``s'' < 0``, else a step to the window's edge in the direction of
+    ``s'``; the target is clamped to the window and the step halved
+    until the score is not worse.  Starting at ``center`` and moving
+    only uphill, it never returns a point scoring below ``center``.
+    Stops once a step would move less than ``_NEWTON_TOL * step``.
+    """
+    lo, hi = center - step, center + step
+    tol = _NEWTON_TOL * step
+    x = center
+    s, d1, d2 = score(x, derivatives=True)
+    for _ in range(_NEWTON_MAX_STEPS):
+        target = x - d1 / d2 if d2 < 0 else (hi if d1 > 0 else lo)
+        dx = min(max(target, lo), hi) - x
+        while abs(dx) > tol:
+            trial = score(x + dx, derivatives=True)
+            if trial[0] >= s:
+                break
+            dx /= 2.0
+        if abs(dx) <= tol:
+            break
+        x += dx
+        s, d1, d2 = trial
+    return x
+
+
 def _cyclic_polish(plan, grid, params, data, steps, passes):
-    """Cyclic coordinate descent of every path against its peeled residual.
+    """Cyclic coordinate ascent of every path against its peeled residual.
 
     ``params`` is a list of [aoa, aod, raw_delay] triples, modified in
-    place.  Each path in turn is peeled out using the current joint
-    gains, then each coordinate is line-searched inside +-1 step on its
-    separable score (:func:`_line_score`); a move is accepted only if it
-    captures at least as much peeled energy as the current atom, and
-    gains are refit jointly after every path update.  That ordering
-    makes the joint residual non-increasing.
+    place.  Each path in turn is peeled out of the running residual
+    (``residual + atom_j * gains_j``), then each coordinate climbs its
+    separable score (:func:`_line_score`) by a safeguarded Newton ascent
+    inside +-1 step (:func:`_newton_ascent`), which never ends below the
+    current value.  Gains are refit jointly after every path update, so
+    the joint residual is non-increasing.
 
-    Returns (params, atom stack, gains, residual energy).
+    Returns (params, gains, residual).
     """
-    freqs = grid.tones()
-    atoms = [response_atom(plan, grid, *p) for p in params]
-    gains = per_placement_lsq(np.stack(atoms), data)
+    comb = grid.comb
+    stack = np.stack([response_atom(plan, grid, *p) for p in params])
+    gains = per_placement_lsq(stack, data)
+    residual = data - model_sum(stack, gains)
     for _ in range(max(passes, 0)):
         for j in range(len(params)):
-            if len(params) > 1:
-                others = np.stack([a for i, a in enumerate(atoms) if i != j])
-                peeled = data - model_sum(others, np.delete(gains, j, axis=0))
-            else:
-                peeled = data
+            peeled = residual + stack[j] * gains[j][:, None, None, None]
             for coord in range(3):
-                step = steps[coord]
-                if step <= 0:
-                    continue
-                center = params[j][coord]
-                score = _line_score(plan, freqs, params[j], coord, peeled)
-                best = minimize_scalar(lambda x: -score(x),
-                                       bounds=(center - step, center + step),
-                                       method="bounded",
-                                       options={"xatol": step * 1e-7})
-                if -best.fun >= score(center):
-                    params[j][coord] = float(best.x)
-            atoms[j] = response_atom(plan, grid, *params[j])
-            gains = per_placement_lsq(np.stack(atoms), data)
-    stack = np.stack(atoms)
-    residual = data - model_sum(stack, gains)
-    return params, stack, gains, float(np.sum(np.abs(residual) ** 2))
+                if steps[coord] > 0:
+                    score = _line_score(plan, comb, params[j], coord, peeled)
+                    params[j][coord] = float(_newton_ascent(
+                        score, params[j][coord], steps[coord]))
+            stack[j] = response_atom(plan, grid, *params[j])
+            gains = per_placement_lsq(stack, data)
+            residual = data - model_sum(stack, gains)
+    return params, gains, residual
+
+
+def _energy(x):
+    return float(np.sum(np.abs(x) ** 2))
 
 
 def omp_extract(mset: MeasurementSet, dictionary: DictionaryGrid,
@@ -545,7 +642,7 @@ def omp_extract(mset: MeasurementSet, dictionary: DictionaryGrid,
         raise InvalidGeometry("l_max must be at least 1")
     engine = ScoreEngine(mset.plan, mset.grid, dictionary)
     data = mset.responses
-    initial = float(np.sum(np.abs(data) ** 2))
+    initial = _energy(data)
     if initial == 0.0:
         raise EmptyChannel("measurement set carries no energy")
     steps = (dictionary.aoa_step(), dictionary.aod_step(),
@@ -566,9 +663,10 @@ def omp_extract(mset: MeasurementSet, dictionary: DictionaryGrid,
                   float(dictionary.delays[idl])]
         if polish_passes > 0:
             trial = [list(p) for p in params] + [picked]
-            trial, stack, new_gains, new_energy = _cyclic_polish(
+            trial, new_gains, new_residual = _cyclic_polish(
                 plan=mset.plan, grid=mset.grid, params=trial, data=data,
                 steps=steps, passes=polish_passes)
+            new_energy = _energy(new_residual)
             if new_energy >= res_energy * (1.0 - 1e-12):
                 break
             params = trial
@@ -577,11 +675,11 @@ def omp_extract(mset: MeasurementSet, dictionary: DictionaryGrid,
             atoms.append(engine.atom(*idx))
             stack = np.stack(atoms)
             new_gains = per_placement_lsq(stack, data)
-            new_energy = float(
-                np.sum(np.abs(data - model_sum(stack, new_gains)) ** 2))
+            new_residual = data - model_sum(stack, new_gains)
+            new_energy = _energy(new_residual)
         selections.append(idx)
         gains = new_gains
-        residual = data - model_sum(stack, gains)
+        residual = new_residual
         res_energy = new_energy
         history.append(res_energy)
         if res_energy <= stop_fraction * initial:
@@ -606,7 +704,8 @@ def refine_extraction(mset: MeasurementSet, result: ExtractionResult,
     minus the other paths) while one coordinate at a time is optimized
     inside +-1 grid step.  Gains are refit jointly after every path
     update.  Two passes are normally enough for the remaining motion to
-    be far below a grid step.
+    be far below a grid step.  The energies of the result are at the
+    scale of ``mset``, which ``result``'s input units must be.
     """
     if delay_step is None:
         delay_step = 1.0 / (2.0 * mset.grid.bandwidth)
@@ -615,18 +714,20 @@ def refine_extraction(mset: MeasurementSet, result: ExtractionResult,
               for p in result.paths]
     if not params:
         return result
-    params, _, gains, res_energy = _cyclic_polish(
+    params, gains, residual = _cyclic_polish(
         plan=mset.plan, grid=mset.grid, params=params, data=mset.responses,
         steps=(aoa_step, aod_step, delay_step), passes=passes)
+    res_energy = _energy(residual)
     paths, origin = _package_paths(params, gains)
     return ExtractionResult(
         paths=paths,
         selections=list(result.selections),
-        initial_energy=result.initial_energy,
+        initial_energy=result.input_energy(result.initial_energy),
         residual_energy=res_energy,
         iterations=result.iterations,
         delay_origin=origin,
-        residual_history=list(result.residual_history) + [res_energy],
+        residual_history=[result.input_energy(x)
+                          for x in result.residual_history] + [res_energy],
     )
 
 

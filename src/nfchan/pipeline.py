@@ -161,7 +161,7 @@ def _unit_scale(mset):
     A power-of-two scale is exact and needs no squaring, so the stages
     see the same bits whatever the input scale, and squared magnitudes
     neither underflow nor overflow.  :func:`_to_input_units` scales the
-    gains and energies back.
+    gains back.
     """
     e = math.frexp(float(np.max(np.abs(mset.responses), initial=0.0)))[1]
     if e == 0:  # already at unit scale: spare the copy
@@ -170,15 +170,12 @@ def _unit_scale(mset):
 
 
 def _to_input_units(result, e):
-    """Scale ``result``'s gains by ``2**e`` and its energies by ``4**e``,
-    in place; an energy past the float range reads inf or 0."""
+    """Scale ``result``'s gains by ``2**e``, in place, and record ``e``
+    with its energies, which stay at the scale they were computed at so
+    that the residual fraction is exact whatever the input scale."""
     for p in result.paths:
         p.gains = _ldexp(p.gains, e)
-    with np.errstate(over="ignore"):
-        energies = np.ldexp([result.initial_energy, result.residual_energy,
-                             *result.residual_history], 2 * e).tolist()
-    result.initial_energy, result.residual_energy = energies[:2]
-    result.residual_history = energies[2:]
+    result.energy_exponent += e
 
 
 def _sweep_and_refine(mset, dic, cfg, l_max, timing):
@@ -206,8 +203,9 @@ def extract_paths(mset, cfg, room=None):
     (arrival) or 6-degree (departure) steps.  The sweep polishes every
     pick off the grid, so no finer grid follows; the refinement then
     polishes all paths jointly within one degree.  The stages run on
-    responses scaled by a power of two (:func:`_unit_scale`); gains and
-    energies come back in input units.
+    responses scaled by a power of two (:func:`_unit_scale`); gains come
+    back in input units, energies at that scale with its exponent
+    (:meth:`ExtractionResult.input_energy` converts them).
     """
     mset, e = _unit_scale(mset)
     axis, side = _fold_setup(mset.plan, room)
@@ -495,8 +493,8 @@ def run_estimate(mset, cfg: ScenarioConfig, truth=None) -> RunReport:
     """Full recovery pipeline on an existing measurement set.
 
     Every stage runs on responses scaled by a power of two
-    (:func:`_unit_scale`); the report's gains and energies are in input
-    units.
+    (:func:`_unit_scale`); the report's gains are in input units, its
+    energies at that scale with its exponent.
     """
     t_all = time.perf_counter()
     mset, e = _unit_scale(_rebind_plan(mset, cfg))

@@ -28,14 +28,17 @@ from nfchan.estimation import (
     fft_delay_bins,
     image_from_polar,
     localization_heatmap,
+    model_sum,
     omp_extract,
+    per_placement_lsq,
     recover_abs_delays,
     refine_extraction,
     response_atom,
     steering_phase,
     triangulate,
 )
-from nfchan.estimation import _line_score
+from nfchan.estimation import (_cyclic_polish, _line_score, _newton_ascent,
+                               _phase_factor)
 from nfchan.pipeline import (
     COARSE_AOA_STEP_DEG,
     COARSE_AOD_STEP_DEG,
@@ -278,6 +281,24 @@ class TestScoreEngine:
             fft_delay_bins(grid, 5e-9, 4e-9)
 
 
+class TestPhaseFactor:
+    @pytest.mark.parametrize("n_tones", [2, 3, 97, 128, 512])
+    def test_tone_split_matches_direct_exp(self, n_tones):
+        # the tone comb (atom factors) and the start-at-zero comb (the
+        # sweep's delay matrix); the bound is channel's tone_phasors
+        # bound, 4 eps (max phase + 1)
+        grid = FrequencyGrid(center=10e9, bandwidth=500e6, num_tones=n_tones)
+        taus = np.random.default_rng(n_tones).uniform(-300e-9, 300e-9, (4, 3))
+        eps = np.finfo(float).eps
+        for comb in (grid.comb, grid.comb._replace(start=0.0)):
+            phase = -2j * np.pi * (taus[..., None] * comb.tones())
+            got = _phase_factor(taus, comb)
+            assert got.shape == taus.shape + (n_tones,)
+            assert (np.max(np.abs(got - np.exp(phase)))
+                    <= 4 * eps * (np.max(np.abs(phase)) + 1))
+            assert np.array_equal(_phase_factor(taus, comb.tones()), np.exp(phase))
+
+
 class TestLineScore:
     def test_matches_full_atom_score(self):
         grid = grid64()
@@ -299,6 +320,81 @@ class TestLineScore:
                 corr = np.einsum("kmnf,kmnf->k", atom.conj(), m.responses)
                 want = np.sum(np.abs(corr) ** 2) / mnf
                 assert score(trial[coord]) == pytest.approx(want, rel=1e-12)
+
+    def test_derivatives_match_central_differences(self):
+        grid = grid64()
+        plan = small_plan()
+        paths = [rm_from_alpha(1.0, 41.5e-9, 0.55, 0.0, 1),
+                 rm_from_alpha(0.4, 44.0e-9, 0.8, 0.3, -1)]
+        m = simulate_campaign(paths, plan, grid, snr_db=15, seed=4)
+        p = paths[0]
+        params = [p.aoa + 0.013, p.aod - 0.021, p.tau + 0.37e-9]
+        # off-grid points on the flanks, where s' is far from zero
+        points = {0: (-0.017, 0.029), 1: (-0.031, 0.022),
+                  2: (-0.61e-9, 0.83e-9)}
+        widths = {0: 1e-3, 1: 1e-3, 2: 1e-11}
+        for coord, deltas in points.items():
+            score = _line_score(plan, grid.comb, params, coord, m.responses)
+            h = widths[coord]
+            for dx in deltas:
+                x = params[coord] + dx
+                s, d1, d2 = score(x, derivatives=True)
+                assert s == pytest.approx(score(x), rel=1e-12)
+                # fourth-order central differences
+                sp1, sm1 = score(x + h), score(x - h)
+                sp2, sm2 = score(x + 2 * h), score(x - 2 * h)
+                fd1 = (8 * (sp1 - sm1) - (sp2 - sm2)) / (12 * h)
+                fd2 = (16 * (sp1 + sm1) - (sp2 + sm2) - 30 * s) / (12 * h * h)
+                assert d1 == pytest.approx(fd1, rel=1e-6)
+                assert d2 == pytest.approx(fd2, rel=1e-6)
+
+
+class TestPolish:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(offsets=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+           snr_db=st.sampled_from([None, 10.0]))
+    def test_never_lowers_energy_or_leaves_window(self, offsets, snr_db):
+        grid = grid64()
+        plan = small_plan()
+        paths = [rm_from_alpha(1.0, 41.5e-9, 0.55, 0.0, 1),
+                 rm_from_alpha(0.4, 44.0e-9, 0.8, 0.3, -1)]
+        m = simulate_campaign(paths, plan, grid, snr_db=snr_db, seed=4)
+        steps = (np.deg2rad(3.0), np.deg2rad(6.0), 1.0 / (2 * grid.bandwidth))
+        start = [[p.aoa + offsets[2 * j] * steps[0],
+                  p.aod + offsets[2 * j + 1] * steps[1],
+                  p.tau + (offsets[2 * j] - offsets[2 * j + 1]) * steps[2]]
+                 for j, p in enumerate(paths)]
+        atoms = np.stack([response_atom(plan, grid, *q) for q in start])
+        gains = per_placement_lsq(atoms, m.responses)
+        before = np.sum(np.abs(m.responses - model_sum(atoms, gains)) ** 2)
+        params, _, residual = _cyclic_polish(
+            plan, grid, [list(q) for q in start], m.responses, steps, 1)
+        assert np.sum(np.abs(residual) ** 2) <= before * (1 + 1e-12)
+        for old, new in zip(start, params):
+            for c in range(3):
+                assert abs(new[c] - old[c]) <= steps[c] * (1 + 1e-12)
+
+    def test_newton_ascent_stays_uphill_in_window(self):
+        # a score whose maximum lies outside the window, and one that is
+        # convex at the start: both end on the window's edge
+        def peak_at_3(x, derivatives=False):
+            return -(x - 3.0) ** 2, -2.0 * (x - 3.0), -2.0
+
+        def convex(x, derivatives=False):
+            return x * x, 2.0 * x, 2.0
+
+        for score in (peak_at_3, convex):
+            x = _newton_ascent(score, 0.5, 1.0)
+            assert x in (1.5, -0.5)
+            assert score(x)[0] >= score(0.5)[0]
+
+    def test_newton_ascent_halves_an_overshoot(self):
+        # from 0.4 the Newton step on cos(3x) lands at -0.457, below the
+        # start; halving it reaches the basin of the maximum at 0
+        def score(x, derivatives=False):
+            return np.cos(3 * x), -3 * np.sin(3 * x), -9 * np.cos(3 * x)
+
+        assert abs(_newton_ascent(score, 0.4, 1.0)) < 1e-7
 
 
 class TestOmpExtract:

@@ -20,6 +20,7 @@ from nfchan.geometry import wrap_angle
 from nfchan.pipeline import (collinear_axis, extract_paths, run_estimate,
                              run_evaluate, run_heatmap, run_synth,
                              subset_groups, sweep_runs, sweep_values)
+from nfchan.scenario import load_preset
 
 WL = C / 10e9
 TX3 = WL / 2 * np.array(
@@ -123,6 +124,49 @@ class TestInvariance:
         for a, b in zip(result.paths, base.paths):
             assert abs(wrap_angle(a.aoa - b.aoa)) < 1e-7
             assert np.allclose(a.gains / factor, b.gains, rtol=1e-5)
+
+    @pytest.mark.parametrize("factor", [3.0, 0.3, 1.0 + 1e-7])
+    def test_non_power_of_two_scale(self, quick_synth, quick_cfg,
+                                    quick_report, factor):
+        # such a scale rounds the data; the polish's Newton ascent
+        # converges past that rounding, so the image points hold to 1e-7 m
+        mset, truth = quick_synth
+        rep = run_estimate(_rescaled(mset, factor), quick_cfg, truth=truth)
+        assert rep.extraction.selections == quick_report.extraction.selections
+        assert rep.parities == quick_report.parities
+        assert np.allclose(rep.image_points, quick_report.image_points,
+                           rtol=0.0, atol=1e-7)
+
+    @pytest.mark.parametrize("factor", [1e-300, 1e200])
+    def test_residual_fraction_is_scale_free(self, quick_synth, quick_cfg,
+                                             factor):
+        # the energies of these inputs leave the float range
+        mset, _ = quick_synth
+        base, _, _ = extract_paths(mset, quick_cfg)
+        result, _, _ = extract_paths(_rescaled(mset, factor), quick_cfg)
+        assert base.residual_fraction() > 0
+        assert result.residual_fraction() == pytest.approx(
+            base.residual_fraction(), rel=1e-9)
+
+    @pytest.fixture(scope="class")
+    def room_run(self):
+        cfg = load_preset("room-20x10")
+        mset, truth = run_synth(cfg)
+        return cfg, mset, truth, run_estimate(mset, cfg, truth=truth)
+
+    @pytest.mark.parametrize("t0", [0.3e-9, 7.77e-9])
+    def test_global_delay_offset(self, room_run, t0):
+        # a common delay on every capture is a system delay the pipeline
+        # must not read range from: delays are relative, range comes from
+        # triangulation
+        cfg, mset, truth, base = room_run
+        shifted = replace(mset, responses=mset.responses * np.exp(
+            -2j * np.pi * mset.grid.tones() * t0))
+        rep = run_estimate(shifted, cfg, truth=truth)
+        assert len(rep.paths) == len(base.paths) == 4
+        for a, b in zip(rep.paths, base.paths):
+            assert abs(a.delta - b.delta) <= 2e-4 * 1e-9
+        assert abs(rep.los_image_error() - base.los_image_error()) <= 2e-3
 
     @pytest.mark.parametrize("snr_db", [None, 20.0])
     def test_placement_order(self, quick_cfg, snr_db):
