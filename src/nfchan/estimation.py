@@ -178,27 +178,6 @@ class ExtractionResult:
             return float(np.ldexp(energy, 2 * self.energy_exponent))
 
 
-def steering_phase(aoa, aod, delta, x_r, x_t, refs, f):
-    """Unit-modulus first-order response of one path at one element pair.
-
-    ``exp(-2j pi f d / c)`` with the plane-wave distance
-    ``d = c * delta - u(aoa).(x_r - rx_ref) - u(aod).(x_t - tx_ref)``,
-    ``refs = (tx_ref, rx_ref)``, built as the product of the three
-    separable factors that :func:`response_atom` multiplies.  Positions
-    broadcast against each other and against ``delta`` and ``f``.
-    """
-    tx_ref, rx_ref = refs
-    f = np.asarray(f, dtype=float)
-    dr = np.asarray(x_r, dtype=float) - as_vec2(rx_ref)
-    dt = np.asarray(x_t, dtype=float) - as_vec2(tx_ref)
-
-    def phase(tau):
-        return np.exp(-2j * np.pi * (tau * f))
-
-    return (phase(np.asarray(delta, dtype=float)) * phase(_plane_delay(aoa, dr))
-            * phase(_plane_delay(aod, dt)))
-
-
 def _phase_factor(tau, tones):
     """``exp(-2j pi f tau)`` of every ``tau`` at every tone, shape
     ``tau.shape + (F,)``.

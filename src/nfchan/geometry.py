@@ -134,6 +134,9 @@ class Room:
             else:
                 flags = [False] * n
                 for idx in refl:
+                    if not 0 <= idx < n:
+                        raise InvalidGeometry(f"wall index {idx} out of range "
+                                              f"(room has {n} walls)")
                     flags[int(idx)] = True
         walls = [Wall(verts[k], verts[(k + 1) % n], flags[k]) for k in range(n)]
         return cls(walls=walls, interior=interior)

@@ -35,6 +35,7 @@ from .errors import (
     EmptyChannel,
     InconsistentAnchor,
     InvalidGeometry,
+    ScenarioError,
 )
 from .estimation import (
     Bearing,
@@ -53,7 +54,8 @@ from .estimation import (
     response_atom,
     triangulate,
 )
-from .scenario import ScenarioConfig, build_grid, build_plan, build_room, true_paths
+from .scenario import (ScenarioConfig, build_grid, build_plan, build_room,
+                       parse_values, true_paths, with_value)
 
 COARSE_AOA_STEP_DEG = 3.0
 COARSE_AOD_STEP_DEG = 6.0
@@ -566,45 +568,28 @@ def run_heatmap(cfg: ScenarioConfig, report=None):
     return report, hm
 
 
-_SWEEP_FIELDS = {
-    "snr": ("snr_db", float),
-    "seed": ("seed", int),
-    "bandwidth": ("bandwidth_hz", float),
-    "n_tones": ("n_tones", int),
-    "l_max": ("l_max", int),
-    "stop_fraction": ("stop_fraction", float),
-    "max_order": ("max_order", int),
-}
-# the scenario-file key spellings work too
-_SWEEP_ALIASES = {"snr_db": "snr", "bandwidth_hz": "bandwidth"}
+# The names ``--vary`` takes, each with the scenario key it sets; the
+# scenario key spellings work too.
+_SWEEP_FIELDS = {"snr": "snr_db", "seed": "seed", "bandwidth": "bandwidth_hz",
+                 "n_tones": "n_tones", "l_max": "l_max",
+                 "stop_fraction": "stop_fraction", "max_order": "max_order"}
 
 
 def sweep_values(spec):
-    """Expand "name=start:step:stop" (or a comma list) into values."""
+    """Expand "name=start:step:stop" (or a comma list) into values, each
+    checked by the varied key's scenario row."""
     if "=" not in spec:
         raise InvalidGeometry("expected vary spec like snr=0:5:40")
     name, _, rng = spec.partition("=")
-    name = _SWEEP_ALIASES.get(name.strip(), name.strip())
+    name = {k: n for n, k in _SWEEP_FIELDS.items()}.get(name.strip(),
+                                                         name.strip())
     if name not in _SWEEP_FIELDS:
         known = ", ".join(sorted(_SWEEP_FIELDS))
         raise InvalidGeometry(f"cannot vary {name!r}; knowns: {known}")
-    rng = rng.strip()
-    if ":" in rng:
-        parts = rng.split(":")
-        if len(parts) != 3:
-            raise InvalidGeometry("range must be start:step:stop")
-        start, step, stop = (float(p) for p in parts)
-        if step <= 0:
-            raise InvalidGeometry("range step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        if count < 1:
-            raise InvalidGeometry("empty sweep range")
-        values = [start + i * step for i in range(count)]
-    else:
-        values = [float(v) for v in rng.split(",") if v.strip()]
-        if not values:
-            raise InvalidGeometry("no sweep values given")
-    return name, values
+    try:
+        return name, parse_values(_SWEEP_FIELDS[name], rng.strip())
+    except ScenarioError as err:
+        raise InvalidGeometry(str(err)) from None
 
 
 def sweep_runs(cfg: ScenarioConfig, name, values):
@@ -614,13 +599,13 @@ def sweep_runs(cfg: ScenarioConfig, name, values):
     position in the ladder, so reruns reproduce byte-identical output
     while jobs stay statistically independent.
     """
-    fieldname, cast = _SWEEP_FIELDS[name]
+    key = _SWEEP_FIELDS[name]
+    jobs = [with_value(cfg, key, v) for v in values]
     rows = []
-    for i, v in enumerate(values):
+    for i, (v, job) in enumerate(zip(values, jobs)):
         seed = int(np.random.SeedSequence([int(cfg.seed), i])
                    .generate_state(1, np.uint64)[0])
-        job = replace(cfg, **{fieldname: cast(v)})
-        if fieldname != "seed":
+        if key != "seed":
             job = replace(job, seed=seed)
         t0 = time.perf_counter()
         report = run_evaluate(job)

@@ -1,28 +1,28 @@
 """Line-oriented scenario description format and its builders.
 
-A scenario file fully specifies a simulated campaign: the room polygon
-and which of its walls reflect, the radio comb, the transmit array, the
-receive track, and the knobs of the recovery stages.  The format is
-deliberately small: ``[section]`` headers, ``key = value`` lines, and
-``#`` comments.  Unknown sections or keys are hard errors that name the
-offending line, not warnings.
-
-Two syntactic conveniences exist.  Any length may be given relative to
-the carrier wavelength with a ``wl`` suffix (``0.5wl``), and numeric
-lists may be written as inclusive ``start:step:stop`` ranges.  Values
-are resolved to plain meters and explicit lists at parse time, so
-formatting a parsed scenario and parsing it again is a fixed point.
+A scenario file fully specifies a simulated campaign: the room, the
+radio comb, the transmit array, the receive track, and the knobs of the
+recovery stages, as ``[section]`` headers, ``key = value`` lines and
+``#`` comments.  One table, ``_KEYS``, has a row per key; parsing,
+formatting and ``nfchan sweep --vary`` values all read it.  Every value
+is checked; a :class:`ScenarioError` names the line at fault and, for a
+bad value, its key.  Lengths may be given in carrier wavelengths
+(``0.5wl``) and numeric lists as inclusive ``start:step:stop`` ranges;
+both resolve at parse time, so formatting a parsed scenario and parsing
+it again is a fixed point.
 """
 
 import importlib.resources
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import ge, gt, le, lt
+from typing import NamedTuple
 
 import numpy as np
 
 from .aperture import plan_linear_track
 from .channel import SPEED_OF_LIGHT, FrequencyGrid, image_to_rm_params
-from .errors import ScenarioError
+from .errors import InvalidGeometry, ScenarioError
 from .geometry import Room, enumerate_images, validate_path
 
 @dataclass(eq=False)
@@ -67,96 +67,217 @@ class ScenarioConfig:
         return SPEED_OF_LIGHT / self.carrier_hz
 
 
-def _parse_float(tok, line):
-    try:
-        return float(tok)
-    except ValueError:
-        raise ScenarioError(f"expected a number, got {tok!r}", line=line)
+# Longest list one value may expand to; a range past it is refused
+# before anything is allocated.
+_MAX_VALUES = 10**6
+
+_OPS = {">=": ge, ">": gt, "<=": le, "<": lt}
+
+# A codec turns one key's text into its value and back.  ``parse(text,
+# wl)`` raises ValueError with a message that the caller prefixes with
+# the key and line; ``fmt(value)`` returns None to leave the key out;
+# ``values(item, wl)`` is what one item of a list stands for.
 
 
-def _parse_length(tok, line, wl):
-    """A length, possibly wavelength-relative via the ``wl`` suffix."""
-    if tok.endswith("wl"):
-        if wl is None:
-            raise ScenarioError(
-                "wavelength-relative value needs [radio] carrier_hz first",
-                line=line)
-        return _parse_float(tok[:-2], line) * wl
-    return _parse_float(tok, line)
+class _Number:
+    """A finite number within ``bounds`` (like ``"> 0"``); ``kind`` is
+    int, float or "length", a float that takes the ``wl`` suffix."""
+
+    def __init__(self, kind=float, *bounds):
+        self.kind, self.bounds = kind, bounds
+
+    def convert(self, tok, wl):
+        scale = 1.0
+        if self.kind == "length" and tok.endswith("wl"):
+            tok, scale = tok[:-2], wl
+        try:
+            value = int(tok) if self.kind is int else float(tok) * scale
+        except ValueError:
+            what = "an integer" if self.kind is int else "a number"
+            raise ValueError(f"expected {what}, got {tok!r}") from None
+        if self.kind is not int and not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {tok!r}")
+        return value
+
+    def check(self, value, tok):
+        if not all(_OPS[op](value, float(b))
+                   for op, b in map(str.split, self.bounds)):
+            raise ValueError(f"must be {' and '.join(self.bounds)}, got {tok!r}")
+        return value
+
+    def parse(self, tok, wl=None):
+        return self.check(self.convert(tok, wl), tok)
+
+    def values(self, tok, wl=None):
+        if ":" not in tok:
+            return [self.parse(tok, wl)]
+        parts = tok.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"range must be start:step:stop, got {tok!r}")
+        start, step, stop = (self.convert(p, wl) for p in parts)
+        if step <= 0:
+            raise ValueError(f"range step must be positive, got {tok!r}")
+        if self.kind is int:
+            count = (stop - start) // step + 1
+        else:  # 1e-9 keeps a stop that rounding misses; inf spans clip
+            ratio = np.floor((stop - start) / step + 1e-9)
+            count = int(np.clip(ratio, -1, _MAX_VALUES)) + 1
+        if not 1 <= count <= _MAX_VALUES:
+            raise ValueError(f"range {tok!r} needs 1 to {_MAX_VALUES} values")
+        # Every domain is an interval, so checking both ends checks all.
+        self.check(start, tok)
+        self.check(start + step * (count - 1), tok)
+        return [start + step * i for i in range(count)]
+
+    def fmt(self, value):
+        return str(value) if self.kind is int else repr(float(value))
 
 
-def _parse_int(tok, line):
-    try:
-        return int(tok)
-    except ValueError:
-        raise ScenarioError(f"expected an integer, got {tok!r}", line=line)
+class _List:
+    """Items split at ``sep`` (whitespace when None), each a value or a
+    range of ``item``; ``ok`` checks the whole list against ``need``."""
+
+    def __init__(self, item, sep=None, ok=None, need=None):
+        self.item, self.sep, self.ok, self.need = item, sep, ok, need
+
+    def parse(self, text, wl=None):
+        out = []
+        for tok in text.split(self.sep):
+            out += self.item.values(tok.strip(), wl)
+            if len(out) > _MAX_VALUES:
+                raise ValueError(f"more than {_MAX_VALUES} values")
+        if not out or (self.ok and not self.ok(out)):
+            raise ValueError(f"expected {self.need or 'a value'}, got {text!r}")
+        return tuple(out)
+
+    def values(self, tok, wl=None):
+        return [self.parse(tok, wl)]
+
+    def fmt(self, values):
+        return f"{self.sep or ''} ".join(self.item.fmt(v) for v in values)
 
 
-def _parse_bool(tok, line):
-    if tok == "true":
-        return True
-    if tok == "false":
-        return False
-    raise ScenarioError(f"expected true or false, got {tok!r}", line=line)
+class _Points:
+    """``x,y`` pairs as an (n, 2) array, or with ``one`` a 2-vector."""
+
+    def __init__(self, one=False):
+        self.one = one
+
+    def parse(self, text, wl=None):
+        pts = [tok.split(",") for tok in text.split()]
+        if any(len(xy) != 2 for xy in pts) or (self.one and len(pts) != 1):
+            what = "one x,y point" if self.one else "x,y pairs"
+            raise ValueError(f"expected {what}, got {text!r}")
+        pts = np.array([[_REAL.parse(v) for v in xy] for xy in pts])
+        return pts[0] if self.one else pts
+
+    def fmt(self, pts):
+        return " ".join(",".join(map(_REAL.fmt, p))
+                        for p in np.reshape(pts, (-1, 2)))
 
 
-def _expand_tokens(value, line, wl=None):
-    """Space-separated numbers/lengths with start:step:stop expansion."""
-    out = []
-    for tok in value.split():
-        if ":" in tok:
-            parts = tok.split(":")
-            if len(parts) != 3:
-                raise ScenarioError(
-                    f"range must be start:step:stop, got {tok!r}", line=line)
-            start, step, stop = (_parse_length(p, line, wl) for p in parts)
-            if step <= 0 or stop < start:
-                raise ScenarioError(f"bad range {tok!r}", line=line)
-            n = int(np.floor((stop - start) / step + 1e-9)) + 1
-            out.extend(start + step * np.arange(n))
-        else:
-            out.append(_parse_length(tok, line, wl))
-    if not out:
-        raise ScenarioError("expected at least one value", line=line)
-    return tuple(float(v) for v in out)
+class _Words:
+    """One of fixed words, each standing for a value (itself by default)."""
+
+    def __init__(self, words, values=None):
+        self.words = dict(zip(words, values or words))
+
+    def parse(self, tok, wl=None):
+        if tok not in self.words:
+            raise ValueError(f"expected one of {', '.join(self.words)}, got {tok!r}")
+        return self.words[tok]
+
+    def fmt(self, value):
+        return next(w for w, v in self.words.items() if v == value)
 
 
-def _parse_points(value, line):
-    pts = []
-    for tok in value.split():
-        xy = tok.split(",")
-        if len(xy) != 2:
-            raise ScenarioError(f"expected x,y pairs, got {tok!r}", line=line)
-        pts.append([_parse_float(xy[0], line), _parse_float(xy[1], line)])
-    if not pts:
-        raise ScenarioError("expected at least one point", line=line)
-    return np.asarray(pts)
+class _Or:
+    """``word`` standing for ``value``, else a value of ``codec``.  With
+    ``word`` None the key is optional and None is left out."""
+
+    def __init__(self, word, value, codec):
+        self.word, self.value, self.codec = word, value, codec
+
+    def parse(self, tok, wl=None):
+        return self.value if tok == self.word else self.codec.parse(tok, wl)
+
+    def values(self, tok, wl=None):
+        if tok == self.word:
+            return [self.value]
+        return self.codec.values(tok, wl)
+
+    def fmt(self, value):
+        if type(value) is type(self.value) and value == self.value:
+            return self.word
+        return self.codec.fmt(value)
 
 
-_SECTIONS = {
-    "room": {"vertices", "reflective"},
-    "radio": {"carrier_hz", "bandwidth_hz", "n_tones"},
-    "transmitter": {"position", "layout", "spacing"},
-    "aperture": {"origin", "offsets", "spacings", "n_rx"},
-    "measurement": {"snr_db", "coherent", "seed", "max_order",
-                    "bounce_loss", "model"},
-    "estimation": {"aoa_deg", "aod_deg", "delay_pad_bins", "l_max",
-                   "stop_fraction", "refine", "refine_passes",
-                   "detect_threshold_db", "min_separation_bins", "parity"},
-    "triangulation": {"min_bearings", "subsets"},
-    "heatmap": {"bounds", "cell", "concentration"},
-}
+class _Key(NamedTuple):
+    section: str
+    key: str
+    field: str
+    codec: object
 
-_REQUIRED = {
-    ("room", "vertices"),
-    ("radio", "carrier_hz"),
-    ("radio", "bandwidth_hz"),
-    ("radio", "n_tones"),
-    ("transmitter", "position"),
-    ("aperture", "origin"),
-    ("aperture", "offsets"),
-    ("aperture", "spacings"),
-}
+
+_REAL = _Number()
+_POSITIVE = _Number(float, "> 0")
+_LENGTH = _Number("length")
+_SPACING = _Number("length", "> 0")
+_INDEX = _Number(int, ">= 0")
+_COUNT = _Number(int, ">= 1")
+_FLAG = _Words(("true", "false"), (True, False))
+_GRID = _Or(None, None, _List(_REAL, ok=lambda v: all(map(
+    lt, v, v[1:])), need="strictly increasing values"))
+_BOUNDS = _Or(None, None, _List(_REAL, ok=lambda b: (
+    len(b) == 4 and b[0] < b[1] and b[2] < b[3]),
+    need="xmin xmax ymin ymax with min < max"))
+_SUBSETS = _Or("by-offset", "by-offset", _List(
+    _List(_INDEX), sep=";", ok=lambda g: len(g) >= 2,
+    need="at least two placement groups"))
+
+# One row per key, in file order: (section, key, ScenarioConfig field,
+# codec).
+_KEYS = (
+    _Key("room", "vertices", "room_vertices", _Points()),
+    _Key("room", "reflective", "reflective", _Or("all", "all", _List(_INDEX))),
+    _Key("radio", "carrier_hz", "carrier_hz", _POSITIVE),
+    _Key("radio", "bandwidth_hz", "bandwidth_hz", _POSITIVE),
+    _Key("radio", "n_tones", "n_tones", _Number(int, ">= 2")),
+    _Key("transmitter", "position", "tx_position", _Points(one=True)),
+    _Key("transmitter", "layout", "tx_layout",
+         _Words(("single", "pair", "triangle"))),
+    _Key("transmitter", "spacing", "tx_spacing", _Or(None, None, _SPACING)),
+    _Key("aperture", "origin", "ap_origin", _Points(one=True)),
+    _Key("aperture", "offsets", "offsets", _List(_LENGTH)),
+    _Key("aperture", "spacings", "spacings", _List(_SPACING)),
+    _Key("aperture", "n_rx", "n_rx", _COUNT),
+    _Key("measurement", "snr_db", "snr_db", _Or("none", None, _REAL)),
+    _Key("measurement", "coherent", "coherent", _FLAG),
+    _Key("measurement", "seed", "seed", _INDEX),
+    _Key("measurement", "max_order", "max_order", _INDEX),
+    _Key("measurement", "bounce_loss", "bounce_loss",
+         _Number(float, "> 0", "<= 1")),
+    _Key("measurement", "model", "model", _Words(("rm", "pwa"))),
+    _Key("estimation", "aoa_deg", "aoa_grid_deg", _GRID),
+    _Key("estimation", "aod_deg", "aod_grid_deg", _GRID),
+    _Key("estimation", "delay_pad_bins", "delay_pad_bins", _INDEX),
+    _Key("estimation", "l_max", "l_max", _COUNT),
+    _Key("estimation", "stop_fraction", "stop_fraction",
+         _Number(float, ">= 0", "< 1")),
+    _Key("estimation", "refine", "refine", _FLAG),
+    _Key("estimation", "refine_passes", "refine_passes", _INDEX),
+    _Key("estimation", "detect_threshold_db", "detect_threshold_db", _POSITIVE),
+    _Key("estimation", "min_separation_bins", "min_separation_bins", _COUNT),
+    _Key("estimation", "parity", "parity", _FLAG),
+    _Key("triangulation", "min_bearings", "min_bearings", _Number(int, ">= 2")),
+    _Key("triangulation", "subsets", "subsets", _SUBSETS),
+    _Key("heatmap", "bounds", "heat_bounds", _BOUNDS),
+    _Key("heatmap", "cell", "heat_cell", _SPACING),
+    _Key("heatmap", "concentration", "heat_concentration", _POSITIVE),
+)
+_ROWS = {row.key: row for row in _KEYS}
+_SECTIONS = {section: {row.key for row in _KEYS if row.section == section}
+             for section in dict.fromkeys(row.section for row in _KEYS)}
 
 
 def _tokenize(text):
@@ -191,253 +312,98 @@ def _tokenize(text):
 
 
 def parse_scenario(text):
-    """Parse scenario text into a :class:`ScenarioConfig`.
-
-    Raises :class:`ScenarioError` naming the offending line for unknown
-    sections or keys, malformed values, and missing required keys.
-    """
+    """Parse scenario text into a :class:`ScenarioConfig`; any problem
+    raises :class:`ScenarioError` naming the key and line at fault."""
     entries = _tokenize(text)
     if not entries:
         raise ScenarioError("scenario is empty", line=1)
-    for section, key in _REQUIRED:
-        if (section, key) not in entries:
-            raise ScenarioError(f"missing required key {key!r} in [{section}]")
-    cfg = ScenarioConfig()
-
-    def take(section, key):
-        item = entries.pop((section, key), None)
-        return item
-
-    v, ln = take("radio", "carrier_hz")
-    cfg.carrier_hz = _parse_float(v, ln)
-    if cfg.carrier_hz <= 0:
-        raise ScenarioError("carrier_hz must be positive", line=ln)
-    wl = cfg.wavelength()
-    v, ln = take("radio", "bandwidth_hz")
-    cfg.bandwidth_hz = _parse_float(v, ln)
-    v, ln = take("radio", "n_tones")
-    cfg.n_tones = _parse_int(v, ln)
-
-    v, ln = take("room", "vertices")
-    cfg.room_vertices = _parse_points(v, ln)
-    item = take("room", "reflective")
-    if item is not None:
-        v, ln = item
-        if v == "all":
-            cfg.reflective = "all"
-        else:
-            cfg.reflective = tuple(_parse_int(t, ln) for t in v.split())
-
-    v, ln = take("transmitter", "position")
-    cfg.tx_position = _parse_points(v, ln)[0]
-    item = take("transmitter", "layout")
-    if item is not None:
-        v, ln = item
-        if v not in ("single", "pair", "triangle"):
-            raise ScenarioError(f"unknown transmitter layout {v!r}", line=ln)
-        cfg.tx_layout = v
-    item = take("transmitter", "spacing")
-    if item is not None:
-        v, ln = item
-        cfg.tx_spacing = _parse_length(v, ln, wl)
-        if cfg.tx_spacing <= 0:
-            raise ScenarioError("transmitter spacing must be positive", line=ln)
-    elif cfg.tx_layout != "single":
-        cfg.tx_spacing = wl / 2
-
-    v, ln = take("aperture", "origin")
-    cfg.ap_origin = _parse_points(v, ln)[0]
-    v, ln = take("aperture", "offsets")
-    cfg.offsets = _expand_tokens(v, ln, wl)
-    v, ln = take("aperture", "spacings")
-    cfg.spacings = _expand_tokens(v, ln, wl)
-    item = take("aperture", "n_rx")
-    if item is not None:
-        cfg.n_rx = _parse_int(*item)
-
-    item = take("measurement", "snr_db")
-    if item is not None:
-        v, ln = item
-        cfg.snr_db = None if v == "none" else _parse_float(v, ln)
-        if cfg.snr_db is not None and not math.isfinite(cfg.snr_db):
-            raise ScenarioError(f"snr_db must be finite or none, got {v!r}", line=ln)
-    item = take("measurement", "coherent")
-    if item is not None:
-        cfg.coherent = _parse_bool(*item)
-    item = take("measurement", "seed")
-    if item is not None:
-        cfg.seed = _parse_int(*item)
-    item = take("measurement", "max_order")
-    if item is not None:
-        cfg.max_order = _parse_int(*item)
-    item = take("measurement", "bounce_loss")
-    if item is not None:
-        cfg.bounce_loss = _parse_float(*item)
-    item = take("measurement", "model")
-    if item is not None:
-        v, ln = item
-        if v not in ("rm", "pwa"):
-            raise ScenarioError(f"unknown channel model {v!r}", line=ln)
-        cfg.model = v
-
-    item = take("estimation", "aoa_deg")
-    if item is not None:
-        cfg.aoa_grid_deg = _expand_tokens(*item)
-    item = take("estimation", "aod_deg")
-    if item is not None:
-        cfg.aod_grid_deg = _expand_tokens(*item)
-    for key, conv in (("delay_pad_bins", _parse_int), ("l_max", _parse_int),
-                      ("stop_fraction", _parse_float),
-                      ("refine", _parse_bool),
-                      ("refine_passes", _parse_int),
-                      ("detect_threshold_db", _parse_float),
-                      ("min_separation_bins", _parse_int),
-                      ("parity", _parse_bool)):
-        item = take("estimation", key)
-        if item is not None:
-            setattr(cfg, key, conv(*item))
-
-    item = take("triangulation", "min_bearings")
-    if item is not None:
-        cfg.min_bearings = _parse_int(*item)
-    item = take("triangulation", "subsets")
-    if item is not None:
-        v, ln = item
-        if v == "by-offset":
-            cfg.subsets = "by-offset"
-        else:
-            groups = []
-            for part in v.split(";"):
-                idx = tuple(_parse_int(t, ln) for t in part.split())
-                if not idx:
-                    raise ScenarioError("empty placement group", line=ln)
-                groups.append(idx)
-            if len(groups) < 2:
+    cfg, lines = ScenarioConfig(), {}
+    # carrier_hz first, so that wavelength-relative lengths resolve
+    for row in sorted(_KEYS, key=lambda row: row.key != "carrier_hz"):
+        if (row.section, row.key) not in entries:
+            # a field that defaults to None needs its key, unless an _Or
+            # codec lets it be None
+            if (getattr(ScenarioConfig, row.field) is None
+                    and not isinstance(row.codec, _Or)):
                 raise ScenarioError(
-                    "need at least two placement groups", line=ln)
-            cfg.subsets = tuple(groups)
-
-    item = take("heatmap", "bounds")
-    if item is not None:
-        v, ln = item
-        vals = _expand_tokens(v, ln)
-        if len(vals) != 4:
-            raise ScenarioError("bounds needs xmin xmax ymin ymax", line=ln)
-        cfg.heat_bounds = vals
-    item = take("heatmap", "cell")
-    if item is not None:
-        v, ln = item
-        cfg.heat_cell = _parse_length(v, ln, wl)
-        if cfg.heat_cell <= 0:
-            raise ScenarioError("heatmap cell must be positive", line=ln)
-    item = take("heatmap", "concentration")
-    if item is not None:
-        cfg.heat_concentration = _parse_float(*item)
-
-    assert not entries, "tokenizer admitted an unhandled key"
-    _validate_config(cfg)
+                    f"missing required key {row.key!r} in [{row.section}]")
+            continue
+        value, lines[row.key] = entries[row.section, row.key]
+        wl = None if cfg.carrier_hz is None else cfg.wavelength()
+        try:
+            setattr(cfg, row.field, row.codec.parse(value, wl))
+        except ValueError as err:
+            raise ScenarioError(f"{row.key}: {err}",
+                                line=lines[row.key]) from None
+    if cfg.tx_spacing is None and cfg.tx_layout != "single":
+        cfg.tx_spacing = cfg.wavelength() / 2
+    _validate_config(cfg, lines)
     return cfg
 
 
-def _validate_config(cfg):
-    build_grid(cfg)
-    room = build_room(cfg)
-    if not room.contains(cfg.tx_position):
-        raise ScenarioError("transmitter position is outside the room")
-    if not room.contains(cfg.ap_origin):
-        raise ScenarioError("aperture origin is outside the room")
-    if cfg.max_order < 0:
-        raise ScenarioError("max_order must be nonnegative")
-    if not 0 < cfg.bounce_loss <= 1:
-        raise ScenarioError("bounce_loss must lie in (0, 1]")
-    if cfg.l_max < 1:
-        raise ScenarioError("l_max must be at least 1")
-    if cfg.min_bearings < 2:
-        raise ScenarioError("min_bearings must be at least 2")
-    if cfg.subsets != "by-offset":
-        k = len(cfg.offsets) * len(cfg.spacings)
-        seen = set()
-        for group in cfg.subsets:
-            for i in group:
-                if not 0 <= i < k:
-                    raise ScenarioError(
-                        f"placement index {i} out of range (campaign has {k})")
-                if i in seen:
-                    raise ScenarioError(
-                        f"placement index {i} appears in two groups")
-                seen.add(i)
+def _validate_config(cfg, lines):
+    """Checks that span keys; ``lines`` maps each key to its line."""
+    def fail(key, message):
+        raise ScenarioError(f"{key}: {message}", line=lines.get(key, 0))
 
-
-def _fmt(x):
-    return repr(float(x))
-
-
-def _fmt_list(values):
-    return " ".join(_fmt(v) for v in values)
+    # The builders check these values; what the rows leave open is
+    # blamed on the key paired with each builder.
+    for key, build in (("bandwidth_hz", build_grid),
+                       ("vertices",
+                        lambda c: Room.from_polygon(c.room_vertices)),
+                       ("reflective", build_room)):
+        try:
+            room = build(cfg)
+        except InvalidGeometry as err:
+            fail(key, err)
+    for key, point in (("position", cfg.tx_position),
+                       ("origin", cfg.ap_origin)):
+        if not room.contains(point):
+            fail(key, "point is outside the room")
+    k = len(cfg.offsets) * len(cfg.spacings)
+    seen = set()
+    for group in () if cfg.subsets == "by-offset" else cfg.subsets:
+        for i in group:
+            if i >= k:
+                fail("subsets", f"placement index {i} out of range "
+                                f"(campaign has {k})")
+            if i in seen:
+                fail("subsets", f"placement index {i} appears in two groups")
+            seen.add(i)
 
 
 def format_scenario(cfg: ScenarioConfig):
     """Canonical text for a config; parsing it reproduces the config."""
-    lines = ["[room]"]
-    lines.append("vertices = " + " ".join(
-        f"{_fmt(x)},{_fmt(y)}" for x, y in cfg.room_vertices))
-    if cfg.reflective == "all":
-        lines.append("reflective = all")
-    else:
-        lines.append("reflective = " + " ".join(str(i) for i in cfg.reflective))
-    lines += ["", "[radio]",
-              f"carrier_hz = {_fmt(cfg.carrier_hz)}",
-              f"bandwidth_hz = {_fmt(cfg.bandwidth_hz)}",
-              f"n_tones = {cfg.n_tones}"]
-    lines += ["", "[transmitter]",
-              f"position = {_fmt(cfg.tx_position[0])},{_fmt(cfg.tx_position[1])}",
-              f"layout = {cfg.tx_layout}"]
-    if cfg.tx_spacing is not None:
-        lines.append(f"spacing = {_fmt(cfg.tx_spacing)}")
-    lines += ["", "[aperture]",
-              f"origin = {_fmt(cfg.ap_origin[0])},{_fmt(cfg.ap_origin[1])}",
-              f"offsets = {_fmt_list(cfg.offsets)}",
-              f"spacings = {_fmt_list(cfg.spacings)}",
-              f"n_rx = {cfg.n_rx}"]
-    lines += ["", "[measurement]",
-              "snr_db = " + ("none" if cfg.snr_db is None else _fmt(cfg.snr_db)),
-              f"coherent = {'true' if cfg.coherent else 'false'}",
-              f"seed = {cfg.seed}",
-              f"max_order = {cfg.max_order}",
-              f"bounce_loss = {_fmt(cfg.bounce_loss)}",
-              f"model = {cfg.model}"]
-    lines += ["", "[estimation]"]
-    if cfg.aoa_grid_deg is not None:
-        lines.append(f"aoa_deg = {_fmt_list(cfg.aoa_grid_deg)}")
-    if cfg.aod_grid_deg is not None:
-        lines.append(f"aod_deg = {_fmt_list(cfg.aod_grid_deg)}")
-    lines += [f"delay_pad_bins = {cfg.delay_pad_bins}",
-              f"l_max = {cfg.l_max}",
-              f"stop_fraction = {_fmt(cfg.stop_fraction)}",
-              f"refine = {'true' if cfg.refine else 'false'}",
-              f"refine_passes = {cfg.refine_passes}",
-              f"detect_threshold_db = {_fmt(cfg.detect_threshold_db)}",
-              f"min_separation_bins = {cfg.min_separation_bins}",
-              f"parity = {'true' if cfg.parity else 'false'}"]
-    lines += ["", "[triangulation]", f"min_bearings = {cfg.min_bearings}"]
-    if cfg.subsets == "by-offset":
-        lines.append("subsets = by-offset")
-    else:
-        lines.append("subsets = " + "; ".join(
-            " ".join(str(i) for i in group) for group in cfg.subsets))
-    lines += ["", "[heatmap]"]
-    if cfg.heat_bounds is not None:
-        lines.append(f"bounds = {_fmt_list(cfg.heat_bounds)}")
-    lines += [f"cell = {_fmt(cfg.heat_cell)}",
-              f"concentration = {_fmt(cfg.heat_concentration)}"]
-    return "\n".join(lines) + "\n"
+    lines, section = [], None
+    for row in _KEYS:
+        if row.section != section:
+            section = row.section
+            lines += ["", f"[{section}]"]
+        text = row.codec.fmt(getattr(cfg, row.field))
+        if text is not None:
+            lines.append(f"{row.key} = {text}")
+    return "\n".join(lines[1:]) + "\n"
+
+
+def parse_values(key, text):
+    """``--vary`` values of scenario ``key``: a comma list whose items may
+    be start:step:stop ranges, each checked as the key's row checks it."""
+    try:
+        return list(_List(_ROWS[key].codec, sep=",").parse(text))
+    except ValueError as err:
+        raise ScenarioError(f"{key}: {err}") from None
+
+
+def with_value(cfg: ScenarioConfig, key, value):
+    """``cfg`` with ``key`` set to ``value``, checked across keys."""
+    cfg = replace(cfg, **{_ROWS[key].field: value})
+    _validate_config(cfg, {})
+    return cfg
 
 
 def build_room(cfg: ScenarioConfig) -> Room:
-    reflective = cfg.reflective
-    if reflective == "all":
-        return Room.from_polygon(cfg.room_vertices)
-    return Room.from_polygon(cfg.room_vertices, reflective=list(reflective))
+    reflective = None if cfg.reflective == "all" else list(cfg.reflective)
+    return Room.from_polygon(cfg.room_vertices, reflective=reflective)
 
 
 def build_grid(cfg: ScenarioConfig) -> FrequencyGrid:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfchan.aperture import Pdp, mean_pdp, plan_linear_track, simulate_campaign
+from nfchan.aperture import (MeasurementPlan, Pdp, mean_pdp,
+                             plan_linear_track, simulate_campaign)
 from nfchan.channel import (
     SPEED_OF_LIGHT as C,
     FrequencyGrid,
@@ -34,7 +35,6 @@ from nfchan.estimation import (
     recover_abs_delays,
     refine_extraction,
     response_atom,
-    steering_phase,
     triangulate,
 )
 from nfchan.estimation import (_cyclic_polish, _line_score, _newton_ascent,
@@ -90,24 +90,17 @@ def naive_scores(plan, grid, dictionary, residual):
     return out
 
 
-class TestSteeringPhase:
-    def test_matches_response_atom(self):
-        grid = grid64()
-        plan = small_plan()
-        atom = response_atom(plan, grid, 0.6, -1.9, 43e-9)
-        refs = (plan.tx_ref, plan.rx_ref)
-        for k, m, n, i in [(0, 1, 2, 5), (3, 0, 0, 0), (5, 1, 1, 63)]:
-            got = steering_phase(0.6, -1.9, 43e-9,
-                                 plan.rx_positions[k, m],
-                                 plan.tx_positions[n],
-                                 refs, grid.tones()[i])
-            assert got == pytest.approx(atom[k, m, n, i], rel=1e-12)
-            assert abs(got) == pytest.approx(1.0, rel=1e-12)
-
+class TestResponseAtom:
     def test_zero_displacement_is_pure_delay(self):
-        refs = (np.array([3.0, 4.0]), np.array([0.0, 1.0]))
-        got = steering_phase(0.3, 2.0, 10e-9, refs[1], refs[0], refs, 1e9)
-        assert got == pytest.approx(np.exp(-2j * np.pi * 1e9 * 10e-9), rel=1e-12)
+        # one element at each reference: the atom is the delay factor alone
+        tx_ref, rx_ref = np.array([3.0, 4.0]), np.array([0.0, 1.0])
+        plan = MeasurementPlan(rx_positions=rx_ref[None, None, :],
+                               tx_positions=tx_ref[None, :])
+        grid = grid64()
+        got = response_atom(plan, grid, 0.3, 2.0, 10e-9)
+        want = np.exp(-2j * np.pi * grid.tones() * 10e-9)
+        assert got.shape == (1, 1, 1, 64)
+        assert got[0, 0, 0] == pytest.approx(want, rel=1e-12)
 
 
 class TestScoreEngine:

@@ -331,6 +331,11 @@ class TestRoom:
         with pytest.raises(InvalidGeometry):
             Room.from_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], interior=(5, 5))
 
+    @pytest.mark.parametrize("index", [4, -1])
+    def test_reflective_index_out_of_range(self, index):
+        with pytest.raises(InvalidGeometry, match="out of range"):
+            rect_room(reflective=[1, index])
+
     def test_contains(self):
         room = rect_room()
         assert room.contains((10, 5))

@@ -14,7 +14,8 @@ from nfchan.aperture import plan_linear_track, simulate_campaign
 from nfchan.channel import SPEED_OF_LIGHT as C
 from nfchan.channel import FrequencyGrid, RmPathParams
 from nfchan.dataio import read_dataset, write_dataset
-from nfchan.errors import DegenerateTriangulation, InvalidGeometry
+from nfchan.errors import (DegenerateTriangulation, InvalidGeometry,
+                           ScenarioError)
 from nfchan.estimation import DictionaryGrid, fft_delay_bins, omp_extract
 from nfchan.geometry import wrap_angle
 from nfchan.pipeline import (collinear_axis, extract_paths, run_estimate,
@@ -336,8 +337,34 @@ class TestSweepValues:
         with pytest.raises(InvalidGeometry, match="positive"):
             sweep_values("snr=0:-5:40")
 
+    @pytest.mark.parametrize("spec, key", [
+        ("n_tones=64.7", "n_tones"),
+        ("seed=1.9", "seed"),
+        ("snr=nan,inf", "snr_db"),
+        ("l_max=0", "l_max"),
+        ("max_order=-1", "max_order"),
+        ("stop_fraction=0:0.5:1", "stop_fraction"),
+        ("snr=0:1e-12:1", "snr_db"),
+    ])
+    def test_values_checked_by_scenario_row(self, spec, key):
+        with pytest.raises(InvalidGeometry, match=key):
+            sweep_values(spec)
+
+    def test_integer_keys_take_integral_ranges_and_lists(self):
+        for spec, want in (("l_max=1:1:6", [1, 2, 3, 4, 5, 6]),
+                           ("l_max = 2, 4, 8", [2, 4, 8]),
+                           ("n_tones=2:1:4", [2, 3, 4])):
+            values = sweep_values(spec)[1]
+            assert values == want
+            assert all(type(v) is int for v in values)
+
 
 class TestSweepRuns:
+    def test_jobs_checked_before_any_runs(self, quick_cfg):
+        # the second bandwidth puts the band edge below zero frequency
+        with pytest.raises(ScenarioError, match="bandwidth_hz"):
+            sweep_runs(quick_cfg, "bandwidth", [500e6, 30e9])
+
     def test_rows_and_determinism(self, quick_cfg):
         rows = sweep_runs(quick_cfg, "snr", [25.0, 35.0])
         assert len(rows) == 2

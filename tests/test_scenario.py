@@ -1,13 +1,17 @@
 """Scenario text format, its validation, and the campaign builders."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfchan.errors import ScenarioError
-from nfchan.scenario import (available_presets, build_grid, build_plan,
-                             build_room, build_tx_array, format_scenario,
-                             load_preset, load_scenario_file, parse_scenario,
-                             true_paths)
+from nfchan.scenario import (_KEYS, ScenarioConfig, available_presets,
+                             build_grid, build_plan, build_room,
+                             build_tx_array, format_scenario, load_preset,
+                             load_scenario_file, parse_scenario, true_paths)
 
 MINIMAL = """\
 [room]
@@ -26,6 +30,69 @@ origin = 1,1
 offsets = 0 0.4
 spacings = 0.5wl
 """
+
+# Sets every optional key, with the non-default spelling where one exists.
+FULL = """\
+[room]
+vertices = 0,0 20,0 20,10 0,10
+reflective = 1 2 3
+
+[radio]
+carrier_hz = 10e9
+bandwidth_hz = 500e6
+n_tones = 64
+
+[transmitter]
+position = 12,7.5
+layout = single
+
+[aperture]
+origin = 1,1
+offsets = 0:0.4:0.8
+spacings = 0.5wl 1wl
+n_rx = 3
+
+[measurement]
+snr_db = 20
+coherent = true
+seed = 7
+max_order = 2
+bounce_loss = 0.5
+model = pwa
+
+[estimation]
+aoa_deg = 0:5:180
+aod_deg = -180 -90 0 90
+delay_pad_bins = 2
+l_max = 4
+stop_fraction = 0.01
+refine = false
+refine_passes = 0
+detect_threshold_db = 25
+min_separation_bins = 3
+parity = false
+
+[triangulation]
+min_bearings = 3
+subsets = 0 1; 2 3; 4 5
+
+[heatmap]
+bounds = 0 20 0 10
+cell = 0.5
+concentration = 100
+"""
+
+
+def with_line(text, section, key, value):
+    """``text`` with ``key = value`` in ``section``, replacing the key's
+    line when there is one; returns the text and that line's number."""
+    lines = text.splitlines()
+    hit = [i for i, line in enumerate(lines) if line.startswith(key + " =")]
+    if hit:
+        lines[hit[0]] = f"{key} = {value}"
+        return "\n".join(lines) + "\n", hit[0] + 1
+    lines += ["", f"[{section}]", f"{key} = {value}"]
+    return "\n".join(lines) + "\n", len(lines)
 
 
 class TestParsing:
@@ -137,12 +204,108 @@ class TestParsing:
             parse_scenario(MINIMAL + "\n[triangulation]\nsubsets = 0 1 2\n")
 
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("room", "reflective", "9"),
+        ("room", "reflective", "-1"),
+        ("room", "vertices", "0,0 20,0"),
+        ("radio", "n_tones", "1"),
+        ("radio", "bandwidth_hz", "-5"),
+        ("radio", "bandwidth_hz", "30e9"),
+        ("radio", "carrier_hz", "nan"),
+        ("transmitter", "position", "nan,7.5"),
+        ("transmitter", "spacing", "nan"),
+        ("aperture", "offsets", "nan"),
+        ("aperture", "offsets", "0:1e-12:1"),
+        ("aperture", "spacings", "0"),
+        ("aperture", "n_rx", "0"),
+        ("measurement", "seed", "-1"),
+        ("estimation", "stop_fraction", "nan"),
+        ("estimation", "stop_fraction", "1"),
+        ("estimation", "refine_passes", "-1"),
+        ("estimation", "detect_threshold_db", "0"),
+        ("estimation", "min_separation_bins", "0"),
+        ("estimation", "delay_pad_bins", "-1"),
+        ("estimation", "aoa_deg", "10 5"),
+        ("estimation", "aod_deg", "0 0"),
+        ("heatmap", "cell", "nan"),
+        ("heatmap", "concentration", "nan"),
+        ("heatmap", "concentration", "0"),
+        ("heatmap", "bounds", "nan 20 0 10"),
+        ("heatmap", "bounds", "20 0 0 10"),
+    ])
+    def test_bad_value_names_key_and_line(self, section, key, value):
+        text, line = with_line(MINIMAL, section, key, value)
+        with pytest.raises(ScenarioError, match=key) as err:
+            parse_scenario(text)
+        assert err.value.line == line
+
+
+class TestKeyTable:
+    def test_rows_cover_every_config_field_once(self):
+        fields = [row.field for row in _KEYS]
+        assert len(set(fields)) == len(fields)
+        assert set(fields) == {f.name for f in
+                               dataclasses.fields(ScenarioConfig)}
+        assert len({row.key for row in _KEYS}) == len(_KEYS)
+
+    def test_full_scenario_writes_every_key(self):
+        # layout = single with no spacing leaves spacing out
+        text = format_scenario(parse_scenario(FULL))
+        written = {line.split(" =")[0] for line in text.splitlines()
+                   if " = " in line}
+        assert written == {row.key for row in _KEYS} - {"spacing"}
+
+
+# Replacement values for one key: junk, non-finite, negative, huge and
+# small ranges (none expands past a few hundred values).
+VALUE_TOKENS = st.one_of(
+    st.text(alphabet="0123456789.,:;-+ eEwlnaifrtu_x#[]=", max_size=12),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "1e400", "-1e308",
+                     str(10**30), "-1", "0", "none", "all", "true"]),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(-50, 50).map(lambda x: f"{x}wl"),
+    st.builds(lambda a, b, n: f"{a}:{b}:{a + b * n}",
+              st.integers(-20, 20), st.integers(-3, 5), st.integers(-2, 40)),
+    st.builds(lambda a, b, n: f"{a!r}:{b!r}:{a + b * n!r}",
+              st.floats(-100, 100), st.floats(0.01, 10), st.integers(-2, 40)),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data(), base=st.sampled_from([MINIMAL, FULL]))
+    def test_mutations_raise_only_scenario_error(self, data, base):
+        lines = base.splitlines()
+        how = data.draw(st.sampled_from(["value", "line", "drop", "copy"]))
+        if how == "value":
+            i = data.draw(st.sampled_from(
+                [i for i, line in enumerate(lines) if " = " in line]))
+            key = lines[i].split(" = ")[0]
+            lines[i] = f"{key} = {data.draw(VALUE_TOKENS)}"
+        else:
+            i = data.draw(st.integers(0, len(lines) - 1))
+            if how == "line":
+                lines[i] = data.draw(VALUE_TOKENS)
+            elif how == "drop":
+                del lines[i]
+            else:
+                lines.insert(i, lines[i])
+        try:
+            cfg = parse_scenario("\n".join(lines) + "\n")
+        except ScenarioError:
+            return
+        text = format_scenario(cfg)
+        assert format_scenario(parse_scenario(text)) == text
+
+
 class TestRoundTrip:
     def test_format_parse_fixed_point(self):
-        cfg = parse_scenario(MINIMAL)
-        text = format_scenario(cfg)
-        again = format_scenario(parse_scenario(text))
-        assert text == again
+        for source in (MINIMAL, FULL):
+            cfg = parse_scenario(source)
+            text = format_scenario(cfg)
+            again = format_scenario(parse_scenario(text))
+            assert text == again
 
     @pytest.mark.parametrize("name", ["room-20x10", "room-20x10-fs1ghz",
                                       "track-experiment"])
