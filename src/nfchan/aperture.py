@@ -101,14 +101,14 @@ class MeasurementPlan:
         )
 
 
-def plan_linear_track(rx_ref, offsets, spacings, tx_positions, n_rx=2,
-                      reference="centroid"):
+def plan_linear_track(rx_ref, offsets, spacings, tx_positions, n_rx=2):
     """Campaign plan for a horizontal track of small uniform arrays.
 
     One placement is generated per (offset, spacing) combination, offsets
     major.  Placement elements sit at ``rx_ref + (offset + (i - (M-1)/2) *
     spacing, 0)`` for ``i = 0..M-1``, so each little array is centered on
-    its track offset.
+    its track offset.  The receive reference is the elements' centroid,
+    which balances the first-order model across the track.
 
     Parameters
     ----------
@@ -120,10 +120,6 @@ def plan_linear_track(rx_ref, offsets, spacings, tx_positions, n_rx=2,
     tx_positions : (N, 2) array_like
     n_rx : int
         Elements per placement.
-    reference : {"centroid", "origin"}
-        Where the plan's receive reference lands: the centroid of all
-        generated elements (default, balances the first-order model
-        across the track) or the track origin itself.
 
     Returns
     -------
@@ -138,8 +134,6 @@ def plan_linear_track(rx_ref, offsets, spacings, tx_positions, n_rx=2,
         raise InvalidGeometry("spacings must be positive")
     if n_rx < 1:
         raise InvalidGeometry("n_rx must be at least 1")
-    if reference not in ("centroid", "origin"):
-        raise InvalidGeometry(f"unknown reference convention {reference!r}")
     centered = (np.arange(n_rx) - (n_rx - 1) / 2.0)
     rx = np.zeros((offsets.size * spacings.size, n_rx, 2))
     off_meta = np.zeros(rx.shape[0])
@@ -155,7 +149,6 @@ def plan_linear_track(rx_ref, offsets, spacings, tx_positions, n_rx=2,
     return MeasurementPlan(
         rx_positions=rx,
         tx_positions=tx_positions,
-        rx_ref=origin if reference == "origin" else None,
         offsets=off_meta,
         spacings=spc_meta,
     )
@@ -187,6 +180,8 @@ class MeasurementSet:
                 f"({k}, {m}, {n}, {f})"
             )
         self.responses = responses
+        if self.snr_db is not None:
+            check_finite(float(self.snr_db), "snr_db")
 
     def energy(self):
         return float(np.sum(np.abs(self.responses) ** 2))
@@ -258,7 +253,7 @@ class Pdp:
 
 
 def _window(name, n):
-    if name in ("rectangular", "rect"):
+    if name == "rectangular":
         return np.ones(n)
     if name == "hann":
         w = np.hanning(n)

@@ -5,10 +5,11 @@ parametric atoms, one per propagation path, each multiplied by a free
 complex gain per placement (the unknown capture phases make the gains
 placement-local).  Recovery proceeds in stages:
 
-1. a matching-pursuit sweep over a separable (aoa, aod, delay) grid,
-   scoring each candidate atom by the energy it can absorb across all
-   placements at once;
-2. coordinate refinement of the selected atoms off the grid;
+1. one matching-pursuit loop over a separable (aoa, aod, delay) grid:
+   each round scores every candidate atom by the energy it can absorb
+   across all placements at once, adds the best one and polishes all
+   paths held so far off the grid;
+2. a final joint coordinate refinement of the paths off the grid;
 3. bearing triangulation across track offsets to pin the mirrored
    transmitter of one anchor path in the plane, which restores the
    absolute time scale the capture phases destroyed;
@@ -60,7 +61,6 @@ from .channel import (
     FrequencyGrid,
     PwaPathParams,
     RmPathParams,
-    ToneComb,
     alpha_from_bearings,
     comb_phasors,
     path_lengths,
@@ -178,18 +178,13 @@ class ExtractionResult:
             return float(np.ldexp(energy, 2 * self.energy_exponent))
 
 
-def _phase_factor(tau, tones):
-    """``exp(-2j pi f tau)`` of every ``tau`` at every tone, shape
-    ``tau.shape + (F,)``.
-
-    ``tones`` is a :class:`~nfchan.channel.ToneComb`, whose factor is
-    built by the two-level tone split (:func:`comb_phasors`, ``A + B``
-    exponentials per ``tau``), or a 1-D array of arbitrary tones, whose
-    factor is one direct exponential per entry.
+def _phase_factor(tau, comb):
+    """``exp(-2j pi f tau)`` of every ``tau`` at every tone of the
+    :class:`~nfchan.channel.ToneComb` ``comb``, shape ``tau.shape +
+    (F,)``, built by the two-level tone split (:func:`comb_phasors`,
+    ``A + B`` exponentials per ``tau``).
     """
-    if isinstance(tones, ToneComb):
-        return comb_phasors(tau, -2j * np.pi, tones)
-    return np.exp(-2j * np.pi * (np.asarray(tau)[..., None] * tones))
+    return comb_phasors(tau, -2j * np.pi, comb)
 
 
 def _plane_delay(angle, disp):
@@ -214,7 +209,7 @@ def _factor_delay(plan, coord, value):
     return np.asarray(value, dtype=float)
 
 
-def _atom_factor(plan, coord, value, tones, conj=False):
+def _atom_factor(plan, coord, value, comb, conj=False):
     """One separable factor of the first-order atom.
 
     The atom is exactly ``e[f] * r[k, m, f] * t[n, f]``.  ``coord``
@@ -223,10 +218,10 @@ def _atom_factor(plan, coord, value, tones, conj=False):
     factor ``t`` (..., N, F) and 2 the delay factor ``e`` (..., F), an
     array ``value`` prepending its shape.  ``conj`` gives the conjugate,
     the matched filter that correlates data against the factor.
-    ``tones`` is what :func:`_phase_factor` takes.
+    ``comb`` is what :func:`_phase_factor` takes.
     """
     tau = _factor_delay(plan, coord, value)
-    return _phase_factor(-tau if conj else tau, tones)
+    return _phase_factor(-tau if conj else tau, comb)
 
 
 def _fft_beats_gemm(n_tones, n_delays):
@@ -390,12 +385,6 @@ class ScoreEngine:
         ir, idl = np.unravel_index(flat, block.shape)
         return float(block.flat[flat]), (int(ia), int(rows[ir]), int(idl))
 
-    def atom(self, ia, ib, idl):
-        """Unit-modulus atom (K, M, N, F) for a grid index triple."""
-        return response_atom(self.plan, self.grid, self.dictionary.aoas[ia],
-                             self.dictionary.aods[ib],
-                             self.dictionary.delays[idl])
-
 
 def response_atom(plan: MeasurementPlan, grid: FrequencyGrid, aoa, aod, delta):
     """First-order unit-modulus response of a path over a whole plan.
@@ -460,7 +449,7 @@ def _package_paths(raw, gains):
     raw: list of [aoa, aod, sweep_delay]; gains: (L, K).
     Returns (paths, delay_origin).
     """
-    origin = min(p[2] for p in raw)
+    origin = min((p[2] for p in raw), default=0.0)
     paths = [
         PwaPathParams(gains=gains[j], delta=raw[j][2] - origin,
                       aoa=raw[j][0], aod=raw[j][1])
@@ -470,16 +459,16 @@ def _package_paths(raw, gains):
     return paths, float(origin)
 
 
-def _line_score(plan, tones, params, coord, peeled):
+def _line_score(plan, comb, params, coord, peeled):
     """Energy an atom captures from ``peeled`` as one coordinate moves.
 
-    Returns ``score(x, derivatives=False)``: the ``s = sum_k |c_k|^2 /
-    (M N F)`` with ``c_k = <atom_k, peeled_k>`` of the atom at ``params``
-    ([aoa, aod, delay]) with ``params[coord]`` replaced by ``x``, or with
-    ``derivatives`` the triple ``(s, s', s'')`` in ``x``.  The two fixed
-    factors are contracted with ``peeled`` once, so each call builds only
-    the moving factor, through :func:`_phase_factor` on ``tones``: K*M,
-    N or 1 delays for the aoa, the aod and the delay.
+    Returns ``score(x)``, the triple ``(s, s', s'')`` in ``x`` of ``s =
+    sum_k |c_k|^2 / (M N F)`` with ``c_k = <atom_k, peeled_k>`` of the
+    atom at ``params`` ([aoa, aod, delay]) with ``params[coord]``
+    replaced by ``x``.  The two fixed factors are contracted with
+    ``peeled`` once, so each call builds only the moving factor, through
+    :func:`_phase_factor` on the tone comb ``comb``: K*M, N or 1 delays
+    for the aoa, the aod and the delay.
 
     The conjugated moving factor is ``phi = exp(2j pi f tau(x))``, so
     ``phi' = 2j pi f tau' phi`` and ``phi'' = (2j pi f tau'' + (2j pi f
@@ -493,7 +482,7 @@ def _line_score(plan, tones, params, coord, peeled):
     k, m, n, f = peeled.shape
     mnf = m * n * f
     r, t, e = (None if c == coord else
-               _atom_factor(plan, c, params[c], tones, conj=True)
+               _atom_factor(plan, c, params[c], comb, conj=True)
                for c in range(3))
     if coord == 0:
         h = np.einsum("nf,kmnf->kmf", t * e, peeled)
@@ -501,19 +490,16 @@ def _line_score(plan, tones, params, coord, peeled):
         h = np.einsum("kmf,kmnf->knf", r * e, peeled)
     else:
         h = np.einsum("nf,knf->kf", t, np.einsum("kmf,kmnf->knf", r, peeled))
-    freqs = tones.tones() if isinstance(tones, ToneComb) else np.asarray(tones)
+    freqs = comb.tones()
     powers = np.stack([np.ones(f), freqs, freqs * freqs], axis=1).astype(complex)
 
-    def score(x, derivatives=False):
+    def score(x):
         if coord == 2:
             tau, dtau = x, 1.0
         else:
             # u'(x) = u(x + pi/2): tau and tau' from one projection
             tau, dtau = _factor_delay(plan, coord, [x, x + np.pi / 2])
-        p = (_phase_factor(-tau, tones) * h).reshape(k, -1, f)
-        if not derivatives:
-            c = p.sum(axis=(1, 2))
-            return float(np.sum(c.real ** 2 + c.imag ** 2)) / mnf
+        p = (_phase_factor(-tau, comb) * h).reshape(k, -1, f)
         q = p @ powers  # (K, R, 3) tone moments
         d1 = 2j * np.pi * dtau
         d2 = 0.0 if coord == 2 else -2j * np.pi * tau
@@ -541,12 +527,12 @@ def _newton_ascent(score, center, step):
     lo, hi = center - step, center + step
     tol = _NEWTON_TOL * step
     x = center
-    s, d1, d2 = score(x, derivatives=True)
+    s, d1, d2 = score(x)
     for _ in range(_NEWTON_MAX_STEPS):
         target = x - d1 / d2 if d2 < 0 else (hi if d1 > 0 else lo)
         dx = min(max(target, lo), hi) - x
         while abs(dx) > tol:
-            trial = score(x + dx, derivatives=True)
+            trial = score(x + dx)
             if trial[0] >= s:
                 break
             dx /= 2.0
@@ -596,18 +582,20 @@ def omp_extract(mset: MeasurementSet, dictionary: DictionaryGrid,
                 l_max, stop_fraction=0.0, polish_passes=0):
     """Greedy block matching pursuit over a parameter dictionary.
 
-    Each round scores every dictionary atom against the residual,
-    selects the best one, then jointly refits all selected atoms' gains
-    per placement against the raw data.  Stops after ``l_max`` rounds,
-    when the residual energy falls below ``stop_fraction`` of the input
-    energy, or when the sweep re-selects an atom it already holds.
+    One loop, as in Newtonized OMP: each round scores every dictionary
+    atom against the residual, adds the best one to the paths held and
+    runs ``polish_passes`` cyclic coordinate passes over all of them
+    (:func:`_cyclic_polish`), which refit every gain jointly per
+    placement against the raw data.  Polishing slides atoms off the grid
+    before the next residual is formed, which keeps an off-grid path
+    from leaking into a second, spurious pick; 0 passes keep the picks
+    on the grid, which is plain OMP.
 
-    With ``polish_passes`` > 0 every round additionally runs that many
-    cyclic coordinate-descent passes over all paths picked so far, so
-    atoms slide off the grid before the next residual is formed.  That
-    keeps an off-grid path from leaking into a second, spurious pick.
-    Rounds that fail to shrink the residual are rolled back and stop
-    the sweep, so re-selecting a grid cell is allowed while productive.
+    The sweep ends after ``l_max`` rounds, once the residual energy
+    falls below ``stop_fraction`` of the input energy, or on either of
+    two rules: the pick equals a path already held, or the round fails
+    to lower the residual energy by more than a relative ``1e-12``; that
+    round is rolled back, so an atom that captures nothing is never kept.
 
     Returns
     -------
@@ -615,7 +603,7 @@ def omp_extract(mset: MeasurementSet, dictionary: DictionaryGrid,
         Paths sorted by descending strength with deltas floored at
         zero; ``selections`` keeps the grid index triples in pick order
         for reproducibility checks, and ``residual_history`` the energy
-        trajectory, which is non-increasing by construction.
+        trajectory, which is decreasing by construction.
     """
     if l_max < 1:
         raise InvalidGeometry("l_max must be at least 1")
@@ -626,36 +614,26 @@ def omp_extract(mset: MeasurementSet, dictionary: DictionaryGrid,
         raise EmptyChannel("measurement set carries no energy")
     steps = (dictionary.aoa_step(), dictionary.aod_step(),
              dictionary.delay_step())
-    residual = data.copy()
+    residual = data
     selections = []
     params = []
-    atoms = []
     gains = None
     res_energy = initial
     history = [initial]
     for _ in range(l_max):
         idx, _ = engine.best(residual)
-        if polish_passes <= 0 and idx in selections:
+        picked = [float(axis[i]) for axis, i in zip(
+            (dictionary.aoas, dictionary.aods, dictionary.delays), idx)]
+        if picked in params:
             break
-        ia, ib, idl = idx
-        picked = [float(dictionary.aoas[ia]), float(dictionary.aods[ib]),
-                  float(dictionary.delays[idl])]
-        if polish_passes > 0:
-            trial = [list(p) for p in params] + [picked]
-            trial, new_gains, new_residual = _cyclic_polish(
-                plan=mset.plan, grid=mset.grid, params=trial, data=data,
-                steps=steps, passes=polish_passes)
-            new_energy = _energy(new_residual)
-            if new_energy >= res_energy * (1.0 - 1e-12):
-                break
-            params = trial
-        else:
-            params.append(picked)
-            atoms.append(engine.atom(*idx))
-            stack = np.stack(atoms)
-            new_gains = per_placement_lsq(stack, data)
-            new_residual = data - model_sum(stack, new_gains)
-            new_energy = _energy(new_residual)
+        trial, new_gains, new_residual = _cyclic_polish(
+            plan=mset.plan, grid=mset.grid,
+            params=[list(p) for p in params] + [picked], data=data,
+            steps=steps, passes=polish_passes)
+        new_energy = _energy(new_residual)
+        if new_energy >= res_energy * (1.0 - 1e-12):
+            break
+        params = trial
         selections.append(idx)
         gains = new_gains
         residual = new_residual
@@ -990,8 +968,7 @@ def estimate_parity(mset: MeasurementSet, path: PwaPathParams, tau,
     )
 
 
-def assemble_rm(result: ExtractionResult, anchor_tau, anchor_index, parities,
-                alphas=None):
+def assemble_rm(result: ExtractionResult, anchor_tau, anchor_index, parities):
     """Anchor an extraction to absolute time and package every path.
 
     ``anchor_index`` names the path in ``result.paths`` whose absolute
@@ -999,16 +976,13 @@ def assemble_rm(result: ExtractionResult, anchor_tau, anchor_index, parities,
     delta is shifted accordingly.  Gain magnitudes are the RMS over
     placements; phases are all read off the placement where the anchor
     path is strongest, the only deterministic common reference left once
-    captures carry independent phases.
+    captures carry independent phases.  Each path's reflection map
+    follows from its (aoa, aod, parity), so none is taken as input.
 
     Parameters
     ----------
     parities : sequence of int
         One parity per path, aligned with ``result.paths``.
-    alphas : sequence of float, optional
-        Reflection-composition angles, if already known.  They are fully
-        determined by (aoa, aod, parity), so they are only checked for
-        consistency, never trusted over the bearings.
 
     Returns
     -------
@@ -1022,16 +996,6 @@ def assemble_rm(result: ExtractionResult, anchor_tau, anchor_index, parities,
     parities = [int(s) for s in parities]
     if len(parities) != len(paths):
         raise InvalidGeometry("need exactly one parity per path")
-    if alphas is not None:
-        if len(alphas) != len(paths):
-            raise InvalidGeometry("need exactly one alpha per path")
-        for p, parity, alpha in zip(paths, parities, alphas):
-            implied = alpha_from_bearings(p.aoa, p.aod, parity)
-            gap = np.abs(np.angle(np.exp(1j * (implied - alpha))))
-            if gap > 1e-6:
-                raise InvalidGeometry(
-                    "alpha inconsistent with aoa/aod/parity: "
-                    f"given {float(alpha):.8f}, implied {implied:.8f}")
     taus = recover_abs_delays(anchor_tau, paths[anchor_index].delta,
                               [p.delta for p in paths])
     k_star = int(np.argmax(np.abs(paths[anchor_index].gains)))

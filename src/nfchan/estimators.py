@@ -26,6 +26,16 @@ class NotFittedError(NfchanError, AttributeError):
     kind = "not-fitted"
 
 
+def _captured_fraction(X, atoms):
+    """Fraction of X's energy (0..1) that ``atoms`` (L, K, M, N, F)
+    capture under joint per-placement least-squares gains."""
+    total = X.energy()
+    if total == 0.0:
+        return 0.0
+    model = model_sum(atoms, per_placement_lsq(atoms, X.responses))
+    return 1.0 - float(np.sum(np.abs(X.responses - model) ** 2)) / total
+
+
 class _BaseEstimator:
     """get_params/set_params over the ``ScenarioConfig`` fields named in
     ``_fields`` (defaults taken from ``ScenarioConfig``) plus the extra
@@ -76,7 +86,7 @@ class _BaseEstimator:
 class PathExtractor(_BaseEstimator):
     """Sparse multipath extraction as a fit/predict estimator.
 
-    ``fit`` runs the polished sweep (and optional continuous refinement)
+    ``fit`` runs the polished sweep and ``refine_passes`` refinement passes
     on a measurement set; fitted paths live in ``paths_``.  ``predict``
     rebuilds the model response tensor for a measurement set with the
     fitted (aoa, aod, delay) triples, refitting the per-placement gains,
@@ -89,9 +99,9 @@ class PathExtractor(_BaseEstimator):
     enables the mirror-ambiguity fold for collinear tracks.
     """
 
-    _fields = ("l_max", "stop_fraction", "refine", "refine_passes",
-               "aoa_grid_deg", "aod_grid_deg", "delay_pad_bins",
-               "detect_threshold_db", "min_separation_bins")
+    _fields = ("l_max", "stop_fraction", "refine_passes", "aoa_grid_deg",
+               "aod_grid_deg", "delay_pad_bins", "detect_threshold_db",
+               "min_separation_bins")
     _extra = {"room": None}
 
     def fit(self, X: MeasurementSet, y=None):
@@ -120,11 +130,8 @@ class PathExtractor(_BaseEstimator):
 
     def score(self, X: MeasurementSet, y=None):
         """Fraction of X's energy captured by the fitted paths (0..1)."""
-        total = X.energy()
-        if total == 0.0:
-            return 0.0
-        resid = float(np.sum(np.abs(X.responses - self.predict(X)) ** 2))
-        return 1.0 - resid / total
+        self._check_fitted("extraction_")
+        return _captured_fraction(X, self._atoms(X))
 
 
 class ReflectionModelEstimator(_BaseEstimator):
@@ -139,8 +146,8 @@ class ReflectionModelEstimator(_BaseEstimator):
     """
 
     _fields = ("room_vertices", "reflective", "aoa_grid_deg", "aod_grid_deg",
-               "delay_pad_bins", "l_max", "stop_fraction", "refine",
-               "refine_passes", "detect_threshold_db", "min_separation_bins",
+               "delay_pad_bins", "l_max", "stop_fraction", "refine_passes",
+               "detect_threshold_db", "min_separation_bins",
                "parity", "min_bearings", "subsets")
 
     def fit(self, X: MeasurementSet, y=None):
@@ -171,14 +178,4 @@ class ReflectionModelEstimator(_BaseEstimator):
     def score(self, X: MeasurementSet, y=None):
         """Captured energy fraction after per-placement phase/gain
         alignment (the capture phases are not part of the model)."""
-        total = X.energy()
-        if total == 0.0:
-            return 0.0
-        pred = self.predict(X)
-        flat = pred.reshape(pred.shape[0], -1)
-        data = X.responses.reshape(flat.shape)
-        num = np.sum(np.conj(flat) * data, axis=1)
-        den = np.sum(np.abs(flat) ** 2, axis=1)
-        scale = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-        resid = float(np.sum(np.abs(data - scale[:, None] * flat) ** 2))
-        return 1.0 - resid / total
+        return _captured_fraction(X, self.predict(X)[None])

@@ -115,29 +115,24 @@ class Room:
         ----------
         vertices : (n, 2) array_like
             Polygon corners in order (either orientation).
-        reflective : sequence of bool or sequence of int, optional
-            Either one flag per wall, or the indices of the reflective
-            walls.  Default: all walls reflective.
+        reflective : sequence of int, optional
+            Indices of the reflective walls (wall ``k`` ends at vertex
+            ``k + 1``); a bool or a fraction is refused, not read as a wall.
+            Default: all walls reflective.
         """
         verts = as_points(vertices, "vertices")
         n = len(verts)
         if n < 3:
             raise InvalidGeometry("polygon needs at least 3 vertices")
-        if reflective is None:
-            flags = [True] * n
-        else:
-            refl = list(reflective)
-            if refl and all(isinstance(r, (bool, np.bool_)) for r in refl):
-                if len(refl) != n:
-                    raise InvalidGeometry("need one reflectivity flag per wall")
-                flags = [bool(r) for r in refl]
-            else:
-                flags = [False] * n
-                for idx in refl:
-                    if not 0 <= idx < n:
-                        raise InvalidGeometry(f"wall index {idx} out of range "
-                                              f"(room has {n} walls)")
-                    flags[int(idx)] = True
+        flags = [reflective is None] * n
+        for idx in () if reflective is None else reflective:
+            if isinstance(idx, (bool, np.bool_)) or idx % 1:
+                raise InvalidGeometry(
+                    f"reflective takes wall indices, got {idx!r}")
+            if not 0 <= idx < n:
+                raise InvalidGeometry(f"wall index {idx} out of range "
+                                      f"(room has {n} walls)")
+            flags[int(idx)] = True
         walls = [Wall(verts[k], verts[(k + 1) % n], flags[k]) for k in range(n)]
         return cls(walls=walls, interior=interior)
 

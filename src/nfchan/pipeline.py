@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .aperture import MeasurementSet, mean_pdp, simulate_campaign
+from .aperture import mean_pdp, simulate_campaign
 from .channel import SPEED_OF_LIGHT, RmPathParams, unit_vector
 from .errors import (
     DegenerateTriangulation,
@@ -141,7 +141,7 @@ def _pdp_delay_support(mset, cfg):
     qs = set()
     for b in peaks.bins:
         qs.update(range(2 * int(b) - pad, 2 * int(b) + pad + 1))
-    return _delay_comb(qs, mset.grid), peaks
+    return _delay_comb(qs, mset.grid)
 
 
 def _grid_from_range(rng_deg):
@@ -181,13 +181,14 @@ def _to_input_units(result, e):
 
 
 def _sweep_and_refine(mset, dic, cfg, l_max, timing):
-    """One polished sweep over ``dic``, then the 1-degree refinement;
-    ``timing`` receives the "sweep" and "refine" wall times."""
+    """One polished sweep over ``dic``, then ``cfg.refine_passes`` passes
+    of the 1-degree refinement (none for 0); ``timing`` receives the
+    "sweep" and, when it runs, the "refine" wall time."""
     t0 = time.perf_counter()
     result = omp_extract(mset, dic, l_max=l_max,
                          stop_fraction=cfg.stop_fraction, polish_passes=1)
     timing["sweep"] = time.perf_counter() - t0
-    if cfg.refine and result.paths:
+    if cfg.refine_passes and result.paths:
         t0 = time.perf_counter()
         result = refine_extraction(mset, result,
                                    aoa_step=np.deg2rad(FINE_STEP_DEG),
@@ -211,7 +212,7 @@ def extract_paths(mset, cfg, room=None):
     """
     mset, e = _unit_scale(mset)
     axis, side = _fold_setup(mset.plan, room)
-    delays, _ = _pdp_delay_support(mset, cfg)
+    delays = _pdp_delay_support(mset, cfg)
     aoas = (_grid_from_range(cfg.aoa_grid_deg)
             if cfg.aoa_grid_deg is not None else
             _fold(_angle_comb(COARSE_AOA_STEP_DEG), axis, side))
@@ -255,21 +256,19 @@ def subset_bearings(mset, result, cfg, fold_info=(None, 0.0)):
     Windows are seeded from the global paths: each subset's expected
     delay shifts by the track-motion projection onto the arrival
     direction, and its expected bearing re-aims at the implied source
-    point seen from the subset centroid.
+    point seen from the subset centroid.  Returns one list of bearings
+    per global path.
     """
     plan, grid = mset.plan, mset.grid
     axis, side = fold_info
     halfstep = 1.0 / (2.0 * grid.bandwidth)
     paths = result.paths
     bearings = [[] for _ in paths]
-    subset_results = []
     if not paths:
-        return bearings, subset_results
+        return bearings
     for idx in subset_groups(plan, cfg):
         sub = plan.subset(idx, recenter=True)
-        subm = MeasurementSet(responses=mset.responses[idx], plan=sub,
-                              grid=grid, snr_db=mset.snr_db,
-                              coherent=mset.coherent, seed=mset.seed)
+        subm = replace(mset, responses=mset.responses[idx], plan=sub)
         shift = sub.rx_ref - plan.rx_ref
         pred = []
         for p in paths:
@@ -290,7 +289,6 @@ def subset_bearings(mset, result, cfg, fold_info=(None, 0.0)):
                                 SUBSET_WINDOW_DEG, FINE_STEP_DEG),
             delays=_delay_comb(qs, grid))
         rs = _sweep_and_refine(subm, dic, cfg, len(paths), {})
-        subset_results.append(rs)
         costed = []
         for si, sp in enumerate(rs.paths):
             dsr = sp.delta + rs.delay_origin
@@ -308,7 +306,7 @@ def subset_bearings(mset, result, cfg, fold_info=(None, 0.0)):
             sp = rs.paths[si]
             bearings[j].append(Bearing(position=sub.rx_ref, angle=sp.aoa,
                                        weight=max(sp.strength, 1e-30)))
-    return bearings, subset_results
+    return bearings
 
 
 def localize_paths(plan, result, bearings, cfg):
@@ -486,9 +484,7 @@ def _rebind_plan(mset, cfg):
     if not same:
         raise InvalidGeometry("scenario does not describe the dataset's "
                               "measurement layout")
-    return MeasurementSet(responses=mset.responses, plan=plan,
-                          grid=mset.grid, snr_db=mset.snr_db,
-                          coherent=mset.coherent, seed=mset.seed)
+    return replace(mset, plan=plan)
 
 
 def run_estimate(mset, cfg: ScenarioConfig, truth=None) -> RunReport:
@@ -504,7 +500,7 @@ def run_estimate(mset, cfg: ScenarioConfig, truth=None) -> RunReport:
     result, fold_info, timing = extract_paths(mset, cfg, room=room)
 
     t1 = time.perf_counter()
-    bearings, _ = subset_bearings(mset, result, cfg, fold_info)
+    bearings = subset_bearings(mset, result, cfg, fold_info)
     timing["subsets"] = time.perf_counter() - t1
 
     t1 = time.perf_counter()

@@ -52,7 +52,6 @@ class ScenarioConfig:
     delay_pad_bins: int = 4
     l_max: int = 6
     stop_fraction: float = 0.005
-    refine: bool = True
     refine_passes: int = 2
     detect_threshold_db: float = 30.0
     min_separation_bins: int = 2
@@ -70,6 +69,12 @@ class ScenarioConfig:
 # Longest list one value may expand to; a range past it is refused
 # before anything is allocated.
 _MAX_VALUES = 10**6
+# Largest campaign a scenario may describe: response samples (placements
+# x n_rx x transmit elements x tones) and candidate images up to
+# max_order.  Both sit far above every bundled scenario and refuse a
+# campaign that would not fit in memory before anything is built.
+_MAX_SAMPLES = 10**8
+_MAX_IMAGES = 10**6
 
 _OPS = {">=": ge, ">": gt, "<=": le, "<": lt}
 
@@ -264,7 +269,6 @@ _KEYS = (
     _Key("estimation", "l_max", "l_max", _COUNT),
     _Key("estimation", "stop_fraction", "stop_fraction",
          _Number(float, ">= 0", "< 1")),
-    _Key("estimation", "refine", "refine", _FLAG),
     _Key("estimation", "refine_passes", "refine_passes", _INDEX),
     _Key("estimation", "detect_threshold_db", "detect_threshold_db", _POSITIVE),
     _Key("estimation", "min_separation_bins", "min_separation_bins", _COUNT),
@@ -361,6 +365,20 @@ def _validate_config(cfg, lines):
         if not room.contains(point):
             fail(key, "point is outside the room")
     k = len(cfg.offsets) * len(cfg.spacings)
+    counts = {"offsets": len(cfg.offsets), "spacings": len(cfg.spacings),
+              "n_rx": cfg.n_rx, "layout": len(build_tx_array(cfg)),
+              "n_tones": cfg.n_tones}
+    if math.prod(counts.values()) > _MAX_SAMPLES:  # blame the largest count
+        fail(max(counts, key=counts.get), f"campaign needs more than "
+             f"{_MAX_SAMPLES} response samples")
+    # 1 + sum_i r (r - 1)**(i - 1) images over the r reflective walls,
+    # summed until the terms vanish or the total passes the cap
+    r = len(room.reflective_indices())
+    images, term, order = 1, r, 0
+    while term and images <= _MAX_IMAGES and order < cfg.max_order:
+        images, term, order = images + term, term * (r - 1), order + 1
+    if images > _MAX_IMAGES:
+        fail("max_order", f"more than {_MAX_IMAGES} candidate images")
     seen = set()
     for group in () if cfg.subsets == "by-offset" else cfg.subsets:
         for i in group:

@@ -40,13 +40,6 @@ def check_finite(value, name: str):
     return value
 
 
-def check_fraction(value, name: str):
-    """A fraction in [0, 1)."""
-    if not (0 <= value < 1):
-        raise InvalidGeometry(f"{name} must lie in [0, 1), got {value}")
-    return float(value)
-
-
 def check_parity(s) -> int:
     if s not in (+1, -1):
         raise InvalidGeometry(f"parity must be +1 or -1, got {s!r}")

@@ -57,14 +57,6 @@ class TestPlanLinearTrack:
         assert np.allclose(plan.rx_ref, [1.4, 1.0])
         assert np.allclose(plan.tx_ref, TX3.mean(axis=0))
 
-    def test_origin_reference_option(self):
-        plan = plan_linear_track([1.0, 1.0], [0.0, 0.4, 0.8],
-                                 [0.015, 0.030], TX3, reference="origin")
-        assert np.allclose(plan.rx_ref, [1.0, 1.0])
-        with pytest.raises(InvalidGeometry):
-            plan_linear_track([1.0, 1.0], [0.0], [0.015], TX3,
-                              reference="midpoint")
-
     def test_subset_recenters(self):
         plan = plan_linear_track([1.0, 1.0], [0.0, 0.4, 0.8],
                                  [0.015, 0.030], TX3)

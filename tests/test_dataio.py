@@ -1,11 +1,15 @@
 """NFCM dataset container and the CSV/text emitters."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nfchan.aperture import compute_pdp, mean_pdp
+from nfchan.aperture import (MeasurementPlan, MeasurementSet, compute_pdp,
+                             mean_pdp)
 from nfchan.channel import FrequencyGrid
 from nfchan.dataio import (FORMAT_VERSION, MAGIC, emit_heatmap_grid,
                            emit_pdp_csv, emit_report, emit_sweep_csv,
@@ -113,6 +117,95 @@ class TestDatasetErrors:
 
     def test_magic_constant(self):
         assert MAGIC == b"NFCM"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_non_finite_snr_rejected(self, quick_synth, tmp_path, value):
+        mset, _ = quick_synth
+        p = tmp_path / "run.nfcm"
+        write_dataset(replace(mset, snr_db=20.0), p)
+        blob = bytearray(p.read_bytes())
+        at = _snr_offset(*mset.responses.shape)
+        assert struct.unpack_from("<d", blob, at)[0] == 20.0
+        struct.pack_into("<d", blob, at, value)
+        p.write_bytes(blob)
+        with pytest.raises(DatasetFormatError, match="snr_db"):
+            read_dataset(p)
+
+
+# A tiny dataset to mutate: K = 2 placements, M = 1, N = 2, F = 3.
+_FUZZ_SHAPE = (2, 1, 2, 3)
+
+
+def _snr_offset(k, m, n, f):
+    """Byte offset of the stored snr_db double (after its flag byte)."""
+    return 24 + 32 + 16 * k * m + 16 * n + 16 + 1
+
+
+def _float_fields(k, m, n, f):
+    """Byte offsets of the stored doubles, per field: references,
+    positions, grid, snr_db and both halves of every payload sample."""
+    snr = _snr_offset(k, m, n, f)
+    grid = snr - 1 - 16
+    return {"references": list(range(24, 56, 8)),
+            "positions": list(range(56, grid, 8)),
+            "grid": [grid, grid + 8],
+            "snr_db": [snr],
+            "payload": list(range(snr + 17, snr + 17 + 16 * k * m * n * f, 8))}
+
+
+@pytest.fixture(scope="module")
+def fuzz_blob():
+    k, m, n, f = _FUZZ_SHAPE
+    rng = np.random.default_rng(3)
+    plan = MeasurementPlan(rx_positions=[[[1.0, 1.0]], [[1.2, 1.0]]],
+                           tx_positions=[[12.0, 7.5], [12.0, 7.52]])
+    grid = FrequencyGrid(center=10e9, bandwidth=500e6, num_tones=f)
+    mset = MeasurementSet(
+        responses=rng.normal(size=(k, m, n, f, 2)) @ [1.0, 1j], plan=plan,
+        grid=grid, snr_db=20.0, seed=5)
+    return mset, mset.responses.shape
+
+
+_SPECIAL = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308]
+
+
+class TestDatasetFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_reader_raises_only_format_errors(self, fuzz_blob, data,
+                                              tmp_path_factory):
+        mset, shape = fuzz_blob
+        path = tmp_path_factory.getbasetemp() / "fuzz.nfcm"
+        write_dataset(mset, path)
+        blob = bytearray(path.read_bytes())
+        how = data.draw(st.sampled_from(
+            ["flip", "truncate", "trail", "header", "float"]))
+        if how == "flip":
+            for at in data.draw(st.lists(st.integers(0, len(blob) - 1),
+                                         min_size=1, max_size=8)):
+                blob[at] ^= data.draw(st.integers(1, 255))
+        elif how == "truncate":
+            del blob[data.draw(st.integers(0, len(blob) - 1)):]
+        elif how == "trail":
+            blob += data.draw(st.binary(min_size=1, max_size=40))
+        elif how == "header":
+            field = data.draw(st.integers(1, 5))  # version, K, M, N, F
+            struct.pack_into("<I", blob, 4 * field, data.draw(st.one_of(
+                st.integers(0, 8), st.integers(0, 2 ** 32 - 1))))
+        else:
+            fields = _float_fields(*shape)
+            at = data.draw(st.sampled_from(
+                fields[data.draw(st.sampled_from(sorted(fields)))]))
+            struct.pack_into("<d", blob, at, data.draw(
+                st.sampled_from(_SPECIAL)))
+        path.write_bytes(blob)
+        try:
+            back = read_dataset(path)
+        except DatasetFormatError:
+            return
+        assert np.isfinite(back.responses).all()
+        assert back.snr_db is None or np.isfinite(back.snr_db)
 
 
 class TestPdpCsv:

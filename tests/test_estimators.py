@@ -28,7 +28,7 @@ class TestProtocol:
         params = est.get_params()
         assert params["l_max"] == 3
         assert params["stop_fraction"] == 0.02
-        assert "refine" in params and "room" in params
+        assert "refine_passes" in params and "room" in params
         twin = clone(est)
         assert twin.get_params() == params
 

@@ -336,6 +336,13 @@ class TestRoom:
         with pytest.raises(InvalidGeometry, match="out of range"):
             rect_room(reflective=[1, index])
 
+    @pytest.mark.parametrize("reflective", [[True, False, True, True],
+                                            [1.5, 2], [float("nan")]])
+    def test_non_index_entries_rejected(self, reflective):
+        # True/False would otherwise read as walls 1 and 0, 1.5 as wall 1
+        with pytest.raises(InvalidGeometry, match="wall indices"):
+            rect_room(reflective=reflective)
+
     def test_contains(self):
         room = rect_room()
         assert room.contains((10, 5))

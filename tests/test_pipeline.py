@@ -86,6 +86,56 @@ class TestEndToEnd:
         assert len(calls) == 1 + len(subset_groups(mset.plan, quick_cfg))
 
 
+    def test_zero_refine_passes_skips_refinement(self, quick_synth,
+                                                 quick_cfg, monkeypatch):
+        # refine_passes = 0 turns the refinement off: the global result
+        # is the polished sweep's, with no refit and no "refine" time
+        sweeps = []
+
+        def recording(*args, **kwargs):
+            result = omp_extract(*args, **kwargs)
+            sweeps.append([(p.aoa, p.aod, p.delta) for p in result.paths])
+            return result
+
+        monkeypatch.setattr(pipeline, "omp_extract", recording)
+        mset, truth = quick_synth
+        rep = run_estimate(mset, replace(quick_cfg, refine_passes=0),
+                           truth=truth)
+        assert "refine" not in rep.timing
+        assert [(p.aoa, p.aod, p.delta) for p in rep.paths] == sweeps[0]
+        ext = rep.extraction
+        assert len(ext.residual_history) == ext.iterations + 1
+
+
+# Noiseless pipeline outputs, pinned.  A change that only deletes stages
+# or duplicates leaves them as they are; a change meant to move them
+# updates the literals and says why.
+PINNED = {
+    "quick": dict(
+        selections=[(11, 4, 8), (51, 3, 15), (16, 51, 18), (5, 27, 33)],
+        images=[[11.9972915, 7.5029588], [-11.9997907, 7.4986172],
+                [11.9989227, 12.5008801], [27.9993129, 7.4974471]]),
+    "room-20x10": dict(
+        selections=[(10, 4, 7), (52, 4, 16), (16, 51, 18), (5, 27, 34)],
+        images=[[11.9825956, 7.4962107], [-11.9641168, 7.5350734],
+                [11.9972752, 12.4809418], [27.9830361, 7.4949045]]),
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_noiseless_outputs(self, name, quick_report):
+        rep = (quick_report if name == "quick"
+               else run_evaluate(load_preset(name)))
+        want = PINNED[name]
+        assert len(rep.paths) == 4
+        assert rep.extraction.selections == want["selections"]
+        assert rep.parities == [1, -1, -1, -1]
+        assert rep.anchor_index == 0
+        assert np.allclose(rep.image_points, want["images"], rtol=0,
+                           atol=1e-6)
+
+
 def _rescaled(mset, factor):
     return replace(mset, responses=mset.responses * factor)
 
@@ -364,6 +414,17 @@ class TestSweepRuns:
         # the second bandwidth puts the band edge below zero frequency
         with pytest.raises(ScenarioError, match="bandwidth_hz"):
             sweep_runs(quick_cfg, "bandwidth", [500e6, 30e9])
+
+    def test_oversized_job_fails_before_any_runs(self, quick_cfg,
+                                                 monkeypatch):
+        # --vary n_tones: the second value passes the sample cap
+        def no_job(cfg):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(pipeline, "run_evaluate", no_job)
+        name, values = sweep_values("n_tones=64,1000000000000")
+        with pytest.raises(ScenarioError, match="n_tones"):
+            sweep_runs(quick_cfg, name, values)
 
     def test_rows_and_determinism(self, quick_cfg):
         rows = sweep_runs(quick_cfg, "snr", [25.0, 35.0])

@@ -1,6 +1,8 @@
 """Scenario text format, its validation, and the campaign builders."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,7 +68,6 @@ aod_deg = -180 -90 0 90
 delay_pad_bins = 2
 l_max = 4
 stop_fraction = 0.01
-refine = false
 refine_passes = 0
 detect_threshold_db = 25
 min_separation_bins = 3
@@ -238,6 +239,51 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=key) as err:
             parse_scenario(text)
         assert err.value.line == line
+
+
+    def test_refine_key_is_gone(self):
+        # refine_passes = 0 is how refinement is turned off
+        text = MINIMAL + "\n[estimation]\nrefine = true\n"
+        with pytest.raises(ScenarioError, match="unknown key 'refine'") as err:
+            parse_scenario(text)
+        assert err.value.line == text.splitlines().index("refine = true") + 1
+
+
+class TestCampaignCap:
+    @pytest.mark.parametrize("section, key, value", [
+        ("aperture", "n_rx", "1000000000000"),
+        ("radio", "n_tones", "1000000000000"),
+        ("measurement", "max_order", "1000000"),
+    ])
+    def test_oversized_campaign_names_key_and_line(self, section, key,
+                                                   value):
+        text, line = with_line(MINIMAL, section, key, value)
+        with pytest.raises(ScenarioError, match=key) as err:
+            parse_scenario(text)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("walls, images", [("1", 2), ("1 2", None)])
+    def test_image_count_on_few_walls(self, walls, images):
+        # one wall gives 2 images at any order, two walls 1 + 2 * order:
+        # the count stops without walking 10**12 orders
+        text, _ = with_line(MINIMAL, "room", "reflective", walls)
+        text, line = with_line(text, "measurement", "max_order", str(10**12))
+        if images:
+            assert parse_scenario(text).max_order == 10**12
+        else:
+            with pytest.raises(ScenarioError, match="max_order") as err:
+                parse_scenario(text)
+            assert err.value.line == line
+
+    def test_largest_bench_campaign_parses(self):
+        # perfbench's synth-campaign: about 3.7e5 samples and 4687 images
+        path = Path(__file__).resolve().parents[1] / "perfbench/workloads.py"
+        text = next(ast.literal_eval(node.value)
+                    for node in ast.parse(path.read_text()).body
+                    if isinstance(node, ast.Assign) and getattr(
+                        node.targets[0], "id", "") == "CAMPAIGN_SCENARIO")
+        cfg = parse_scenario(text)
+        assert cfg.max_order == 5 and cfg.n_tones == 512
 
 
 class TestKeyTable:
