@@ -32,8 +32,8 @@ class MeasurementPlan:
         Reference points path parameters are defined against.  By
         default the centroids of the element positions, which keeps
         first-order models balanced across the whole track.
-    offsets, spacings : (K,) ndarray
-        Per-placement track offset and element spacing metadata.
+    offsets : (K,) ndarray
+        Per-placement track offset metadata.
     """
 
     rx_positions: np.ndarray
@@ -41,7 +41,6 @@ class MeasurementPlan:
     rx_ref: np.ndarray = None
     tx_ref: np.ndarray = None
     offsets: np.ndarray = None
-    spacings: np.ndarray = None
 
     def __post_init__(self):
         rx = np.asarray(self.rx_positions, dtype=float)
@@ -62,8 +61,6 @@ class MeasurementPlan:
         k = rx.shape[0]
         if self.offsets is not None:
             self.offsets = np.asarray(self.offsets, dtype=float).reshape(k)
-        if self.spacings is not None:
-            self.spacings = np.asarray(self.spacings, dtype=float).reshape(k)
 
     @property
     def n_placements(self):
@@ -82,22 +79,20 @@ class MeasurementPlan:
         flat = self.rx_positions.reshape(-1, 2)
         return float(np.max(flat.max(axis=0) - flat.min(axis=0)))
 
-    def subset(self, indices, recenter=True):
+    def subset(self, indices):
         """Plan restricted to some placements.
 
-        With ``recenter`` the receive reference moves to the centroid of
-        the kept elements, so parameters estimated from the subset are
-        expressed about its own middle.
+        The receive reference moves to the centroid of the kept elements,
+        so parameters estimated from the subset are expressed about its
+        own middle.
         """
         indices = np.atleast_1d(np.asarray(indices, dtype=int))
         rx = self.rx_positions[indices]
         return MeasurementPlan(
             rx_positions=rx,
             tx_positions=self.tx_positions,
-            rx_ref=None if recenter else self.rx_ref,
             tx_ref=self.tx_ref,
             offsets=None if self.offsets is None else self.offsets[indices],
-            spacings=None if self.spacings is None else self.spacings[indices],
         )
 
 
@@ -137,20 +132,17 @@ def plan_linear_track(rx_ref, offsets, spacings, tx_positions, n_rx=2):
     centered = (np.arange(n_rx) - (n_rx - 1) / 2.0)
     rx = np.zeros((offsets.size * spacings.size, n_rx, 2))
     off_meta = np.zeros(rx.shape[0])
-    spc_meta = np.zeros(rx.shape[0])
     k = 0
     for o in offsets:
         for a in spacings:
             rx[k, :, 0] = origin[0] + o + centered * a
             rx[k, :, 1] = origin[1]
             off_meta[k] = o
-            spc_meta[k] = a
             k += 1
     return MeasurementPlan(
         rx_positions=rx,
         tx_positions=tx_positions,
         offsets=off_meta,
-        spacings=spc_meta,
     )
 
 

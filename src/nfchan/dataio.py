@@ -4,9 +4,9 @@ The on-disk dataset is an "NFCM" container: a little-endian header
 carrying the tensor shape, array references, element positions, tone
 comb and capture conditions, followed by the raw response tensor as
 complex128 in (placement, rx, tx, tone) row-major order.  Track
-metadata that only a scenario knows (offsets, spacings, estimation
-settings) is deliberately not stored; callers that need it rebind the
-plan from the scenario file after checking the stored positions agree.
+metadata that only a scenario knows (offsets, estimation settings) is
+deliberately not stored; callers that need it rebind the plan from the
+scenario file after checking the stored positions agree.
 
 Emitters are data-only (CSV / structured text); rendering is left to
 external tooling.
@@ -77,8 +77,8 @@ class _Cursor:
 def read_dataset(path) -> MeasurementSet:
     """Parse an NFCM container back into a measurement set.
 
-    The returned plan has no offsets/spacings metadata (the container
-    does not store them); positions and references are exact.
+    The returned plan has no offsets metadata (the container does not
+    store it); positions and references are exact.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -151,18 +151,36 @@ def emit_heatmap_grid(heatmap: Heatmap, path):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+_HEATMAP_KEYS = ("origin_x", "origin_y", "cell", "rows", "cols")
+
+
 def read_heatmap_grid(path) -> Heatmap:
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("# "):
-            raise DatasetFormatError("heatmap grid lacks its header line")
-        fields = dict(part.split("=", 1) for part in header[2:].split())
-        scores = [[float(v) for v in line.split(",")]
-                  for line in fh if line.strip()]
-    out = Heatmap(origin=(float(fields["origin_x"]),
-                          float(fields["origin_y"])),
-                  cell=float(fields["cell"]), scores=scores)
-    want = (int(fields["rows"]), int(fields["cols"]))
+    """Parse a grid written by :func:`emit_heatmap_grid`.
+
+    Every defect raises :class:`DatasetFormatError`: a header that does
+    not set each of ``_HEATMAP_KEYS`` once, a value that is not a finite
+    number, ragged rows, a grid :class:`Heatmap` refuses, or a body whose
+    shape is not the header's.
+    """
+    try:
+        with open(path) as fh:
+            header = fh.readline()
+            rows = [line.split(",") for line in fh if line.strip()]
+        parts = [part.partition("=") for part in header[2:].split()]
+        fields = {key: value for key, sep, value in parts if sep}
+        if (not header.startswith("# ") or len(parts) != len(_HEATMAP_KEYS)
+                or sorted(fields) != sorted(_HEATMAP_KEYS)):
+            raise DatasetFormatError("heatmap grid lacks its header line # "
+                                     + " ".join(k + "=" for k in _HEATMAP_KEYS))
+        out = Heatmap(origin=(float(fields["origin_x"]),
+                              float(fields["origin_y"])),
+                      cell=float(fields["cell"]),
+                      scores=np.array([[float(v) for v in r] for r in rows]))
+        want = (int(fields["rows"]), int(fields["cols"]))
+    except (ValueError, InvalidGeometry) as exc:
+        raise DatasetFormatError(f"bad heatmap grid: {exc}") from exc
+    if not np.all(np.isfinite(out.scores)):
+        raise DatasetFormatError("heatmap scores must be finite")
     if out.scores.shape != want:
         raise DatasetFormatError(
             f"heatmap body is {out.scores.shape}, header says {want}")
@@ -202,8 +220,7 @@ def _format_report(report):
         "    idx  strength    delta_ns   aoa_deg    aod_deg",
     ]
     for i, p in enumerate(ex.paths):
-        strength = float(np.sum(np.abs(p.gains) ** 2))
-        lines.append(f"    {i:3d}  {strength:.4e}  {p.delta * 1e9:8.3f}"
+        lines.append(f"    {i:3d}  {p.strength:.4e}  {p.delta * 1e9:8.3f}"
                      f"  {_deg(p.aoa):9.3f}  {_deg(p.aod):9.3f}")
 
     lines += ["", "bearings:"]

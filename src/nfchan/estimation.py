@@ -51,7 +51,7 @@ scored, so the winner, with ties going to the lowest (aoa, aod, delay)
 index triple, is the full scan's.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,8 +148,8 @@ class ExtractionResult:
     ``delay_origin`` is the sweep delay that shift removed, so the atom
     of any path lives at ``delta + delay_origin``.  ``selections`` keeps
     the raw grid index triples in pick order and ``residual_history``
-    the residual energy after every pick (element 0 is the input
-    energy).
+    the residual energy after every pick; element 0 is the input energy,
+    so the history is never empty.
 
     The energies are those of the responses the stages ran on, which
     may be the input scaled by ``2**-energy_exponent`` (the pipeline
@@ -159,12 +159,25 @@ class ExtractionResult:
 
     paths: list
     selections: list
-    initial_energy: float
-    residual_energy: float
-    iterations: int
+    residual_history: list
     delay_origin: float = 0.0
-    residual_history: list = field(default_factory=list)
     energy_exponent: int = 0
+
+    def __post_init__(self):
+        if not self.residual_history:
+            raise InvalidGeometry("residual_history must not be empty")
+
+    @property
+    def initial_energy(self):
+        return self.residual_history[0]
+
+    @property
+    def residual_energy(self):
+        return self.residual_history[-1]
+
+    @property
+    def iterations(self):
+        return len(self.selections)
 
     def residual_fraction(self):
         if self.initial_energy == 0:
@@ -419,23 +432,24 @@ def rm_response_atom(plan: MeasurementPlan, grid: FrequencyGrid,
 
 
 def per_placement_lsq(atoms, data):
-    """Joint least-squares gains per placement.
+    """Joint least-squares gains per placement and the residual they leave.
 
-    atoms: (L, K, M, N, F), data: (K, M, N, F) -> gains (L, K).
+    atoms: (L, K, M, N, F), data: (K, M, N, F) -> (gains (L, K),
+    residual ``data - model_sum(atoms, gains)``).  The normal equations
+    of all placements are formed and solved in one batch; should any
+    Gram be singular, every placement falls back to ``lstsq``.
     """
     l, k = atoms.shape[0], atoms.shape[1]
-    a = atoms.reshape(l, k, -1)
-    y = data.reshape(k, -1)
-    gains = np.empty((l, k), dtype=complex)
-    for j in range(k):
-        g = a[:, j]
-        gram = g.conj() @ g.T
-        rhs = g.conj() @ y[j]
-        try:
-            gains[:, j] = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            gains[:, j] = np.linalg.lstsq(g.T, y[j], rcond=None)[0]
-    return gains
+    a = atoms.reshape(l, k, -1).transpose(1, 0, 2)  # (K, L, P)
+    y = data.reshape(k, -1, 1)
+    ac = a.conj()
+    try:
+        gains = np.linalg.solve(ac @ a.transpose(0, 2, 1), ac @ y)[..., 0]
+    except np.linalg.LinAlgError:
+        gains = np.stack([np.linalg.lstsq(a[j].T, y[j, :, 0], rcond=None)[0]
+                          for j in range(k)])
+    gains = np.ascontiguousarray(gains.T)
+    return gains, data - model_sum(atoms, gains)
 
 
 def model_sum(atoms, gains):
@@ -443,20 +457,17 @@ def model_sum(atoms, gains):
     return np.einsum("lk...,lk->k...", atoms, gains)
 
 
-def _package_paths(raw, gains):
-    """Shift raw sweep delays to a zero floor and sort by strength.
-
-    raw: list of [aoa, aod, sweep_delay]; gains: (L, K).
-    Returns (paths, delay_origin).
-    """
+def _package(raw, gains, selections, history):
+    """Extraction result of raw [aoa, aod, sweep_delay] triples and their
+    (L, K) gains: deltas shifted to a zero floor, paths sorted by
+    descending strength."""
     origin = min((p[2] for p in raw), default=0.0)
-    paths = [
-        PwaPathParams(gains=gains[j], delta=raw[j][2] - origin,
-                      aoa=raw[j][0], aod=raw[j][1])
-        for j in range(len(raw))
-    ]
-    paths.sort(key=lambda p: -p.strength)
-    return paths, float(origin)
+    paths = sorted((PwaPathParams(gains=g, delta=d - origin, aoa=aoa, aod=aod)
+                    for (aoa, aod, d), g in zip(raw, gains)),
+                   key=lambda p: -p.strength)
+    return ExtractionResult(paths=paths, selections=selections,
+                            residual_history=history,
+                            delay_origin=float(origin))
 
 
 def _line_score(plan, comb, params, coord, peeled):
@@ -558,8 +569,7 @@ def _cyclic_polish(plan, grid, params, data, steps, passes):
     """
     comb = grid.comb
     stack = np.stack([response_atom(plan, grid, *p) for p in params])
-    gains = per_placement_lsq(stack, data)
-    residual = data - model_sum(stack, gains)
+    gains, residual = per_placement_lsq(stack, data)
     for _ in range(max(passes, 0)):
         for j in range(len(params)):
             peeled = residual + stack[j] * gains[j][:, None, None, None]
@@ -569,8 +579,7 @@ def _cyclic_polish(plan, grid, params, data, steps, passes):
                     params[j][coord] = float(_newton_ascent(
                         score, params[j][coord], steps[coord]))
             stack[j] = response_atom(plan, grid, *params[j])
-            gains = per_placement_lsq(stack, data)
-            residual = data - model_sum(stack, gains)
+            gains, residual = per_placement_lsq(stack, data)
     return params, gains, residual
 
 
@@ -617,8 +626,7 @@ def omp_extract(mset: MeasurementSet, dictionary: DictionaryGrid,
     residual = data
     selections = []
     params = []
-    gains = None
-    res_energy = initial
+    gains = []
     history = [initial]
     for _ in range(l_max):
         idx, _ = engine.best(residual)
@@ -631,41 +639,30 @@ def omp_extract(mset: MeasurementSet, dictionary: DictionaryGrid,
             params=[list(p) for p in params] + [picked], data=data,
             steps=steps, passes=polish_passes)
         new_energy = _energy(new_residual)
-        if new_energy >= res_energy * (1.0 - 1e-12):
+        if new_energy >= history[-1] * (1.0 - 1e-12):
             break
         params = trial
         selections.append(idx)
         gains = new_gains
         residual = new_residual
-        res_energy = new_energy
-        history.append(res_energy)
-        if res_energy <= stop_fraction * initial:
+        history.append(new_energy)
+        if new_energy <= stop_fraction * initial:
             break
-    paths, origin = _package_paths(params, gains)
-    return ExtractionResult(
-        paths=paths,
-        selections=selections,
-        initial_energy=initial,
-        residual_energy=res_energy,
-        iterations=len(selections),
-        delay_origin=origin,
-        residual_history=history,
-    )
+    return _package(params, gains, selections, history)
 
 
 def refine_extraction(mset: MeasurementSet, result: ExtractionResult,
-                      aoa_step, aod_step, delay_step=None, passes=2):
+                      aoa_step, aod_step, passes=2):
     """Push extracted paths off the grid by cyclic coordinate search.
 
     Each path in turn is scored against its own peeled residual (data
     minus the other paths) while one coordinate at a time is optimized
-    inside +-1 grid step.  Gains are refit jointly after every path
-    update.  Two passes are normally enough for the remaining motion to
-    be far below a grid step.  The energies of the result are at the
-    scale of ``mset``, which ``result``'s input units must be.
+    inside +-1 step: the given angle steps and the half-bin
+    ``1 / (2 * bandwidth)`` in delay.  Gains are refit jointly after
+    every path update.  Two passes are normally enough for the remaining
+    motion to be far below a grid step.  The energies of the result are
+    at the scale of ``mset``, which ``result``'s input units must be.
     """
-    if delay_step is None:
-        delay_step = 1.0 / (2.0 * mset.grid.bandwidth)
     # Work in raw sweep delays so the zero floor does not clip the search
     params = [[p.aoa, p.aod, p.delta + result.delay_origin]
               for p in result.paths]
@@ -673,19 +670,11 @@ def refine_extraction(mset: MeasurementSet, result: ExtractionResult,
         return result
     params, gains, residual = _cyclic_polish(
         plan=mset.plan, grid=mset.grid, params=params, data=mset.responses,
-        steps=(aoa_step, aod_step, delay_step), passes=passes)
-    res_energy = _energy(residual)
-    paths, origin = _package_paths(params, gains)
-    return ExtractionResult(
-        paths=paths,
-        selections=list(result.selections),
-        initial_energy=result.input_energy(result.initial_energy),
-        residual_energy=res_energy,
-        iterations=result.iterations,
-        delay_origin=origin,
-        residual_history=[result.input_energy(x)
-                          for x in result.residual_history] + [res_energy],
-    )
+        steps=(aoa_step, aod_step, 1.0 / (2.0 * mset.grid.bandwidth)),
+        passes=passes)
+    history = [result.input_energy(x) for x in result.residual_history]
+    return _package(params, gains, list(result.selections),
+                    history + [_energy(residual)])
 
 
 @dataclass(eq=False)
@@ -695,22 +684,18 @@ class PdpPeaks:
     bins: np.ndarray
 
 
-def detect_paths_pdp(pdp: Pdp, threshold_db=30.0, min_separation_bins=2,
-                     max_paths=None):
+def detect_paths_pdp(pdp: Pdp, threshold_db=30.0, min_separation_bins=2):
     """Candidate path delays from a delay profile.
 
     Finds circular local maxima of the profile, keeps those within
     ``threshold_db`` (power) of the strongest, then greedily suppresses
     neighbors closer than ``min_separation_bins``, strongest first with
-    ties going to the lower bin, keeping at most ``max_paths`` (at least
-    1) when given.  Returned peaks are sorted by delay.
+    ties going to the lower bin.  Returned peaks are sorted by delay.
     """
     if threshold_db <= 0:
         raise InvalidGeometry("threshold_db must be positive")
     if min_separation_bins < 1:
         raise InvalidGeometry("min_separation_bins must be at least 1")
-    if max_paths is not None and max_paths < 1:
-        raise InvalidGeometry("max_paths must be at least 1")
     m = np.asarray(pdp.magnitudes, dtype=float)
     empty = PdpPeaks(delays=np.empty(0), magnitudes=np.empty(0),
                      bins=np.empty(0, dtype=int))
@@ -730,8 +715,6 @@ def detect_paths_pdp(pdp: Pdp, threshold_db=30.0, min_separation_bins=2,
         dist = [min(abs(i - j), n - abs(i - j)) for j in kept]
         if all(d >= min_separation_bins for d in dist):
             kept.append(int(i))
-        if max_paths is not None and len(kept) >= max_paths:
-            break
     kept.sort()
     kept = np.asarray(kept, dtype=int)
     return PdpPeaks(delays=np.asarray(pdp.delay_bins)[kept],
@@ -943,7 +926,7 @@ def estimate_parity(mset: MeasurementSet, path: PwaPathParams, tau,
         zero, in which case ``parity`` falls back to +1.
     """
     y = mset.responses if residual is None else np.asarray(residual, dtype=complex)
-    total = float(np.sum(np.abs(y) ** 2))
+    total = _energy(y)
     if total == 0.0:
         raise EmptyChannel("nothing to fit a parity against")
     if tau <= 0:
@@ -952,9 +935,7 @@ def estimate_parity(mset: MeasurementSet, path: PwaPathParams, tau,
     energies = {}
     for s in (+1, -1):
         atom = rm_response_atom(plan, grid, float(tau), path.aoa, path.aod, s)
-        gains = per_placement_lsq(atom[None], y)
-        energies[s] = float(
-            np.sum(np.abs(y - model_sum(atom[None], gains)) ** 2))
+        energies[s] = _energy(per_placement_lsq(atom[None], y)[1])
     margin = abs(energies[+1] - energies[-1])
     ambiguous = margin <= 1e-12 * total
     parity = +1 if ambiguous or energies[+1] <= energies[-1] else -1

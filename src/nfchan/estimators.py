@@ -16,7 +16,8 @@ import numpy as np
 from .aperture import MeasurementSet, simulate_campaign
 from .errors import NfchanError
 from .estimation import model_sum, per_placement_lsq, response_atom
-from .pipeline import extract_paths, run_estimate
+from .pipeline import (_ldexp, _unit_exponent, _unit_scale, extract_paths,
+                       run_estimate)
 from .scenario import ScenarioConfig
 
 _SCENARIO_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
@@ -28,12 +29,15 @@ class NotFittedError(NfchanError, AttributeError):
 
 def _captured_fraction(X, atoms):
     """Fraction of X's energy (0..1) that ``atoms`` (L, K, M, N, F)
-    capture under joint per-placement least-squares gains."""
+    capture under joint per-placement least-squares gains, scale-free:
+    both are first brought to unit scale by exact powers of two."""
+    X, _ = _unit_scale(X)
     total = X.energy()
     if total == 0.0:
         return 0.0
-    model = model_sum(atoms, per_placement_lsq(atoms, X.responses))
-    return 1.0 - float(np.sum(np.abs(X.responses - model) ** 2)) / total
+    _, residual = per_placement_lsq(_ldexp(atoms, -_unit_exponent(atoms)),
+                                    X.responses)
+    return 1.0 - float(np.sum(np.abs(residual) ** 2)) / total
 
 
 class _BaseEstimator:
@@ -125,8 +129,7 @@ class PathExtractor(_BaseEstimator):
         """Model response tensor for X's plan/grid, gains refit to X."""
         self._check_fitted("extraction_")
         atoms = self._atoms(X)
-        gains = per_placement_lsq(atoms, X.responses)
-        return model_sum(atoms, gains)
+        return model_sum(atoms, per_placement_lsq(atoms, X.responses)[0])
 
     def score(self, X: MeasurementSet, y=None):
         """Fraction of X's energy captured by the fitted paths (0..1)."""

@@ -46,7 +46,6 @@ from .estimation import (
     estimate_parity,
     image_from_polar,
     localization_heatmap,
-    model_sum,
     omp_extract,
     per_placement_lsq,
     recover_abs_delays,
@@ -69,7 +68,7 @@ def _cross2(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def collinear_axis(points, rtol=1e-9):
+def collinear_axis(points):
     """Unit direction of a degenerate (collinear) point cloud, else None."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] < 2:
@@ -78,7 +77,7 @@ def collinear_axis(points, rtol=1e-9):
     _, sv, vt = np.linalg.svd(centered, full_matrices=False)
     if sv[0] == 0.0:
         return np.array([1.0, 0.0])
-    if sv.size > 1 and sv[1] > rtol * sv[0]:
+    if sv.size > 1 and sv[1] > 1e-9 * sv[0]:
         return None
     return vt[0]
 
@@ -157,6 +156,11 @@ def _ldexp(z, e):
     return np.ldexp(a.view(float), e).view(complex).reshape(np.shape(z))
 
 
+def _unit_exponent(z):
+    """The ``e`` that puts max |z| * 2**-e in [0.5, 1); 0 for all zeros."""
+    return math.frexp(float(np.max(np.abs(z), initial=0.0)))[1]
+
+
 def _unit_scale(mset):
     """(``mset`` scaled by ``2**-e`` so that max |y| lies in [0.5, 1), e).
 
@@ -165,7 +169,7 @@ def _unit_scale(mset):
     neither underflow nor overflow.  :func:`_to_input_units` scales the
     gains back.
     """
-    e = math.frexp(float(np.max(np.abs(mset.responses), initial=0.0)))[1]
+    e = _unit_exponent(mset.responses)
     if e == 0:  # already at unit scale: spare the copy
         return mset, 0
     return replace(mset, responses=_ldexp(mset.responses, -e)), e
@@ -267,7 +271,7 @@ def subset_bearings(mset, result, cfg, fold_info=(None, 0.0)):
     if not paths:
         return bearings
     for idx in subset_groups(plan, cfg):
-        sub = plan.subset(idx, recenter=True)
+        sub = plan.subset(idx)
         subm = replace(mset, responses=mset.responses[idx], plan=sub)
         shift = sub.rx_ref - plan.rx_ref
         pred = []
@@ -345,20 +349,16 @@ def localize_paths(plan, result, bearings, cfg):
 
 
 def parity_decisions(mset, result, taus):
-    """Stage 5: reflection parity per path against its peeled residual."""
-    paths = result.paths
+    """Stage 5: reflection parity per path against its peeled residual,
+    the residual of the joint fit of all paths plus the path's own fitted
+    model."""
     atoms = np.stack([response_atom(mset.plan, mset.grid, p.aoa, p.aod,
                                     p.delta + result.delay_origin)
-                      for p in paths])
-    gains = per_placement_lsq(atoms, mset.responses)
-    out = []
-    for j, p in enumerate(paths):
-        others = [i for i in range(len(paths)) if i != j]
-        peeled = mset.responses
-        if others:
-            peeled = peeled - model_sum(atoms[others], gains[others])
-        out.append(estimate_parity(mset, p, taus[j], residual=peeled))
-    return out
+                      for p in result.paths])
+    gains, residual = per_placement_lsq(atoms, mset.responses)
+    return [estimate_parity(mset, p, taus[j], residual=residual
+                            + atoms[j] * gains[j][:, None, None, None])
+            for j, p in enumerate(result.paths)]
 
 
 @dataclass(eq=False)

@@ -44,7 +44,6 @@ class TestPlanLinearTrack:
         assert plan.n_tx == 3
         # Offsets-major: first three placements share offset 0.
         assert np.allclose(plan.offsets[:3], 0.0)
-        assert np.allclose(plan.spacings[:3], [0.015, 0.030, 0.060])
         # Elements straddle the placement center by half a spacing.
         assert np.allclose(plan.rx_positions[0], [[0.9925, 1.0], [1.0075, 1.0]])
         assert np.allclose(plan.rx_positions[5], [[1.37, 1.0], [1.43, 1.0]])
@@ -64,8 +63,6 @@ class TestPlanLinearTrack:
         assert sub.n_placements == 2
         assert np.allclose(sub.rx_ref, [1.0, 1.0])
         assert np.allclose(sub.offsets, 0.0)
-        kept = plan.subset([2, 3], recenter=False)
-        assert np.allclose(kept.rx_ref, plan.rx_ref)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidGeometry):

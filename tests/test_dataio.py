@@ -292,6 +292,80 @@ class TestReport:
         assert "errors:" not in text
 
 
+_HEATMAP_TOKENS = ["", "x", "zero", "nan", "inf", "-inf", "1e400", "-1", "0",
+                   "0.5", "2", "3", "1,2", "1.5e-3"]
+
+
+class TestHeatmapGridErrors:
+    HEADER = "# origin_x=0 origin_y=0 cell=0.5 rows=2 cols=2\n"
+
+    @pytest.mark.parametrize("text", [
+        "# origin_x=0 origin_y=0 cell rows=2 cols=2\n1,2\n3,4\n",
+        "# origin_x=0 origin_y=0 rows=2 cols=2\n1,2\n3,4\n",
+        "# origin_x=zero origin_y=0 cell=0.5 rows=2 cols=2\n1,2\n3,4\n",
+        HEADER + "1,x\n3,4\n",
+        HEADER + "1,2\n3\n",
+        "# origin_x=0 origin_y=0 cell=-1 rows=2 cols=2\n1,2\n3,4\n",
+        "# origin_x=nan origin_y=0 cell=0.5 rows=2 cols=2\n1,2\n3,4\n",
+        "# origin_x=0 origin_y=0 cell=0.5 rows=two cols=2\n1,2\n3,4\n",
+        "# origin_x=0 origin_y=0 cell=0.5 cell=1 rows=2 cols=2\n1,2\n3,4\n",
+        HEADER + "1,2\n3,nan\n",
+        HEADER,
+    ], ids=["bare-token", "missing-cell", "word-origin", "word-score",
+            "ragged", "negative-cell", "nan-origin", "word-rows",
+            "duplicate-key", "nan-score", "no-body"])
+    def test_defects_raise_format_errors(self, tmp_path, text):
+        p = tmp_path / "hm.csv"
+        p.write_text(text)
+        with pytest.raises(DatasetFormatError):
+            read_heatmap_grid(p)
+
+
+class TestHeatmapFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_reader_raises_only_format_errors(self, data, tmp_path_factory):
+        hm = Heatmap(origin=(0.5, -1.0), cell=0.25,
+                     scores=np.arange(6.0).reshape(2, 3) / 15.0)
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        emit_heatmap_grid(hm, path)
+        lines = path.read_text().splitlines()
+        how = data.draw(st.sampled_from(
+            ["header", "cell", "drop-row", "add-row", "bytes"]))
+        if how == "header":
+            tokens = lines[0][2:].split()
+            i = data.draw(st.integers(0, len(tokens) - 1))
+            key = tokens[i].partition("=")[0]
+            tokens[i] = data.draw(st.sampled_from(
+                [key, f"{key}=", "extra=1", tokens[(i + 1) % len(tokens)]]
+                + [f"{key}={v}" for v in _HEATMAP_TOKENS]))
+            lines[0] = "# " + " ".join(tokens)
+        elif how == "cell":
+            row = data.draw(st.integers(1, len(lines) - 1))
+            cells = lines[row].split(",")
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(
+                st.sampled_from(_HEATMAP_TOKENS))
+            lines[row] = ",".join(cells)
+        elif how == "drop-row":
+            del lines[data.draw(st.integers(0, len(lines) - 1))]
+        elif how == "add-row":
+            lines.insert(data.draw(st.integers(0, len(lines))), ",".join(
+                data.draw(st.lists(st.sampled_from(_HEATMAP_TOKENS),
+                                   min_size=1, max_size=4))))
+        blob = bytearray(("\n".join(lines) + "\n").encode())
+        if how == "bytes":
+            for at in data.draw(st.lists(st.integers(0, len(blob) - 1),
+                                         min_size=1, max_size=8)):
+                blob[at] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(blob)
+        try:
+            back = read_heatmap_grid(path)
+        except DatasetFormatError:
+            return
+        assert np.all(np.isfinite(back.scores)) and back.scores.ndim == 2
+        assert np.all(np.isfinite(back.origin)) and back.cell > 0
+
+
 class TestSweepCsv:
     def test_columns_and_rows(self, tmp_path):
         rows = [{"value": 0.0, "n_paths": 4, "residual_fraction": 0.01,

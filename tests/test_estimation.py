@@ -340,6 +340,64 @@ class TestLineScore:
                 assert d2 == pytest.approx(fd2, rel=1e-6)
 
 
+class TestPerPlacementLsq:
+    @staticmethod
+    def random_complex(rng, shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(l=st.integers(1, 4), k=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_lstsq_per_placement(self, l, k, seed):
+        rng = np.random.default_rng(seed)
+        atoms = self.random_complex(rng, (l, k, 2, 3, 4))
+        data = self.random_complex(rng, (k, 2, 3, 4))
+        gains, residual = per_placement_lsq(atoms, data)
+        a, y = atoms.reshape(l, k, -1), data.reshape(k, -1)
+        want = np.stack([np.linalg.lstsq(a[:, j].T, y[j], rcond=None)[0]
+                         for j in range(k)], axis=1)
+        want_res = data - model_sum(atoms, want)
+        assert gains.shape == (l, k)
+        assert np.linalg.norm(gains - want) <= 1e-10 * np.linalg.norm(want)
+        assert (np.linalg.norm(residual - want_res)
+                <= 1e-10 * np.linalg.norm(want_res))
+
+    def test_singular_gram_falls_back_to_lstsq(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        atom = self.random_complex(rng, (1, 3, 2, 3, 4))
+        atoms = np.concatenate([atom, atom])
+        data = self.random_complex(rng, (3, 2, 3, 4))
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        gains, residual = per_placement_lsq(atoms, data)
+        assert len(calls) == 3
+        assert np.all(np.isfinite(gains))
+        assert np.array_equal(residual, data - model_sum(atoms, gains))
+        # the duplicated atom still absorbs what one copy of it can
+        _, single = per_placement_lsq(atom, data)
+        assert np.allclose(residual, single, rtol=0, atol=1e-12)
+
+
+class TestExtractionResult:
+    def test_energies_and_iterations_are_derived(self):
+        res = ExtractionResult(paths=[], selections=[(0, 1, 2), (1, 1, 0)],
+                               residual_history=[4.0, 1.0, 0.5])
+        assert res.initial_energy == 4.0
+        assert res.residual_energy == 0.5
+        assert res.iterations == 2
+        assert res.residual_fraction() == 0.125
+
+    def test_empty_history_is_refused(self):
+        with pytest.raises(InvalidGeometry, match="residual_history"):
+            ExtractionResult(paths=[], selections=[], residual_history=[])
+
+
 class TestPolish:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(offsets=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
@@ -356,8 +414,7 @@ class TestPolish:
                   p.tau + (offsets[2 * j] - offsets[2 * j + 1]) * steps[2]]
                  for j, p in enumerate(paths)]
         atoms = np.stack([response_atom(plan, grid, *q) for q in start])
-        gains = per_placement_lsq(atoms, m.responses)
-        before = np.sum(np.abs(m.responses - model_sum(atoms, gains)) ** 2)
+        before = np.sum(np.abs(per_placement_lsq(atoms, m.responses)[1]) ** 2)
         params, _, residual = _cyclic_polish(
             plan, grid, [list(q) for q in start], m.responses, steps, 1)
         assert np.sum(np.abs(residual) ** 2) <= before * (1 + 1e-12)
@@ -742,15 +799,6 @@ class TestPdpDetection:
         peaks = detect_paths_pdp(pdp, threshold_db=20.0)
         assert list(peaks.bins) == [21]
 
-    def test_max_paths_cap(self):
-        b = 500e6
-        pdp = self.profile([rm_from_alpha(1.0, 21 / b, 0.5, 0.0, 1),
-                            rm_from_alpha(0.8, 26 / b, 1.0, 0.3, -1),
-                            rm_from_alpha(0.6, 33 / b, 1.4, 0.6, 1)])
-        peaks = detect_paths_pdp(pdp, max_paths=2)
-        assert len(peaks.bins) == 2
-        assert 21 in peaks.bins
-
     def test_silent_profile_gives_nothing(self):
         pdp = Pdp(delay_bins=np.arange(8.0), magnitudes=np.zeros(8))
         peaks = detect_paths_pdp(pdp)
@@ -760,21 +808,13 @@ class TestPdpDetection:
         mags = np.zeros(16)
         mags[[4, 10]] = 1.0
         pdp = Pdp(delay_bins=np.arange(16.0), magnitudes=mags)
-        peaks = detect_paths_pdp(pdp, max_paths=1)
+        peaks = detect_paths_pdp(pdp, min_separation_bins=7)
         assert list(peaks.bins) == [4]
 
     def test_threshold_must_be_positive(self):
         pdp = Pdp(delay_bins=np.arange(4.0), magnitudes=np.ones(4))
         with pytest.raises(InvalidGeometry):
             detect_paths_pdp(pdp, threshold_db=0.0)
-
-    @pytest.mark.parametrize("max_paths", [0, -1])
-    def test_max_paths_must_be_positive(self, max_paths):
-        mags = np.zeros(16)
-        mags[[4, 10]] = 1.0
-        pdp = Pdp(delay_bins=np.arange(16.0), magnitudes=mags)
-        with pytest.raises(InvalidGeometry, match="max_paths"):
-            detect_paths_pdp(pdp, max_paths=max_paths)
 
 
 class TestAssembleRm:
@@ -786,8 +826,8 @@ class TestAssembleRm:
         p1 = PwaPathParams([1.0 * np.exp(-0.4j), 1.0 * np.exp(0.8j)],
                            0.0, 1.2, -1.1)
         return ExtractionResult(paths=[p0, p1], selections=[],
-                                initial_energy=1.0, residual_energy=0.0,
-                                iterations=2, delay_origin=40e-9)
+                                residual_history=[1.0, 0.0],
+                                delay_origin=40e-9)
 
     def test_taus_and_gains(self):
         res = self.make_result()

@@ -1,7 +1,12 @@
 """Estimator protocol (params/clone contract) and fit/predict behavior."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfchan.aperture import MeasurementSet
 from nfchan.estimators import (NotFittedError, PathExtractor,
@@ -56,6 +61,10 @@ class TestProtocol:
             ReflectionModelEstimator().predict(mset)
 
 
+def scaled(mset, factor):
+    return replace(mset, responses=mset.responses * factor)
+
+
 def quick_extractor(quick_cfg):
     return PathExtractor(l_max=quick_cfg.l_max,
                          stop_fraction=quick_cfg.stop_fraction,
@@ -87,14 +96,18 @@ class TestPathExtractor:
                                                          abs=1e-9)
 
 
+def quick_rm_estimator(quick_cfg):
+    return ReflectionModelEstimator(
+        room_vertices=quick_cfg.room_vertices,
+        reflective=quick_cfg.reflective,
+        l_max=quick_cfg.l_max, stop_fraction=quick_cfg.stop_fraction,
+        refine_passes=quick_cfg.refine_passes)
+
+
 class TestReflectionModelEstimator:
     def fitted(self, quick_synth, quick_cfg):
         mset, truth = quick_synth
-        est = ReflectionModelEstimator(
-            room_vertices=quick_cfg.room_vertices,
-            reflective=quick_cfg.reflective,
-            l_max=quick_cfg.l_max, stop_fraction=quick_cfg.stop_fraction,
-            refine_passes=quick_cfg.refine_passes)
+        est = quick_rm_estimator(quick_cfg)
         return est.fit(mset, y=truth), mset, truth
 
     def test_fit_attributes(self, quick_synth, quick_cfg):
@@ -123,3 +136,43 @@ class TestReflectionModelEstimator:
         assert est.rm_paths_ is None
         with pytest.raises(NotFittedError, match="parity"):
             est.predict(mset)
+
+
+class TestScaleFreeScore:
+    """``score`` of both estimators does not depend on the data's scale."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self, quick_synth, quick_cfg):
+        mset, _ = quick_synth
+        return [quick_extractor(quick_cfg).fit(mset),
+                quick_rm_estimator(quick_cfg).fit(mset)]
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(k=st.integers(-900, 900))
+    def test_power_of_two_scale_is_bit_identical(self, fitted, quick_synth,
+                                                 k):
+        mset, _ = quick_synth
+        for est in fitted:
+            assert est.score(scaled(mset, 2.0 ** k)) == est.score(mset)
+
+    @pytest.mark.parametrize("factor", [1e-200, 1e200])
+    def test_extreme_scales(self, fitted, quick_synth, factor):
+        mset, _ = quick_synth
+        for est in fitted:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = est.score(scaled(mset, factor))
+            assert got == pytest.approx(est.score(mset), rel=0, abs=1e-9)
+
+    def test_fit_at_one_scale_score_at_another(self, fitted, quick_synth,
+                                               quick_cfg):
+        mset, _ = quick_synth
+        small = scaled(mset, 1e-200)
+        for est, make in zip(fitted, (quick_extractor, quick_rm_estimator)):
+            other = make(quick_cfg).fit(small)
+            want = other.score(small)
+            for factor in (1.0, 1e200):
+                assert other.score(scaled(mset, factor)) == pytest.approx(
+                    want, rel=0, abs=1e-9)
+            # the fit itself moves only at the polish's tolerance
+            assert want == pytest.approx(est.score(mset), rel=0, abs=1e-6)

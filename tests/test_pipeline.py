@@ -228,7 +228,7 @@ class TestInvariance:
         for _ in range(4):
             perm = rng.permutation(mset.plan.n_placements)
             permuted = replace(mset, responses=mset.responses[perm],
-                               plan=mset.plan.subset(perm, recenter=False))
+                               plan=mset.plan.subset(perm))
             rep = run_estimate(permuted, cfg, truth=truth)
             assert rep.extraction.selections == base.extraction.selections
             assert rep.parities == base.parities
@@ -300,8 +300,7 @@ class TestNoAnchor:
                           math.atan2(2.0, 5.0), 0.4),
         ]
         result = ExtractionResult(paths=paths, selections=[(0, 0, 0)] * 2,
-                                  initial_energy=1.0, residual_energy=0.0,
-                                  iterations=2)
+                                  residual_history=[1.0, 0.5, 0.0])
 
         def sights(target):
             return [Bearing(position=p, angle=math.atan2(target[1] - p[1],
