@@ -74,11 +74,6 @@ class MeasurementPlan:
     def n_tx(self):
         return self.tx_positions.shape[0]
 
-    def aperture_span(self):
-        """Largest receive-side extent along either axis, in meters."""
-        flat = self.rx_positions.reshape(-1, 2)
-        return float(np.max(flat.max(axis=0) - flat.min(axis=0)))
-
     def subset(self, indices):
         """Plan restricted to some placements.
 

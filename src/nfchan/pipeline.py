@@ -5,18 +5,20 @@ The estimation side chains the lower-level stages:
 1. delay support from the averaged power delay profile;
 2. one matching-pursuit sweep for (aoa, aod, delta) with per-placement
    gains over a 3-degree arrival and 6-degree departure comb, polished
-   off-grid as it goes, then a final 1-degree refinement;
-3. re-extraction on single-offset placement subsets to produce one
-   bearing per path per subset, then weighted triangulation of every
-   path's mirrored source;
+   off-grid as it goes and ended at the noise floor, then a final
+   1-degree refinement;
+3. one bearing per path per single-offset placement subset, from a
+   polish of the global paths on the subset's data (no second sweep),
+   then weighted triangulation of every path's mirrored source;
 4. the strongest triangulated path anchors the absolute time scale,
    restoring times of flight and image points for all paths;
 5. a curvature test per path decides reflection parity, completing the
    mirrored-source parameters.
 
 A linear track cannot tell an arrival from its mirror across the track
-line, so when every element is collinear the sweep keeps only bearings
-on the side of the track that faces the room interior.   Arrivals from
+line, so when every element is collinear the sweep and the subset
+bearings keep only bearings on the side of the track that faces the room
+interior.   Arrivals from
 sources mirrored to the far side are physically indistinguishable with
 such an aperture.
 """
@@ -41,6 +43,7 @@ from .estimation import (
     Bearing,
     DictionaryGrid,
     Heatmap,
+    _cyclic_polish,
     assemble_rm,
     detect_paths_pdp,
     estimate_parity,
@@ -61,7 +64,10 @@ COARSE_AOD_STEP_DEG = 6.0
 FINE_STEP_DEG = 1.0
 SUBSET_WINDOW_DEG = 2.0
 SUBSET_PAD_HALFBINS = 3
-MATCH_GATE = 18.0  # squared cost in (degree, half-bin) units
+# One pass left room-20x10's noiseless LOS error at 0.059 m and two
+# passes moved quick and track-experiment away from the truth; three
+# settle every preset.
+SUBSET_POLISH_PASSES = 3
 
 
 def _cross2(a, b):
@@ -88,28 +94,18 @@ def _angle_comb(step_deg):
     return np.deg2rad(-180.0 + step_deg * np.arange(1, n + 1))
 
 
-def _angle_windows(centers, halfwidth_deg, step_deg):
-    """Union of windows around ``centers`` (radians), cut from the
-    full-circle comb of ``step_deg`` so separate calls share nodes."""
-    period = int(round(360.0 / step_deg))
-    ks = set()
-    for c in np.atleast_1d(centers):
-        cdeg = math.degrees(float(c)) + 180.0
-        lo = math.floor((cdeg - halfwidth_deg) / step_deg)
-        hi = math.ceil((cdeg + halfwidth_deg) / step_deg)
-        for k in range(lo, hi + 1):
-            ks.add((k - 1) % period + 1)
-    vals = sorted(-180.0 + k * step_deg for k in ks)
-    return np.deg2rad(np.array(vals))
+def _facing(angles, axis, side):
+    """Mask of the angles that point to the chosen side of a collinear
+    track; all True when the aperture is not collinear."""
+    if axis is None or side == 0.0:
+        return np.ones(angles.shape, dtype=bool)
+    s = (axis[0] * np.sin(angles) - axis[1] * np.cos(angles)) * side
+    return s >= -1e-12
 
 
 def _fold(angles, axis, side):
     """Drop angles pointing away from the chosen side of the track."""
-    if axis is None or side == 0.0:
-        return angles
-    u = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    s = (axis[0] * u[..., 1] - axis[1] * u[..., 0]) * side
-    kept = angles[s >= -1e-12]
+    kept = angles[_facing(angles, axis, side)]
     return kept if kept.size else angles
 
 
@@ -122,14 +118,6 @@ def _fold_setup(plan, room):
     return axis, float(side)
 
 
-def _delay_comb(q_indices, grid):
-    step = 1.0 / (2.0 * grid.bandwidth)
-    qs = sorted(q for q in q_indices if 0 <= q < 2 * grid.num_tones)
-    if not qs:
-        raise InvalidGeometry("delay window fell outside the tone comb span")
-    return np.array(qs, dtype=float) * step
-
-
 def _pdp_delay_support(mset, cfg):
     pdp = mean_pdp(mset, window="hann")
     peaks = detect_paths_pdp(pdp, threshold_db=cfg.detect_threshold_db,
@@ -140,7 +128,10 @@ def _pdp_delay_support(mset, cfg):
     qs = set()
     for b in peaks.bins:
         qs.update(range(2 * int(b) - pad, 2 * int(b) + pad + 1))
-    return _delay_comb(qs, mset.grid)
+    qs = sorted(q for q in qs if 0 <= q < 2 * mset.grid.num_tones)
+    if not qs:
+        raise InvalidGeometry("delay window fell outside the tone comb span")
+    return np.array(qs, dtype=float) / (2.0 * mset.grid.bandwidth)
 
 
 def _grid_from_range(rng_deg):
@@ -184,24 +175,6 @@ def _to_input_units(result, e):
     result.energy_exponent += e
 
 
-def _sweep_and_refine(mset, dic, cfg, l_max, timing):
-    """One polished sweep over ``dic``, then ``cfg.refine_passes`` passes
-    of the 1-degree refinement (none for 0); ``timing`` receives the
-    "sweep" and, when it runs, the "refine" wall time."""
-    t0 = time.perf_counter()
-    result = omp_extract(mset, dic, l_max=l_max,
-                         stop_fraction=cfg.stop_fraction, polish_passes=1)
-    timing["sweep"] = time.perf_counter() - t0
-    if cfg.refine_passes and result.paths:
-        t0 = time.perf_counter()
-        result = refine_extraction(mset, result,
-                                   aoa_step=np.deg2rad(FINE_STEP_DEG),
-                                   aod_step=np.deg2rad(FINE_STEP_DEG),
-                                   passes=cfg.refine_passes)
-        timing["refine"] = time.perf_counter() - t0
-    return result
-
-
 def extract_paths(mset, cfg, room=None):
     """Stages 1-2: delay support, sweep, polish, final refinement.
 
@@ -223,10 +196,19 @@ def extract_paths(mset, cfg, room=None):
     aods = (_grid_from_range(cfg.aod_grid_deg)
             if cfg.aod_grid_deg is not None else
             _angle_comb(COARSE_AOD_STEP_DEG))
-    timing = {}
-    result = _sweep_and_refine(
-        mset, DictionaryGrid(aoas=aoas, aods=aods, delays=delays), cfg,
-        cfg.l_max, timing)
+    t0 = time.perf_counter()
+    result = omp_extract(mset, DictionaryGrid(aoas=aoas, aods=aods,
+                                              delays=delays),
+                         l_max=cfg.l_max, stop_fraction=cfg.stop_fraction,
+                         polish_passes=1)
+    timing = {"sweep": time.perf_counter() - t0}
+    if cfg.refine_passes and result.paths:
+        t0 = time.perf_counter()
+        result = refine_extraction(mset, result,
+                                   aoa_step=np.deg2rad(FINE_STEP_DEG),
+                                   aod_step=np.deg2rad(FINE_STEP_DEG),
+                                   passes=cfg.refine_passes)
+        timing["refine"] = time.perf_counter() - t0
     _to_input_units(result, e)
     return result, (axis, side), timing
 
@@ -254,62 +236,45 @@ def subset_groups(plan, cfg):
 
 
 def subset_bearings(mset, result, cfg, fold_info=(None, 0.0)):
-    """Stage 3: re-extract each single-offset subset, match paths back
-    to the global extraction, and emit one bearing per match.
+    """Stage 3: one bearing per global path per placement subset.
 
-    Windows are seeded from the global paths: each subset's expected
+    Each subset polishes the global paths on its own data instead of
+    sweeping again.  Path j's seed is its predicted subset view: the
     delay shifts by the track-motion projection onto the arrival
-    direction, and its expected bearing re-aims at the implied source
-    point seen from the subset centroid.  Returns one list of bearings
-    per global path.
+    direction, and the bearing re-aims at the implied source point seen
+    from the subset centroid.  :data:`SUBSET_POLISH_PASSES` cyclic
+    passes (:func:`~nfchan.estimation._cyclic_polish`) then move each
+    coordinate within +-:data:`SUBSET_WINDOW_DEG` degrees or
+    +-:data:`SUBSET_PAD_HALFBINS` half-bins per pass, so polished path j
+    is path j and no matching is needed.  On a collinear track a bearing
+    that turns away from the room interior is dropped, as the sweep's
+    fold would drop it.  Returns one list of bearings per global path.
     """
     plan, grid = mset.plan, mset.grid
     axis, side = fold_info
-    halfstep = 1.0 / (2.0 * grid.bandwidth)
+    steps = (np.deg2rad(SUBSET_WINDOW_DEG), np.deg2rad(SUBSET_WINDOW_DEG),
+             SUBSET_PAD_HALFBINS / (2.0 * grid.bandwidth))
     paths = result.paths
     bearings = [[] for _ in paths]
     if not paths:
         return bearings
     for idx in subset_groups(plan, cfg):
         sub = plan.subset(idx)
-        subm = replace(mset, responses=mset.responses[idx], plan=sub)
         shift = sub.rx_ref - plan.rx_ref
-        pred = []
+        seeds = []
         for p in paths:
             draw = p.delta + result.delay_origin
             dsub = draw - float(unit_vector(p.aoa) @ shift) / SPEED_OF_LIGHT
             v = image_from_polar(plan.rx_ref, p.aoa, draw) - sub.rx_ref
-            pred.append((math.atan2(v[1], v[0]), p.aod, dsub))
-        qs = set()
-        for _, _, dsub in pred:
-            q0 = int(round(dsub / halfstep))
-            qs.update(range(q0 - SUBSET_PAD_HALFBINS,
-                            q0 + SUBSET_PAD_HALFBINS + 1))
-        dic = DictionaryGrid(
-            aoas=_fold(_angle_windows([a for a, _, _ in pred],
-                                      SUBSET_WINDOW_DEG, FINE_STEP_DEG),
-                       axis, side),
-            aods=_angle_windows([b for _, b, _ in pred],
-                                SUBSET_WINDOW_DEG, FINE_STEP_DEG),
-            delays=_delay_comb(qs, grid))
-        rs = _sweep_and_refine(subm, dic, cfg, len(paths), {})
-        costed = []
-        for si, sp in enumerate(rs.paths):
-            dsr = sp.delta + rs.delay_origin
-            for j, (pa, _, pd) in enumerate(pred):
-                dang = math.degrees(abs(math.remainder(sp.aoa - pa,
-                                                       2 * math.pi)))
-                cost = dang ** 2 + ((dsr - pd) / halfstep) ** 2
-                costed.append((cost, si, j))
-        used_s, used_j = set(), set()
-        for cost, si, j in sorted(costed):
-            if cost > MATCH_GATE or si in used_s or j in used_j:
-                continue
-            used_s.add(si)
-            used_j.add(j)
-            sp = rs.paths[si]
-            bearings[j].append(Bearing(position=sub.rx_ref, angle=sp.aoa,
-                                       weight=max(sp.strength, 1e-30)))
+            seeds.append([math.atan2(v[1], v[0]), p.aod, dsub])
+        params, gains, _ = _cyclic_polish(sub, grid, seeds,
+                                          mset.responses[idx], steps,
+                                          SUBSET_POLISH_PASSES)
+        aoas = np.array([aoa for aoa, _, _ in params])
+        for j in np.flatnonzero(_facing(aoas, axis, side)):
+            strength = float(np.sum(np.abs(gains[j]) ** 2))
+            bearings[j].append(Bearing(position=sub.rx_ref, angle=aoas[j],
+                                       weight=max(strength, 1e-30)))
     return bearings
 
 

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end criteria with stated tolerances.
+"""Acceptance gate: ten end-to-end criteria with stated tolerances.
 
 Each test prints one ``[criterion N] PASS/FAIL`` line, bypassing
 output capture so the verdicts always appear.  Oracles are implemented
@@ -24,7 +24,8 @@ from nfchan.estimation import (DictionaryGrid, estimate_parity,
 from nfchan.aperture import MeasurementSet
 from nfchan.geometry import Room, enumerate_images, validate_path, wrap_angle
 from nfchan.pipeline import run_estimate, run_evaluate, run_synth
-from nfchan.scenario import build_plan, load_preset, true_paths
+from nfchan.scenario import (available_presets, build_plan, load_preset,
+                             true_paths)
 
 WL = C / 10e9
 
@@ -328,3 +329,18 @@ def test_criterion_9_determinism_and_formats(preset_cfg, preset_synth,
     _report(capfd, 9, f"dataset round-trip bit-exact, same-seed files "
                f"byte-identical, PDP energy identity at {rel:.1e} relative",
             ok)
+
+
+def test_criterion_10_noisy_model_order(capfd):
+    # the stop rule must stop at the noise floor: noise must not buy
+    # spurious paths up to l_max
+    counts = {}
+    for name in available_presets():
+        rep = run_evaluate(replace(load_preset(name), snr_db=20.0))
+        counts[name] = (len(rep.paths), len(rep.truth))
+    ok = len(counts) >= 3 and all(got == want
+                                  for got, want in counts.values())
+    shown = ", ".join(f"{name} {got}/{want}"
+                      for name, (got, want) in counts.items())
+    _report(capfd, 10, f"at 20 dB every preset returns its true path count "
+               f"({shown})", ok)

@@ -72,10 +72,6 @@ class TestPlanLinearTrack:
         with pytest.raises(InvalidGeometry):
             plan_linear_track([0, 0], [0.0], [0.01], TX3, n_rx=0)
 
-    def test_aperture_span(self):
-        plan = plan_linear_track([1.0, 1.0], [0.0, 0.8], [0.02], TX3)
-        assert plan.aperture_span() == pytest.approx(0.82)
-
 
 class TestSimulateCampaign:
     def setup_method(self):

@@ -38,7 +38,7 @@ from nfchan.estimation import (
     triangulate,
 )
 from nfchan.estimation import (_cyclic_polish, _line_score, _newton_ascent,
-                               _phase_factor)
+                               _noise_energy, _phase_factor)
 from nfchan.pipeline import (
     COARSE_AOA_STEP_DEG,
     COARSE_AOD_STEP_DEG,
@@ -557,6 +557,23 @@ class TestOmpExtract:
         assert res.paths == [] and res.selections == []
         assert res.residual_history == [res.initial_energy]
         assert res.residual_energy == res.initial_energy
+
+
+class TestNoiseEnergy:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(f=st.integers(8, 512), log_var=st.floats(-6.0, 6.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_sample_count_times_variance(self, f, log_var, seed):
+        # pure complex Gaussian noise of variance s2: the estimate is
+        # n * s2 within 10% at every tone count (32768+ samples, so the
+        # median's spread is about 1%)
+        rng = np.random.default_rng(seed)
+        shape = (-(-8192 // f), 2, 2, f)
+        s2 = 10.0 ** log_var
+        noise = np.sqrt(s2 / 2) * (rng.standard_normal(shape)
+                                   + 1j * rng.standard_normal(shape))
+        assert _noise_energy(noise) == pytest.approx(noise.size * s2,
+                                                     rel=0.1)
 
 
 class TestRefine:

@@ -16,12 +16,14 @@ from nfchan.channel import FrequencyGrid, RmPathParams
 from nfchan.dataio import read_dataset, write_dataset
 from nfchan.errors import (DegenerateTriangulation, InvalidGeometry,
                            ScenarioError)
-from nfchan.estimation import DictionaryGrid, fft_delay_bins, omp_extract
+from nfchan.estimation import (DictionaryGrid, ExtractionResult,
+                               fft_delay_bins, omp_extract)
 from nfchan.geometry import wrap_angle
-from nfchan.pipeline import (collinear_axis, extract_paths, run_estimate,
-                             run_evaluate, run_heatmap, run_synth,
-                             subset_groups, sweep_runs, sweep_values)
-from nfchan.scenario import load_preset
+from nfchan.pipeline import (_fold_setup, collinear_axis, extract_paths,
+                             run_estimate, run_evaluate, run_heatmap,
+                             run_synth, subset_bearings, subset_groups,
+                             sweep_runs, sweep_values)
+from nfchan.scenario import build_room, load_preset
 
 WL = C / 10e9
 TX3 = WL / 2 * np.array(
@@ -72,8 +74,9 @@ class TestEndToEnd:
 
     def test_one_sweep_per_extraction(self, quick_synth, quick_cfg,
                                       monkeypatch):
-        # the global extraction and each subset sweep once; a second
-        # (finer) sweep stage would show up as extra calls
+        # only the global extraction sweeps: the subsets polish its
+        # paths, and a second (finer) sweep stage or a per-subset sweep
+        # would show up as extra calls
         calls = []
 
         def counting(*args, **kwargs):
@@ -83,8 +86,7 @@ class TestEndToEnd:
         monkeypatch.setattr(pipeline, "omp_extract", counting)
         mset, truth = quick_synth
         run_estimate(mset, quick_cfg, truth=truth)
-        assert len(calls) == 1 + len(subset_groups(mset.plan, quick_cfg))
-
+        assert len(calls) == 1
 
     def test_zero_refine_passes_skips_refinement(self, quick_synth,
                                                  quick_cfg, monkeypatch):
@@ -113,12 +115,20 @@ class TestEndToEnd:
 PINNED = {
     "quick": dict(
         selections=[(11, 4, 8), (51, 3, 15), (16, 51, 18), (5, 27, 33)],
-        images=[[11.9972915, 7.5029588], [-11.9997907, 7.4986172],
-                [11.9989227, 12.5008801], [27.9993129, 7.4974471]]),
+        images=[[11.9971739, 7.5028873], [-11.999667, 7.4985568],
+                [11.9988289, 12.5007793], [27.9991791, 7.4974145]]),
     "room-20x10": dict(
         selections=[(10, 4, 7), (52, 4, 16), (16, 51, 18), (5, 27, 34)],
-        images=[[11.9825956, 7.4962107], [-11.9641168, 7.5350734],
-                [11.9972752, 12.4809418], [27.9830361, 7.4949045]]),
+        images=[[11.9954274, 7.5040877], [-11.9776429, 7.5416877],
+                [12.0074876, 12.4920057], [27.9976625, 7.4984781]]),
+    "room-20x10-fs1ghz": dict(
+        selections=[(10, 4, 9), (51, 4, 22), (16, 51, 27), (5, 27, 43)],
+        images=[[11.996715, 7.5049694], [-11.9884379, 7.5219681],
+                [12.0038175, 12.4971967], [27.9971008, 7.5066792]]),
+    "track-experiment": dict(
+        selections=[(11, 4, 8), (51, 3, 15), (16, 51, 18), (5, 27, 33)],
+        images=[[11.9962874, 7.5023117], [-12.0008841, 7.4941716],
+                [11.9960244, 12.5019401], [27.9981302, 7.4971877]]),
 }
 
 
@@ -236,6 +246,18 @@ class TestInvariance:
                                rtol=0.0, atol=1e-5)
 
 
+class TestModelOrder:
+    @pytest.mark.parametrize("n_tones", [16, 32])
+    def test_noiseless_room_keeps_four_paths_at_few_tones(self, n_tones):
+        # the paths fill most delay bins at few tones: a noise floor read
+        # off the raw data instead of the residual ends the sweep early
+        cfg = replace(load_preset("room-20x10"), n_tones=n_tones)
+        mset, truth = run_synth(cfg)
+        result, _, _ = extract_paths(mset, cfg)
+        assert len(truth) == 4
+        assert len(result.paths) == 4
+
+
 class TestCollinearFold:
     def test_axis_detection(self):
         line = np.array([[0.0, 1.0], [0.5, 1.0], [2.0, 1.0]])
@@ -252,6 +274,25 @@ class TestCollinearFold:
         # cannot tell an arrival from its mirror image.
         for p in quick_report.paths:
             assert math.sin(p.aoa) > 0
+        for blist in quick_report.bearings:
+            for b in blist:
+                assert math.sin(b.angle) > 0
+
+    def test_subset_bearings_drop_far_side_seeds(self, quick_synth,
+                                                 quick_cfg, quick_report):
+        # a seed mirrored across the track polishes to the mirror, which
+        # fits the data as well; the fold must give it no bearing
+        mset, _ = quick_synth
+        ext = quick_report.extraction
+        los = ext.paths[0]
+        mirrored = replace(los, aoa=-los.aoa)
+        fold = _fold_setup(mset.plan, build_room(quick_cfg))
+        for path, want in ((los, 3), (mirrored, 0)):
+            result = ExtractionResult(paths=[path], selections=[],
+                                      residual_history=[1.0],
+                                      delay_origin=ext.delay_origin)
+            got = subset_bearings(mset, result, quick_cfg, fold)
+            assert len(got[0]) == want
 
 
 class TestDatasetRebind:
