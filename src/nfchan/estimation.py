@@ -27,17 +27,21 @@ residual with the receive and transmit factors of a whole block, then
 correlates the delay axis either with one GEMM against the dictionary's
 own delays or, for delays on the half-bin comb that are dense enough
 for a fixed cost rule on the dictionary shape, with a zero-padded
-inverse FFT over every bin.  Every factor is built by the two-level tone
-split that synthesis uses (:func:`~nfchan.channel.comb_phasors`), so a
-delay costs ``A + B`` exponentials instead of ``F``.
+inverse FFT over every bin.  The FFT is unnormalized, so its bins are
+the correlations themselves, read in place when the dictionary holds
+every bin.  Every factor is built by the two-level tone split that
+synthesis uses (:func:`~nfchan.channel.comb_phasors`), so a delay costs
+``A + B`` exponentials instead of ``F``.
 
-The off-grid polish moves one coordinate of one path at a time.  It
-contracts the peeled data with the two fixed factors once, and each
-evaluation rebuilds only the moving factor; that one build gives the
-score and its closed-form first and second derivatives, since the
-factor's derivatives are the factor times ``2j pi f tau'`` and its
-square.  A safeguarded Newton ascent inside one grid step climbs the
-score in about three evaluations and never ends below where it started.
+The off-grid polish moves one coordinate of one path at a time.  Each
+path keeps its three factors, and a factor is built again only when its
+coordinate moved.  A coordinate search contracts the peeled data with
+the two fixed factors once, and each evaluation builds only the moving
+factor; that one build gives the score and its closed-form first and
+second derivatives, since the factor's derivatives are the factor times
+``2j pi f tau'`` and its square.  A safeguarded Newton ascent inside one
+grid step climbs the score in about three evaluations and never ends
+below where it started.
 
 The sweep's argmax is an exact branch and bound over (aoa, aod) rows.
 Delay factors have unit modulus, so by Cauchy-Schwarz no score in a row
@@ -206,8 +210,9 @@ def _plane_delay(angle, disp):
     Shape ``angle.shape + disp.shape[:-1]``: every angle against every
     displacement.
     """
-    proj = np.tensordot(unit_vector(angle), disp, axes=(-1, -1))
-    return proj / -SPEED_OF_LIGHT
+    u = unit_vector(angle)
+    proj = u.reshape(-1, 2) @ disp.reshape(-1, 2).T
+    return proj.reshape(u.shape[:-1] + disp.shape[:-1]) / -SPEED_OF_LIGHT
 
 
 def _factor_delay(plan, coord, value):
@@ -260,7 +265,10 @@ class ScoreEngine:
     delay axis is a GEMM against the dictionary's own delays, or, when
     every delay sits on the half-bin comb and :func:`_fft_beats_gemm`
     says so, a zero-padded inverse FFT over all ``2F`` bins
-    (``_use_fft``).
+    (``_use_fft``).  That FFT is unnormalized (``norm="forward"``), so
+    its bins need no rescale; they are gathered only when the
+    dictionary holds fewer than ``2F`` delays.  Either way a row's
+    scores are one ``einsum`` over the float view of its correlations.
 
     :meth:`best` only scores the (aoa, aod) rows whose upper bound
     (:meth:`_row_bounds`) can still reach the best score found so far;
@@ -303,7 +311,9 @@ class ScoreEngine:
         self._use_fft = bool(
             on_comb and _fft_beats_gemm(grid.num_tones, q.size))
         if self._use_fft:
-            self._q_idx = q_round.astype(int)
+            # Strictly increasing bins below n_fft: when there are n_fft
+            # of them they are every bin, read without a gather.
+            self._q_idx = None if q.size == n_fft else q_round.astype(int)
             self._n_fft = n_fft
         else:
             # Offsets from the first tone, as the FFT's bin phases are:
@@ -320,12 +330,14 @@ class ScoreEngine:
     def _delay_scores(self, t):
         """(R, D) scores of the transmit-contracted rows ``t`` (F, R, K)."""
         if self._use_fft:
-            c = np.fft.ifft(t, n=self._n_fft, axis=0)[self._q_idx]
-            c *= self._n_fft
+            c = np.fft.ifft(t, n=self._n_fft, axis=0, norm="forward")
+            if self._q_idx is not None:
+                c = c[self._q_idx]
         else:
             c = self._dmat @ t.reshape(t.shape[0], -1)
             c = c.reshape(-1, *t.shape[1:])  # (D, R, K)
-        return np.sum(c.real ** 2 + c.imag ** 2, axis=-1).T / self.mnf
+        v = c.view(float)  # (D, R, 2K): sum_k |c|^2 is a plain dot
+        return np.einsum("...k,...k->...", v, v).T / self.mnf
 
     def _row_bounds(self, residual):
         """(A, B) upper bounds on every score of each (aoa, aod) row.
@@ -470,16 +482,18 @@ def _package(raw, gains, selections, history):
                             delay_origin=float(origin))
 
 
-def _line_score(plan, comb, params, coord, peeled):
+def _line_score(plan, comb, factors, coord, peeled):
     """Energy an atom captures from ``peeled`` as one coordinate moves.
 
-    Returns ``score(x)``, the triple ``(s, s', s'')`` in ``x`` of ``s =
-    sum_k |c_k|^2 / (M N F)`` with ``c_k = <atom_k, peeled_k>`` of the
-    atom at ``params`` ([aoa, aod, delay]) with ``params[coord]``
-    replaced by ``x``.  The two fixed factors are contracted with
-    ``peeled`` once, so each call builds only the moving factor, through
-    :func:`_phase_factor` on the tone comb ``comb``: K*M, N or 1 delays
-    for the aoa, the aod and the delay.
+    ``factors`` holds the atom's three conjugated factors ``[r, t, e]``
+    (:func:`_atom_factor` with ``conj=True``, in the coordinate order
+    [aoa, aod, delay]); ``factors[coord]`` is not read.  Returns
+    ``score(x)``, the triple ``(s, s', s'')`` in ``x`` of ``s = sum_k
+    |c_k|^2 / (M N F)`` with ``c_k = <atom_k, peeled_k>`` of that atom
+    with coordinate ``coord`` moved to ``x``.  The two fixed factors are
+    contracted with ``peeled`` once, so each call builds only the moving
+    factor, through :func:`_phase_factor` on the tone comb ``comb``: K*M,
+    N or 1 delays for the aoa, the aod and the delay.
 
     The conjugated moving factor is ``phi = exp(2j pi f tau(x))``, so
     ``phi' = 2j pi f tau' phi`` and ``phi'' = (2j pi f tau'' + (2j pi f
@@ -492,9 +506,7 @@ def _line_score(plan, comb, params, coord, peeled):
     """
     k, m, n, f = peeled.shape
     mnf = m * n * f
-    r, t, e = (None if c == coord else
-               _atom_factor(plan, c, params[c], comb, conj=True)
-               for c in range(3))
+    r, t, e = factors
     if coord == 0:
         h = np.einsum("nf,kmnf->kmf", t * e, peeled)
     elif coord == 1:
@@ -565,22 +577,39 @@ def _cyclic_polish(plan, grid, params, data, steps, passes):
     current value.  Gains are refit jointly after every path update, so
     the joint residual is non-increasing.
 
+    Each path keeps its three conjugated factors; a factor is rebuilt
+    only when the ascent moved its coordinate, and the path's atom is
+    the conjugate of their product, the same bits as
+    :func:`response_atom`.
+
     Returns (params, gains, residual).
     """
     comb = grid.comb
-    stack = np.stack([response_atom(plan, grid, *p) for p in params])
+    factors = [[_atom_factor(plan, c, p[c], comb, conj=True) for c in range(3)]
+               for p in params]
+    stack = np.stack([_conj_atom(fac) for fac in factors])
     gains, residual = per_placement_lsq(stack, data)
     for _ in range(max(passes, 0)):
-        for j in range(len(params)):
+        for j, fac in enumerate(factors):
             peeled = residual + stack[j] * gains[j][:, None, None, None]
             for coord in range(3):
                 if steps[coord] > 0:
-                    score = _line_score(plan, comb, params[j], coord, peeled)
-                    params[j][coord] = float(_newton_ascent(
-                        score, params[j][coord], steps[coord]))
-            stack[j] = response_atom(plan, grid, *params[j])
+                    score = _line_score(plan, comb, fac, coord, peeled)
+                    x = float(_newton_ascent(score, params[j][coord],
+                                             steps[coord]))
+                    if x != params[j][coord]:
+                        fac[coord] = _atom_factor(plan, coord, x, comb,
+                                                  conj=True)
+                    params[j][coord] = x
+            stack[j] = _conj_atom(fac)
             gains, residual = per_placement_lsq(stack, data)
     return params, gains, residual
+
+
+def _conj_atom(factors):
+    """The (K, M, N, F) atom of conjugated factors ``[r, t, e]``."""
+    r, t, e = factors
+    return (e * r[:, :, None, :] * t).conj()
 
 
 def _energy(x):

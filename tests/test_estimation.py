@@ -11,6 +11,7 @@ from nfchan.channel import (
     PwaPathParams,
     RmPathParams,
     rm_from_alpha,
+    unit_vector,
     wrap_angle,
 )
 from nfchan.errors import (
@@ -37,8 +38,9 @@ from nfchan.estimation import (
     response_atom,
     triangulate,
 )
-from nfchan.estimation import (_cyclic_polish, _line_score, _newton_ascent,
-                               _noise_energy, _phase_factor)
+from nfchan.estimation import (_atom_factor, _cyclic_polish, _line_score,
+                               _newton_ascent, _noise_energy, _phase_factor,
+                               _plane_delay)
 from nfchan.pipeline import (
     COARSE_AOA_STEP_DEG,
     COARSE_AOD_STEP_DEG,
@@ -137,8 +139,9 @@ class TestScoreEngine:
         assert np.allclose(got, want, rtol=1e-10)
 
     @pytest.mark.parametrize("span, use_fft", [
-        ((38e-9, 46e-9), False),  # sparse on-comb support: GEMM
-        ((0.0, None), True),      # full comb: FFT
+        ((38e-9, 46e-9), False),   # sparse on-comb support: GEMM
+        ((20e-9, 219e-9), True),   # 200 of the 256 bins: FFT, then a gather
+        ((0.0, None), True),       # full comb: FFT
     ])
     def test_cost_rule_picks_delay_path(self, span, use_fft):
         grid = FrequencyGrid(center=10e9, bandwidth=500e6, num_tones=128)
@@ -191,6 +194,7 @@ class TestScoreEngine:
             TX3[:draw(st.integers(2, 3))],
             n_rx=draw(st.integers(1, 3)))
         span, use_fft = draw(st.sampled_from([((38e-9, 46e-9), False),
+                                              ((20e-9, 219e-9), True),
                                               ((0.0, None), True)]))
         dic = DictionaryGrid(aoas=draw(degrees), aods=draw(degrees),
                              delays=fft_delay_bins(grid, *span))
@@ -291,6 +295,30 @@ class TestPhaseFactor:
                     <= 4 * eps * (np.max(np.abs(phase)) + 1))
 
 
+class TestPlaneDelay:
+    @pytest.mark.parametrize("n_angles", [None, 2, 61])
+    def test_matches_tensordot(self, n_angles):
+        # every angle against every displacement, the same bits as the
+        # tensordot form: receive (K, M, 2) and transmit (N, 2) offsets
+        plan = small_plan()
+        rng = np.random.default_rng(61)
+        angle = (rng.uniform(-np.pi, np.pi) if n_angles is None
+                 else rng.uniform(-np.pi, np.pi, n_angles))
+        for disp in (plan.rx_positions - plan.rx_ref,
+                     plan.tx_positions - plan.tx_ref):
+            got = _plane_delay(angle, disp)
+            want = np.tensordot(unit_vector(angle), disp,
+                                axes=(-1, -1)) / -C
+            assert got.shape == np.shape(angle) + disp.shape[:-1]
+            assert np.array_equal(got, want)
+
+
+def conj_factors(plan, comb, params):
+    """The conjugated [r, t, e] factors :func:`_line_score` takes."""
+    return [_atom_factor(plan, c, params[c], comb, conj=True)
+            for c in range(3)]
+
+
 class TestLineScore:
     def test_matches_full_atom_score(self):
         grid = grid64()
@@ -304,7 +332,9 @@ class TestLineScore:
         offsets = {0: (-0.017, 0.004, 0.029), 1: (-0.031, 0.011, 0.022),
                    2: (-0.61e-9, 0.13e-9, 0.83e-9)}
         for coord, deltas in offsets.items():
-            score = _line_score(plan, grid.comb, params, coord, m.responses)
+            score = _line_score(plan, grid.comb,
+                                conj_factors(plan, grid.comb, params), coord,
+                                m.responses)
             for dx in deltas:
                 trial = list(params)
                 trial[coord] += dx
@@ -326,7 +356,9 @@ class TestLineScore:
                   2: (-0.61e-9, 0.83e-9)}
         widths = {0: 1e-3, 1: 1e-3, 2: 1e-11}
         for coord, deltas in points.items():
-            score = _line_score(plan, grid.comb, params, coord, m.responses)
+            score = _line_score(plan, grid.comb,
+                                conj_factors(plan, grid.comb, params), coord,
+                                m.responses)
             h = widths[coord]
             for dx in deltas:
                 x = params[coord] + dx
@@ -421,6 +453,27 @@ class TestPolish:
         for old, new in zip(start, params):
             for c in range(3):
                 assert abs(new[c] - old[c]) <= steps[c] * (1 + 1e-12)
+
+    def test_cached_factors_give_response_atom_fit(self):
+        # the polish builds atoms from factors it updates in place; the
+        # atoms of its returned params, built afresh, must give the very
+        # gains and residual it returns
+        grid = grid64()
+        plan = small_plan()
+        paths = [rm_from_alpha(1.0, 41.5e-9, 0.55, 0.0, 1),
+                 rm_from_alpha(0.4, 44.0e-9, 0.8, 0.3, -1)]
+        m = simulate_campaign(paths, plan, grid, snr_db=10.0, seed=4)
+        steps = (np.deg2rad(3.0), np.deg2rad(6.0), 1.0 / (2 * grid.bandwidth))
+        start = [[p.aoa + 0.4 * steps[0], p.aod - 0.3 * steps[1],
+                  p.tau + 0.2 * steps[2]] for p in paths]
+        params, gains, residual = _cyclic_polish(
+            plan, grid, [list(q) for q in start], m.responses, steps, 2)
+        assert all(new[c] != old[c] for old, new in zip(start, params)
+                   for c in range(3))
+        atoms = np.stack([response_atom(plan, grid, *q) for q in params])
+        want_gains, want_residual = per_placement_lsq(atoms, m.responses)
+        assert np.array_equal(gains, want_gains)
+        assert np.array_equal(residual, want_residual)
 
     def test_newton_ascent_stays_uphill_in_window(self):
         # a score whose maximum lies outside the window, and one that is

@@ -17,7 +17,7 @@ from nfchan.dataio import read_dataset, write_dataset
 from nfchan.errors import (DegenerateTriangulation, InvalidGeometry,
                            ScenarioError)
 from nfchan.estimation import (DictionaryGrid, ExtractionResult,
-                               fft_delay_bins, omp_extract)
+                               ScoreEngine, fft_delay_bins, omp_extract)
 from nfchan.geometry import wrap_angle
 from nfchan.pipeline import (_fold_setup, collinear_axis, extract_paths,
                              run_estimate, run_evaluate, run_heatmap,
@@ -144,6 +144,31 @@ class TestPinnedOutputs:
         assert rep.anchor_index == 0
         assert np.allclose(rep.image_points, want["images"], rtol=0,
                            atol=1e-6)
+
+    def test_noisy_fft_run(self, monkeypatch):
+        # Every noiseless case above scores delays by GEMM; this 0 dB
+        # run scores its full 256-bin support by FFT, and its last round
+        # prunes nothing: every one of the 61 x 60 (aoa, aod) rows is
+        # scored.
+        rounds = []
+        best = ScoreEngine.best
+
+        def recording(engine, residual):
+            before = engine.rows_scored
+            out = best(engine, residual)
+            rounds.append((engine._use_fft, engine.rows_scored - before))
+            return out
+
+        monkeypatch.setattr(ScoreEngine, "best", recording)
+        cfg = replace(load_preset("room-20x10"), n_tones=128, snr_db=0.0,
+                      l_max=5, stop_fraction=0.01, refine_passes=1,
+                      parity=False, seed=7)
+        rep = run_evaluate(cfg)
+        assert rep.extraction.selections == [
+            (10, 4, 41), (51, 4, 50), (16, 51, 52), (4, 27, 91)]
+        assert len(rep.paths) == 4
+        assert all(use_fft for use_fft, _ in rounds)
+        assert rounds[-1][1] >= 61 * 60
 
 
 def _rescaled(mset, factor):
