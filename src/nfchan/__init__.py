@@ -22,6 +22,7 @@ from .geometry import (
     Room,
     Wall,
     enumerate_images,
+    feasible_images,
     point_in_polygon,
     reflect_point,
     unfolded_polyline,

@@ -17,12 +17,20 @@ Feasibility (does the specular chain actually hit the finite wall
 segments, unobstructed?) is a separate concern handled by
 :func:`validate_path`; the image map itself is exact for the infinite
 mirror lines regardless.
+
+Both run as array computations.  The image tree grows one order at a
+time: every image of an order is mirrored across every reflective wall
+except its last one in a single step.  The feasibility test back-traces
+and occlusion-tests a block of candidates at once.
+:func:`enumerate_images`, :func:`validate_path`,
+:func:`unfolded_polyline` and :func:`feasible_images` are views of
+these two kernels.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +47,7 @@ __all__ = [
     "reflection_linear_part",
     "compose",
     "enumerate_images",
+    "feasible_images",
     "validate_path",
     "unfolded_polyline",
     "point_in_polygon",
@@ -48,6 +57,19 @@ __all__ = [
 def wrap_angle(theta):
     """Wrap angle(s) to the half-open interval (-pi, pi]."""
     return np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), 2.0 * np.pi)
+
+
+def _wall_index(idx, what, n_walls=None):
+    """``idx`` as an int wall index, in range of ``n_walls`` when given.
+
+    A bool or a fraction is refused, not truncated to a wall.
+    """
+    if isinstance(idx, (bool, np.bool_)) or idx % 1:
+        raise InvalidGeometry(f"{what} takes wall indices, got {idx!r}")
+    if n_walls is not None and not 0 <= idx < n_walls:
+        raise InvalidGeometry(f"wall index {idx} out of range "
+                              f"(room has {n_walls} walls)")
+    return int(idx)
 
 
 @dataclass(eq=False)
@@ -126,13 +148,7 @@ class Room:
             raise InvalidGeometry("polygon needs at least 3 vertices")
         flags = [reflective is None] * n
         for idx in () if reflective is None else reflective:
-            if isinstance(idx, (bool, np.bool_)) or idx % 1:
-                raise InvalidGeometry(
-                    f"reflective takes wall indices, got {idx!r}")
-            if not 0 <= idx < n:
-                raise InvalidGeometry(f"wall index {idx} out of range "
-                                      f"(room has {n} walls)")
-            flags[int(idx)] = True
+            flags[_wall_index(idx, "reflective", n)] = True
         walls = [Wall(verts[k], verts[(k + 1) % n], flags[k]) for k in range(n)]
         return cls(walls=walls, interior=interior)
 
@@ -195,7 +211,8 @@ class ImagePath:
     gain: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        self.wall_sequence = tuple(int(w) for w in self.wall_sequence)
+        self.wall_sequence = tuple(_wall_index(w, "wall_sequence")
+                                   for w in self.wall_sequence)
         self.image_point = as_vec2(self.image_point, "image point")
         self.gain = complex(self.gain)
 
@@ -206,15 +223,15 @@ class ImagePath:
 
 def reflect_point(point, wall: Wall) -> np.ndarray:
     """Mirror ``point`` across the infinite line carrying ``wall``."""
-    return _mirror(as_vec2(point), wall)
+    return _mirror(as_vec2(point), wall.a, wall.direction)
 
 
-def _mirror(p, wall):
-    """:func:`reflect_point` for a point that is already a finite (2,) array."""
-    (ax, ay), (tx, ty), (px, py) = wall.a.tolist(), wall.direction.tolist(), p.tolist()
-    dx, dy = px - ax, py - ay
-    k = 2.0 * (dx * tx + dy * ty)
-    return np.array([ax + k * tx - dx, ay + k * ty - dy])
+def _mirror(p, a, t):
+    """Mirror points ``p`` across the lines through ``a`` along the unit
+    vectors ``t``; all three broadcast as ``(..., 2)`` arrays."""
+    d = p - a
+    k = 2.0 * (d[..., 0] * t[..., 0] + d[..., 1] * t[..., 1])
+    return a + k[..., None] * t - d
 
 
 def reflection_linear_part(wall: Wall) -> OrthoMap2:
@@ -240,6 +257,98 @@ def compose(outer: OrthoMap2, inner: OrthoMap2) -> OrthoMap2:
     )
 
 
+class _Level(NamedTuple):
+    """One order k of the image tree, one row per candidate.
+
+    Row i mirrors row ``parent[i]`` of order k - 1 across wall
+    ``wall[i]``, which puts the TX reference at ``image[i]``.  ``alpha``
+    is the map angle before its wrap, so that :class:`OrthoMap2` wraps
+    it once, as it does the result of :func:`compose`.  Every row of
+    order k has parity ``(-1)**k``.
+    """
+
+    parent: np.ndarray
+    wall: np.ndarray
+    image: np.ndarray
+    alpha: np.ndarray
+
+
+def _wall_arrays(room: Room):
+    """Start points, end points and unit directions of the walls, (n, 2) each."""
+    return tuple(np.array([getattr(w, f) for w in room.walls])
+                 for f in ("a", "b", "direction"))
+
+
+def _root(tx) -> _Level:
+    # wall -1 keeps every wall open to the first bounce
+    return _Level(np.zeros(1, np.intp), np.full(1, -1), tx[None], np.zeros(1))
+
+
+def _image_tree(room: Room, tx_ref, max_order: int) -> list[_Level]:
+    """Orders 0 .. max_order of the image tree, in breadth-first,
+    lexicographic order; it stops early at an order with no images."""
+    tx0 = as_vec2(tx_ref, "tx_ref")
+    if max_order < 0:
+        raise InvalidGeometry("max_order must be >= 0")
+    if not room.contains(tx0):
+        raise InvalidGeometry("tx_ref must lie strictly inside the room")
+    a, _, t = _wall_arrays(room)
+    turn = np.array([reflection_linear_part(w).alpha for w in room.walls])
+    refl = np.array(room.reflective_indices(), dtype=np.intp)
+    levels = [_root(tx0)]
+    while len(levels) <= max_order and levels[-1].wall.size:
+        last = levels[-1]
+        # parent-major, walls ascending: lexicographic within the order
+        parent, col = np.nonzero(last.wall[:, None] != refl)
+        wall = refl[col]
+        levels.append(_Level(parent, wall,
+                             _mirror(last.image[parent], a[wall], t[wall]),
+                             turn[wall] - wrap_angle(last.alpha[parent])))
+    return levels
+
+
+def _chain(room: Room, tx, seq) -> list[_Level]:
+    """The image tree of the one wall sequence ``seq``: one row per order,
+    without map angles (the feasibility test does not read them)."""
+    a, _, t = _wall_arrays(room)
+    levels = [_root(tx)]
+    for w in seq:
+        image = _mirror(levels[-1].image, a[w], t[w])
+        levels.append(_Level(np.zeros(1, np.intp), np.full(1, w), image, None))
+    return levels
+
+
+def _sequences(levels, rows) -> np.ndarray:
+    """Wall sequences, shape (len(rows), k), of ``rows`` of the last order."""
+    seq = np.empty((len(rows), len(levels) - 1), dtype=np.intp)
+    for j in range(len(levels) - 1, 0, -1):
+        seq[:, j - 1] = levels[j].wall[rows]
+        rows = levels[j].parent[rows]
+    return seq
+
+
+def _image_paths(levels, rows, rx0, bounce_loss) -> list[ImagePath]:
+    """Rows ``rows`` of the last order as :class:`ImagePath` objects.
+
+    Gain model: ``bounce_loss**order`` times free-space ``1/d`` to
+    ``rx0`` (unit distance when ``rx0`` is None), phase zero.
+    """
+    order, last = len(levels) - 1, levels[-1]
+    out = []
+    for row, seq in zip(rows, _sequences(levels, rows).tolist()):
+        image = last.image[row].copy()
+        gain = bounce_loss ** order
+        if rx0 is not None:
+            d = np.linalg.norm(image - rx0)
+            if d <= 0.0:
+                raise SingularGeometry("image point coincides with rx_ref")
+            gain = gain / d
+        out.append(ImagePath(tuple(seq), image,
+                             OrthoMap2(last.alpha[row], (-1) ** order),
+                             complex(gain)))
+    return out
+
+
 def enumerate_images(room: Room, tx_ref, max_order: int,
                      rx_ref=None, bounce_loss: float = 0.7) -> list[ImagePath]:
     """Enumerate virtual sources up to ``max_order`` bounces.
@@ -247,10 +356,13 @@ def enumerate_images(room: Room, tx_ref, max_order: int,
     Walks every sequence of reflective wall indices without immediate
     repeats (reflecting twice in a row off the same wall is the identity).
     The line-of-sight path (empty sequence, identity map) is always first;
-    deeper orders follow in breadth-first, lexicographic order.
+    deeper orders follow in breadth-first, lexicographic order.  The image
+    tree is built one order per array step; this wraps each of its rows
+    in an :class:`ImagePath`.
 
     Feasibility of the specular chain is *not* checked here; combine with
-    :func:`validate_path` to keep only physically realizable paths.
+    :func:`validate_path`, or call :func:`feasible_images`, to keep only
+    physically realizable paths.
 
     Gain model: magnitude ``bounce_loss**order`` times free-space ``1/d``
     to ``rx_ref`` when ``rx_ref`` is given (unit distance otherwise);
@@ -272,88 +384,108 @@ def enumerate_images(room: Room, tx_ref, max_order: int,
     -------
     list of ImagePath
     """
-    tx0 = as_vec2(tx_ref, "tx_ref")
-    if max_order < 0:
-        raise InvalidGeometry("max_order must be >= 0")
-    if not room.contains(tx0):
-        raise InvalidGeometry("tx_ref must lie strictly inside the room")
+    levels = _image_tree(room, tx_ref, max_order)
     rx0 = None if rx_ref is None else as_vec2(rx_ref, "rx_ref")
-
-    def _gain(order, image):
-        g = bounce_loss ** order
-        if rx0 is not None:
-            d = np.linalg.norm(image - rx0)
-            if d <= 0.0:
-                raise SingularGeometry("image point coincides with rx_ref")
-            g = g / d
-        return complex(g)
-
-    out = [ImagePath((), tx0.copy(), OrthoMap2(), _gain(0, tx0))]
-    refl = room.reflective_indices()
-    frontier = [((), tx0, OrthoMap2())]
-    for _ in range(max_order):
-        nxt = []
-        for seq, z, q in frontier:
-            for w in refl:
-                if seq and seq[-1] == w:
-                    continue
-                wall = room.walls[w]
-                z2 = _mirror(z, wall)
-                q2 = compose(reflection_linear_part(wall), q)
-                s2 = seq + (w,)
-                out.append(ImagePath(s2, z2, q2, _gain(len(s2), z2)))
-                nxt.append((s2, z2, q2))
-        frontier = nxt
+    out = []
+    for k, level in enumerate(levels):
+        out += _image_paths(levels[:k + 1], np.arange(len(level.wall)),
+                            rx0, bounce_loss)
     return out
 
 
-def _segment_intersection(p, q, a, b):
-    """Intersection of segments [p,q] and [a,b].
+def feasible_images(room: Room, tx_ref, rx_ref, max_order: int,
+                    bounce_loss: float) -> list[ImagePath]:
+    """The feasible paths among :func:`enumerate_images`'s, in its order.
 
-    Returns (t, u) with the crossing at p + t (q - p) = a + u (b - a),
-    or None when the segments are parallel (including collinear).
+    The same as keeping each image of ``enumerate_images(room, tx_ref,
+    max_order, rx_ref, bounce_loss)`` that :func:`validate_path` accepts
+    between ``tx_ref`` and ``rx_ref``, but without a Python call per
+    candidate: each order of the image tree is back-traced and
+    occlusion-tested in blocks of candidates, and only the feasible ones
+    become :class:`ImagePath` objects.
     """
-    r = q - p
-    s = b - a
-    denom = r[0] * s[1] - r[1] * s[0]
-    if abs(denom) < 1e-15 * max(1.0, math.hypot(r[0], r[1]) * math.hypot(s[0], s[1])):
-        return None
-    d = a - p
-    t = (d[0] * s[1] - d[1] * s[0]) / denom
-    u = (d[0] * r[1] - d[1] * r[0]) / denom
-    return t, u
+    levels = _image_tree(room, tx_ref, max_order)
+    rx0 = as_vec2(rx_ref, "rx_ref")
+    # enumerate_images refuses an image on rx_ref, feasible or not
+    for level in levels:
+        if np.any(np.linalg.norm(level.image - rx0, axis=1) <= 0.0):
+            raise SingularGeometry("image point coincides with rx_ref")
+    out = []
+    for k, level in enumerate(levels):
+        tree, n = levels[:k + 1], len(level.wall)
+        for start in range(0, n, _BLOCK):
+            rows = np.arange(start, min(start + _BLOCK, n))
+            live = _unblocked(room, *_backtrace(room, tree, rows, rx0))
+            out += _image_paths(tree, rows[live], rx0, bounce_loss)
+    return out
 
 
 _EPS = 1e-9
+# Candidates per back-trace block and legs per occlusion block: the
+# feasibility arrays stay this many rows long however many images the
+# tree holds.
+_BLOCK = 1024
 
 
-def _backtrace(room: Room, seq, txp, rxp):
-    """Specular points for a bounce sequence, or None when infeasible.
+def _crossing(p, q, a, b):
+    """Crossings of segments [p, q] with segments [a, b], all broadcast as
+    ``(..., 2)`` arrays.
 
-    With ``I_k`` the TX image after the first k mirrors, the bounce point
-    on wall ``w_k`` is where the segment from the next bounce point (or the
-    RX) to ``I_k`` crosses that wall; wall-segment endpoints count as valid
-    (closed segments).
+    Returns ``t``, with the crossing at ``p + t (q - p)``, and ``hit``:
+    the crossing lies strictly inside [p, q] and on the closed [a, b],
+    both by ``_EPS``.  Parallel (including collinear) segments never
+    cross; their ``t`` is NaN.
     """
-    images = [txp]
-    for w in seq:
-        images.append(_mirror(images[-1], room.walls[w]))
-    points = [rxp]
-    target = rxp
-    for k in range(len(seq), 0, -1):
-        wall = room.walls[seq[k - 1]]
-        hit = _segment_intersection(target, images[k], wall.a, wall.b)
-        if hit is None:
-            return None
-        t, u = hit
-        if not (_EPS < t < 1.0 - _EPS):
-            return None
-        if not (-_EPS <= u <= 1.0 + _EPS):
-            return None
-        target = target + t * (images[k] - target)
-        points.append(target)
-    points.append(txp)
-    return np.array(points[::-1])  # tx, s_1, ..., s_n, rx
+    r, s, d = q - p, b - a, a - p
+    denom = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
+    crosses = np.abs(denom) >= 1e-15 * np.maximum(
+        1.0, np.hypot(r[..., 0], r[..., 1]) * np.hypot(s[..., 0], s[..., 1]))
+    t = np.divide(d[..., 0] * s[..., 1] - d[..., 1] * s[..., 0], denom,
+                  out=np.full(denom.shape, np.nan), where=crosses)
+    u = np.divide(d[..., 0] * r[..., 1] - d[..., 1] * r[..., 0], denom,
+                  out=np.full(denom.shape, np.nan), where=crosses)
+    hit = (_EPS < t) & (t < 1.0 - _EPS) & (-_EPS <= u) & (u <= 1.0 + _EPS)
+    return t, hit
+
+
+def _backtrace(room: Room, levels, rows, rx):
+    """Specular points of the candidates ``rows`` of the last order.
+
+    With ``I_j`` a candidate's image after its first j mirrors (its
+    ancestor in order j), the bounce point on wall ``w_j`` is where the
+    segment from the next bounce point (or the RX) to ``I_j`` crosses
+    that wall; wall-segment endpoints count as valid (closed segments).
+
+    Returns the positions in ``rows`` whose every bounce point lands on
+    its wall, and polylines ``[tx, s_1, ..., s_k, rx]`` for all of
+    ``rows`` (those of the other positions are left unset).
+    """
+    a, b, _ = _wall_arrays(room)
+    k = len(levels) - 1
+    poly = np.empty((len(rows), k + 2, 2))
+    poly[:, 0] = levels[0].image[0]
+    poly[:, -1] = rx
+    live, anc, target = np.arange(len(rows)), np.asarray(rows), poly[:, -1].copy()
+    for j in range(k, 0, -1):
+        level = levels[j]
+        wall, image = level.wall[anc], level.image[anc]
+        t, hit = _crossing(target, image, a[wall], b[wall])
+        target = target[hit] + t[hit][:, None] * (image[hit] - target[hit])
+        live, anc = live[hit], level.parent[anc[hit]]
+        poly[live, j] = target
+    return live, poly
+
+
+def _unblocked(room: Room, live, poly):
+    """The positions in ``live`` whose polyline legs are all longer than
+    ``_EPS`` and cross no wall strictly between their endpoints."""
+    a, b, _ = _wall_arrays(room)
+    p, q = poly[live, :-1].reshape(-1, 2), poly[live, 1:].reshape(-1, 2)
+    ok = np.hypot(*(q - p).T) > _EPS
+    for start in range(0, len(ok), _BLOCK):
+        legs = slice(start, start + _BLOCK)
+        ok[legs] &= ~_crossing(p[legs, None], q[legs, None], a, b)[1].any(axis=1)
+    return live[ok.reshape(len(live), poly.shape[1] - 1).all(axis=1)]
 
 
 def validate_path(room: Room, wall_sequence, tx, rx):
@@ -363,7 +495,10 @@ def validate_path(room: Room, wall_sequence, tx, rx):
     straight sight line (see :func:`_backtrace`); afterwards every leg of
     the folded polyline must be free of walls strictly between its
     endpoints.  Sequences touching non-reflective walls or repeating a wall
-    twice in a row are rejected outright.
+    twice in a row are rejected outright; a wall index that is out of
+    range, a bool or a fraction raises :class:`InvalidGeometry`.  This is
+    the one-candidate case of the batched kernel that
+    :func:`feasible_images` runs over whole orders of the image tree.
 
     Returns
     -------
@@ -373,31 +508,17 @@ def validate_path(room: Room, wall_sequence, tx, rx):
     """
     txp = as_vec2(tx, "tx")
     rxp = as_vec2(rx, "rx")
-    seq = [int(w) for w in wall_sequence]
-    for w in seq:
-        if not (0 <= w < len(room.walls)):
-            raise InvalidGeometry(f"wall index {w} out of range")
-        if not room.walls[w].reflective:
+    seq = []
+    for w in wall_sequence:
+        seq.append(_wall_index(w, "wall_sequence", len(room.walls)))
+        if not room.walls[seq[-1]].reflective:
             return False, None
     if any(seq[i] == seq[i + 1] for i in range(len(seq) - 1)):
         return False, None
-
-    polyline = _backtrace(room, seq, txp, rxp)
-    if polyline is None:
+    live, poly = _backtrace(room, _chain(room, txp, seq), [0], rxp)
+    if not _unblocked(room, live, poly).size:
         return False, None
-
-    for i in range(len(polyline) - 1):
-        p, q = polyline[i], polyline[i + 1]
-        if math.hypot(q[0] - p[0], q[1] - p[1]) <= _EPS:
-            return False, None
-        for wall in room.walls:
-            hit = _segment_intersection(p, q, wall.a, wall.b)
-            if hit is None:
-                continue
-            t, u = hit
-            if -_EPS <= u <= 1.0 + _EPS and _EPS < t < 1.0 - _EPS:
-                return False, None
-    return True, polyline
+    return True, poly[0]
 
 
 def unfolded_polyline(room: Room, wall_sequence, tx, rx) -> np.ndarray:
@@ -406,12 +527,13 @@ def unfolded_polyline(room: Room, wall_sequence, tx, rx) -> np.ndarray:
     Raises InvalidGeometry when the specular chain is infeasible; occlusion
     is not rechecked here (use :func:`validate_path` first when in doubt).
     """
-    polyline = _backtrace(
-        room, [int(w) for w in wall_sequence], as_vec2(tx, "tx"), as_vec2(rx, "rx")
-    )
-    if polyline is None:
+    seq = [_wall_index(w, "wall_sequence", len(room.walls))
+           for w in wall_sequence]
+    live, poly = _backtrace(room, _chain(room, as_vec2(tx, "tx"), seq), [0],
+                            as_vec2(rx, "rx"))
+    if not live.size:
         raise InvalidGeometry("specular chain is infeasible for this tx/rx pair")
-    return polyline
+    return poly[0]
 
 
 def point_in_polygon(point, vertices) -> bool:

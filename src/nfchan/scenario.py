@@ -23,7 +23,7 @@ import numpy as np
 from .aperture import plan_linear_track
 from .channel import SPEED_OF_LIGHT, FrequencyGrid, image_to_rm_params
 from .errors import InvalidGeometry, ScenarioError
-from .geometry import Room, enumerate_images, validate_path
+from .geometry import Room, feasible_images
 
 @dataclass(eq=False)
 class ScenarioConfig:
@@ -451,25 +451,21 @@ def build_plan(cfg: ScenarioConfig):
 def true_paths(cfg: ScenarioConfig, plan=None):
     """Feasible propagation paths of the scenario as parameter tuples.
 
-    Image candidates are enumerated up to ``max_order`` and kept when
-    the folded ray between the array references is realizable, i.e.
-    every specular point lands on its wall and no other wall blocks a
-    leg.  Gains follow the one-over-distance envelope with
-    ``bounce_loss`` per reflection.
+    Image candidates up to ``max_order`` are kept when the folded ray
+    between the array references is realizable, i.e. every specular
+    point lands on its wall and no other wall blocks a leg.  The test
+    runs as one batched kernel over each order of the image tree
+    (:func:`~nfchan.geometry.feasible_images`); only the feasible
+    candidates become parameter tuples, in enumeration order.  Gains
+    follow the one-over-distance envelope with ``bounce_loss`` per
+    reflection.
     """
     room = build_room(cfg)
     if plan is None:
         plan = build_plan(cfg)
-    out = []
-    for path in enumerate_images(room, cfg.tx_position,
-                                 max_order=cfg.max_order,
-                                 rx_ref=plan.rx_ref,
-                                 bounce_loss=cfg.bounce_loss):
-        feasible, _ = validate_path(room, path.wall_sequence,
-                                    cfg.tx_position, plan.rx_ref)
-        if feasible:
-            out.append(image_to_rm_params(path, plan.tx_ref, plan.rx_ref))
-    return out
+    paths = feasible_images(room, cfg.tx_position, plan.rx_ref,
+                            cfg.max_order, cfg.bounce_loss)
+    return [image_to_rm_params(p, plan.tx_ref, plan.rx_ref) for p in paths]
 
 
 def available_presets():

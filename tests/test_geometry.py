@@ -1,15 +1,27 @@
-"""Geometry tests built around an independent successive-mirror oracle."""
+"""Geometry tests built around an independent successive-mirror oracle,
+plus the scalar image recursion and back-trace that the batched kernel
+replaced, kept here as its bit-exact reference."""
+
+import hashlib
+import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from nfchan.errors import InvalidGeometry
+from nfchan import geometry
+from nfchan.errors import InvalidGeometry, SingularGeometry
 from nfchan.geometry import (
+    ImagePath,
     OrthoMap2,
     Room,
     Wall,
     compose,
     enumerate_images,
+    feasible_images,
     point_in_polygon,
     reflect_point,
     reflection_linear_part,
@@ -36,6 +48,83 @@ def oracle_image(point, walls):
     for a, b in walls:
         z = oracle_mirror(z, a, b)
     return z
+
+
+EPS = 1e-9
+
+
+def scalar_mirror(p, wall):
+    """Mirror across ``wall``'s line in the scalar arithmetic the kernel
+    vectorizes (tangent projection, not :func:`oracle_mirror`'s normal)."""
+    (ax, ay), (tx, ty), (px, py) = wall.a.tolist(), wall.direction.tolist(), p.tolist()
+    dx, dy = px - ax, py - ay
+    k = 2.0 * (dx * tx + dy * ty)
+    return np.array([ax + k * tx - dx, ay + k * ty - dy])
+
+
+def scalar_images(room, tx, max_order, rx, bounce_loss):
+    """The per-image recursion: (sequence, image, map, gain) in
+    breadth-first, lexicographic order."""
+    def gain(order, z):
+        return complex(bounce_loss ** order / np.linalg.norm(z - rx))
+
+    out = [((), tx, OrthoMap2(), gain(0, tx))]
+    frontier = [((), tx, OrthoMap2())]
+    for _ in range(max_order):
+        nxt = []
+        for seq, z, q in frontier:
+            for w in room.reflective_indices():
+                if seq and seq[-1] == w:
+                    continue
+                wall = room.walls[w]
+                nxt.append((seq + (w,), scalar_mirror(z, wall),
+                            compose(reflection_linear_part(wall), q)))
+        out += [(seq, z, q, gain(len(seq), z)) for seq, z, q in nxt]
+        frontier = nxt
+    return out
+
+
+def scalar_crossing(p, q, a, b):
+    """(t, u) of the crossing p + t (q - p) = a + u (b - a), or None when
+    the segments are parallel."""
+    r, s = q - p, b - a
+    denom = r[0] * s[1] - r[1] * s[0]
+    if abs(denom) < 1e-15 * max(1.0, math.hypot(r[0], r[1]) * math.hypot(s[0], s[1])):
+        return None
+    d = a - p
+    return (d[0] * s[1] - d[1] * s[0]) / denom, (d[0] * r[1] - d[1] * r[0]) / denom
+
+
+def scalar_validate(room, seq, tx, rx):
+    """Per-candidate back-trace and occlusion test: (feasible, polyline),
+    the polyline None when the back-trace itself fails."""
+    images = [tx]
+    for w in seq:
+        images.append(scalar_mirror(images[-1], room.walls[w]))
+    points, target = [rx], rx
+    for k in range(len(seq), 0, -1):
+        wall = room.walls[seq[k - 1]]
+        hit = scalar_crossing(target, images[k], wall.a, wall.b)
+        if hit is None or not (EPS < hit[0] < 1.0 - EPS and -EPS <= hit[1] <= 1.0 + EPS):
+            return False, None
+        target = target + hit[0] * (images[k] - target)
+        points.append(target)
+    poly = np.array([tx] + points[::-1])
+    for p, q in zip(poly[:-1], poly[1:]):
+        if math.hypot(q[0] - p[0], q[1] - p[1]) <= EPS:
+            return False, poly
+        for wall in room.walls:
+            hit = scalar_crossing(p, q, wall.a, wall.b)
+            if hit is not None and -EPS <= hit[1] <= 1.0 + EPS and EPS < hit[0] < 1.0 - EPS:
+                return False, poly
+    return True, poly
+
+
+def image_record(path):
+    """Sequence, order and the exact bits of an image path's fields."""
+    return (path.wall_sequence, path.order, path.image_point.tobytes(),
+            np.float64(path.map.alpha).tobytes(), path.map.parity,
+            np.complex128(path.gain).tobytes())
 
 
 def rect_room(reflective=None):
@@ -225,6 +314,22 @@ class TestEnumerateImages:
         assert len(paths) == 4  # LOS + 3
         assert all(0 not in p.wall_sequence for p in paths)
 
+    @pytest.mark.parametrize("enumerate_", [
+        lambda room, tx, rx: enumerate_images(room, tx, 1, rx_ref=rx),
+        lambda room, tx, rx: feasible_images(room, tx, rx, 1, 0.7),
+    ])
+    def test_image_on_rx_ref_raises(self, enumerate_):
+        # (5, -3) is the floor image of the TX; it is infeasible, but
+        # still refused by both entry points
+        with pytest.raises(SingularGeometry):
+            enumerate_(rect_room(), (5, 3), (5, -3))
+
+    @pytest.mark.parametrize("bad", [2.7, True, np.True_, 0.5])
+    def test_image_path_refuses_non_index_walls(self, bad):
+        # int() would read 2.7 as wall 2 and True as wall 1
+        with pytest.raises(InvalidGeometry, match=f"wall indices, got {bad!r}"):
+            ImagePath((0, bad), (1.0, 2.0), OrthoMap2())
+
 
 class TestValidatePath:
     def test_ceiling_bounce_feasible(self):
@@ -264,6 +369,24 @@ class TestValidatePath:
     def test_immediate_repeat_rejected(self):
         room = rect_room()
         assert not validate_path(room, [2, 2], (5, 3), (15, 4))[0]
+
+    @pytest.mark.parametrize("seq", [[4], [-1], [1, 9]])
+    def test_wall_index_out_of_range(self, seq):
+        with pytest.raises(InvalidGeometry, match="out of range"):
+            validate_path(rect_room(), seq, (5, 3), (15, 4))
+
+    def test_absorbing_wall_rejected_before_later_indices_are_read(self):
+        room = rect_room(reflective=[0, 1, 2])  # wall 3 absorbs
+        assert validate_path(room, [3, 9], (5, 3), (15, 4)) == (False, None)
+
+    @pytest.mark.parametrize("seq", [[2.7], [True], [1, np.True_], [2, 0.5]])
+    def test_non_index_walls_refused(self, seq):
+        # int() would read 2.7 as wall 2 and True as wall 1
+        match = f"wall indices, got {seq[-1]!r}"
+        with pytest.raises(InvalidGeometry, match=match):
+            validate_path(rect_room(), seq, (5, 3), (15, 4))
+        with pytest.raises(InvalidGeometry, match=match):
+            unfolded_polyline(rect_room(), seq, (5, 3), (15, 4))
 
     def test_returns_specular_polyline(self):
         room = rect_room()
@@ -316,6 +439,91 @@ class TestUnfoldedPolyline:
         )
         with pytest.raises(InvalidGeometry):
             unfolded_polyline(room, [top], (8, 3), (9, 4))
+
+
+def star_room(rng, concave):
+    """Random polygon around the origin: convex (vertices on a circle) or
+    concave (radii alternating long and short), sometimes with only some
+    walls reflective."""
+    n = int(rng.integers(4 if concave else 3, 8))
+    # one vertex per angular sector keeps every gap below pi
+    angles = (np.arange(n) + rng.uniform(0.3, 0.7, n)) * 2 * np.pi / n
+    radii = np.full(n, rng.uniform(3.0, 8.0))
+    if concave:
+        radii = np.where(np.arange(n) % 2, rng.uniform(1.5, 3.0, n), rng.uniform(5.0, 8.0, n))
+    verts = np.c_[radii * np.cos(angles), radii * np.sin(angles)]
+    reflective = None
+    if rng.random() < 0.3:
+        reflective = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
+    return Room.from_polygon(verts, reflective=reflective, interior=(0.0, 0.0))
+
+
+def inside_point(rng, room):
+    """A point strictly inside ``room`` by rejection, or None."""
+    verts = room.vertices()
+    for _ in range(100):
+        p = rng.uniform(verts.min(axis=0), verts.max(axis=0))
+        if room.contains(p):
+            return p
+    return None
+
+
+class TestBatchedKernel:
+    """The image tree and the batched feasibility test against the scalar
+    recursion and back-trace above: the same candidates in the same order
+    and the same bits."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), concave=st.booleans(),
+           max_order=st.integers(0, 3), block=st.sampled_from([1, 7, geometry._BLOCK]))
+    def test_matches_scalar_oracle(self, seed, concave, max_order, block):
+        rng = np.random.default_rng(seed)
+        room = star_room(rng, concave)
+        tx, rx = inside_point(rng, room), inside_point(rng, room)
+        assume(tx is not None and rx is not None)
+
+        paths = enumerate_images(room, tx, max_order, rx_ref=rx, bounce_loss=0.6)
+        oracle = scalar_images(room, tx, max_order, rx, 0.6)
+        assert [image_record(p) for p in paths] == [image_record(ImagePath(*o)) for o in oracle]
+
+        feasible = []
+        for p in paths:
+            ok, poly = scalar_validate(room, p.wall_sequence, tx, rx)
+            got_ok, got_poly = validate_path(room, p.wall_sequence, tx, rx)
+            assert got_ok == ok
+            if ok:
+                assert got_poly.tobytes() == poly.tobytes()
+                feasible.append(image_record(p))
+            else:
+                assert got_poly is None
+            if poly is None:
+                with pytest.raises(InvalidGeometry):
+                    unfolded_polyline(room, p.wall_sequence, tx, rx)
+            else:
+                assert unfolded_polyline(room, p.wall_sequence, tx, rx).tobytes() == poly.tobytes()
+
+        # a small block splits every order past the LOS into several blocks
+        with mock.patch.object(geometry, "_BLOCK", block):
+            got = feasible_images(room, tx, rx, max_order, 0.6)
+        assert [image_record(p) for p in got] == feasible
+
+    def test_parallel_legs_raise_no_warning(self):
+        # tx and rx share y = 3, so the LOS leg and the first legs of the
+        # side-wall bounces run parallel to floor and ceiling; rx = (35, 8)
+        # puts the back-trace of the right-wall bounce on the wall's line.
+        room = rect_room()
+        tx = np.array([5.0, 3.0])
+        cases = [((), (15.0, 3.0)), ((1,), (15.0, 3.0)), ((3, 1), (15.0, 3.0)),
+                 ((1,), (35.0, 8.0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [validate_path(room, seq, tx, rx)[0] for seq, rx in cases]
+            images = feasible_images(room, tx, (15.0, 3.0), 2, 0.7)
+        assert got == [scalar_validate(room, seq, tx, np.array(rx))[0] for seq, rx in cases]
+        assert got == [True, True, True, False]
+        assert [p.wall_sequence for p in images] == [
+            p.wall_sequence for p in enumerate_images(room, tx, 2)
+            if scalar_validate(room, p.wall_sequence, tx, np.array([15.0, 3.0]))[0]]
 
 
 class TestRoom:

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfchan.errors import ScenarioError
+from nfchan.geometry import feasible_images
 from nfchan.scenario import (_KEYS, ScenarioConfig, available_presets,
                              build_grid, build_plan, build_room,
                              build_tx_array, format_scenario, load_preset,
@@ -32,6 +34,51 @@ origin = 1,1
 offsets = 0 0.4
 spacings = 0.5wl
 """
+
+# The benchmark's six-wall room at order 5: 4687 candidate images, of
+# which 3750 are fifth-order, so the feasibility test crosses blocks.
+CAMPAIGN = """\
+[room]
+vertices = 0,0 14,0 20,4 20,10 6,10 0,6
+reflective = all
+
+[radio]
+carrier_hz = 10e9
+bandwidth_hz = 500e6
+n_tones = 512
+
+[transmitter]
+position = 12,7.5
+layout = triangle
+spacing = 0.5wl
+
+[aperture]
+origin = 1,1
+offsets = 0:0.1:3.9
+spacings = 0.5wl 1wl 2wl
+n_rx = 2
+
+[measurement]
+snr_db = 20
+seed = 0
+max_order = 5
+"""
+CAMPAIGN_SEQUENCES = [
+    (), (0,), (2,), (3,), (4,), (5,), (0, 3), (0, 4), (1, 3), (2, 0), (2, 4),
+    (2, 5), (3, 0), (3, 2), (3, 5), (4, 0), (5, 0), (0, 3, 0), (1, 3, 0),
+    (2, 0, 5), (3, 1, 3), (3, 2, 0), (3, 2, 5), (3, 5, 0), (4, 5, 0),
+    (0, 3, 1, 4), (1, 3, 0, 3), (1, 3, 1, 4), (1, 3, 5, 0), (2, 3, 4, 5),
+    (2, 4, 5, 0), (3, 1, 3, 0), (3, 1, 3, 5), (3, 2, 0, 4), (3, 2, 5, 0),
+    (5, 0, 2, 3), (0, 3, 1, 3, 5), (0, 3, 1, 4, 0), (0, 5, 4, 3, 2),
+    (1, 3, 0, 3, 0), (1, 3, 1, 4, 0), (2, 0, 5, 3, 2), (2, 3, 4, 5, 0),
+    (2, 5, 0, 2, 4), (3, 0, 3, 1, 4), (3, 1, 3, 0, 3), (3, 1, 3, 0, 4),
+    (3, 1, 3, 5, 0), (3, 2, 0, 4, 0), (3, 5, 0, 2, 3), (5, 0, 2, 3, 5),
+    (5, 0, 3, 2, 0),
+]
+# SHA-256 of the (gain.real, gain.imag, tau, aoa, aod, parity) float64 rows
+# that the per-image scalar enumeration and back-trace produced.
+CAMPAIGN_PARAMS_SHA256 = (
+    "70ca89e3bcac823fcb1134206c1f058173aa2cfdb43ff992c0f6738a2136d6bb")
 
 # Sets every optional key, with the non-default spelling where one exists.
 FULL = """\
@@ -441,3 +488,15 @@ class TestBuilders:
         assert los.parity == 1
         d = np.linalg.norm(np.asarray([12.0, 7.5]) - build_plan(cfg).rx_ref)
         assert np.isclose(los.tau * 299792458.0, d, atol=1e-9)
+
+    def test_true_paths_of_campaign_room_pinned(self):
+        cfg = parse_scenario(CAMPAIGN)
+        plan = build_plan(cfg)
+        paths = true_paths(cfg, plan)
+        images = feasible_images(build_room(cfg), cfg.tx_position,
+                                 plan.rx_ref, cfg.max_order, cfg.bounce_loss)
+        assert len(paths) == 52
+        assert [p.wall_sequence for p in images] == CAMPAIGN_SEQUENCES
+        rows = np.array([[p.gain.real, p.gain.imag, p.tau, p.aoa, p.aod,
+                          p.parity] for p in paths])
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == CAMPAIGN_PARAMS_SHA256
