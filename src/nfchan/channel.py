@@ -16,16 +16,19 @@ first-order (plane-wave) approximation around the reference points.
 Synthesis runs on one batched kernel.  :func:`path_lengths` writes both
 distance formulas once and evaluates every path over the whole element
 grid in one broadcast; :func:`tone_phasors` turns lengths into tone
-phasors with a two-level split of the uniform comb (:func:`comb_phasors`,
-tone ``i = a * B + b`` with ``B = ceil(sqrt(F))``), so each length costs
-``A + B`` complex exponentials and one outer product instead of ``F``
-exponentials.  The estimator builds its atom factors on the same kernel.
-:func:`synth_channel` then adds ``gain_l * phasor_l`` path by path in
-input order, which keeps every path's contribution bit-identical however
-the paths are grouped.  The one-path distance functions and the exact
-response atom of the estimator are views of the same kernel.
+phasors with a three-level split of the uniform comb (:func:`comb_phasors`,
+tone ``i = a * M * B + m * B + b``, about ``cbrt(F)`` on each level), so
+each length costs ``A + M + B`` complex exponentials (24 at F = 512)
+and two outer products instead of ``F`` exponentials.  The estimator
+builds its atom factors on the same kernel.  :func:`synth_channel` folds
+each path's gain into its coarse factor and sums the terms ``gain_l *
+phasor_l`` a chunk of paths at a time, in input order, which keeps every
+path's contribution bit-identical however the paths are grouped.  The
+one-path distance functions and the exact response atom of the estimator
+are views of the same kernel.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -322,37 +325,84 @@ class ToneComb(NamedTuple):
         return self.start + np.arange(self.n, dtype=float) * self.spacing
 
 
+@functools.lru_cache(maxsize=64)
+def _level_offsets(comb: ToneComb):
+    """Frequencies of the coarse, mid and fine levels of ``comb``.
+
+    Tone ``i = a * M * B + m * B + b`` sits at ``coarse[a] + mid[m] +
+    fine[b]``, with the start in the coarse level.  The lengths ``(A, M,
+    B)`` are the split with the fewest exponentials ``A + M + B`` whose
+    product covers the comb, then the fewest padded tones, then the
+    shortest coarse level: (8, 8, 8) at ``n = 512``, (4, 4, 8) at 128.
+    All three equal to ``ceil(cbrt(n))`` covers the comb, so no level of
+    the best split is longer than ``3 * ceil(cbrt(n)) - 2``.  Read-only
+    arrays, cached per comb.
+    """
+    n, c = comb.n, 1
+    while c ** 3 < n:
+        c += 1
+    sizes = range(1, 3 * c - 1)
+    a, m, b = min(((-(-n // (m * b)), m, b) for m in sizes for b in sizes),
+                  key=lambda s: (sum(s), math.prod(s), s))
+    levels = (comb.start + np.arange(0, a * m * b, m * b, dtype=float) * comb.spacing,
+              np.arange(0, m * b, b, dtype=float) * comb.spacing,
+              np.arange(b, dtype=float) * comb.spacing)
+    for level in levels:
+        level.setflags(write=False)
+    return levels
+
+
+def _comb_factors(x, k, comb: ToneComb):
+    """The two factors of :func:`comb_phasors` before their outer product.
+
+    ``coarse`` has shape ``x.shape + (A,)`` and ``inner``, the mid and
+    fine levels already multiplied out, ``x.shape + (M * B,)``; tone ``i
+    = a * M * B + j`` is ``coarse[..., a] * inner[..., j]``.
+    """
+    coarse_f, mid_f, fine_f = _level_offsets(comb)
+    kx = k * np.asarray(x, dtype=float)[..., None]
+    inner = np.exp(kx * mid_f)[..., :, None] * np.exp(kx * fine_f)[..., None, :]
+    return (np.exp(kx * coarse_f),
+            inner.reshape(kx.shape[:-1] + (mid_f.size * fine_f.size,)))
+
+
 def comb_phasors(x, k, comb: ToneComb):
     """``exp(k * x * f_i)`` of every ``x`` at every tone of ``comb``.
 
-    The tone index is split as ``i = a * B + b`` with ``B = ceil(sqrt(n))``
-    and ``A = ceil(n / B)``.  Since ``f_i = f_{aB} + b * spacing``, each
-    phasor is the product of a coarse factor ``exp(k x f_{aB})`` and a
-    fine factor ``exp(k x b spacing)``: ``A + B`` complex exponentials
-    per ``x`` instead of ``n``, multiplied as an outer product and
-    truncated to ``n`` tones.  Each factor's phase carries the same
-    relative rounding as the direct phase, so the product differs from
-    the direct exponential by a few ``eps * |k x f|``.
+    The tone index is split on three levels, ``i = a * M * B + m * B +
+    b`` (:func:`_level_offsets`), so ``f_i`` is the sum of a coarse
+    frequency (which holds the start), a mid one and a fine one, and
+    each phasor is the product of their three exponentials: ``A + M +
+    B`` complex exponentials per ``x`` instead of ``n`` (24 at ``n =
+    512``, 16 at 128).  The mid and fine factors are multiplied out
+    first, so the long ``M * B`` axis is innermost in both outer
+    products, and the result is truncated to ``n`` tones.  Each factor's
+    phase carries the same relative rounding as the direct phase, so the
+    product differs from the direct exponential by a few ``eps * |k x
+    f|``.
 
     Returns an array of shape ``x.shape + (n,)``, which may be a view
     into a slightly longer comb.
     """
-    x = np.asarray(x, dtype=float)[..., None]
-    f = comb.n
-    b = math.isqrt(f - 1) + 1
-    a = -(-f // b)
-    coarse = np.exp(k * x * (comb.start + np.arange(0, a * b, b, dtype=float) * comb.spacing))
-    fine = np.exp(k * x * (np.arange(b, dtype=float) * comb.spacing))
-    out = coarse[..., :, None] * fine[..., None, :]
-    return out.reshape(out.shape[:-2] + (a * b,))[..., :f]
+    coarse, inner = _comb_factors(x, k, comb)
+    out = coarse[..., :, None] * inner[..., None, :]
+    size = coarse.shape[-1] * inner.shape[-1]
+    return out.reshape(out.shape[:-2] + (size,))[..., :comb.n]
 
 
 def tone_phasors(lengths, grid: FrequencyGrid):
     """Phasors ``exp(-2j pi f_i d / c)`` of every length at every tone,
-    shape ``lengths.shape + (F,)``, by the two-level tone split of
-    :func:`comb_phasors`: ``A + B`` complex exponentials per length
-    (46 at F = 512) instead of ``F``."""
+    shape ``lengths.shape + (F,)``, by the three-level tone split of
+    :func:`comb_phasors`: ``A + M + B`` complex exponentials per length
+    (24 at F = 512) instead of ``F``."""
     return comb_phasors(lengths, -2j * np.pi / SPEED_OF_LIGHT, grid.comb)
+
+
+# Complex samples of (paths, M, N, tones) terms summed at once by
+# synth_channel: 512 kB, the bound on a chunk's temporary.  Smaller
+# chunks synthesized the benchmark campaign more slowly, larger ones
+# no faster.
+_SUM_CHUNK = 1 << 15
 
 
 def synth_channel(paths, tx_positions, rx_positions, grid: FrequencyGrid,
@@ -378,11 +428,15 @@ def synth_channel(paths, tx_positions, rx_positions, grid: FrequencyGrid,
     (M, N, F) complex ndarray
         ``H[m, n, i] = sum_l gain_l * exp(-2j pi f_i d_l(m, n) / c)``.
 
-    All path lengths come from one :func:`path_lengths` call and all
-    phasors from one :func:`tone_phasors` call (the two-level tone
-    split).  The sum is then accumulated path by path in input order,
-    ``H += gain_l * phasor_l``, so a path contributes the same bits
-    whether it is synthesized alone or with others.
+    All path lengths come from one :func:`path_lengths` call and the
+    factors of all phasors from one tone split (:func:`comb_phasors`),
+    with each path's gain folded into its coarse factor.  The terms
+    ``gain_l * phasor_l`` are then formed a chunk of paths at a time
+    and summed in input order: the running sum is added into the chunk's
+    first term and the chunk is reduced over its path axis, which adds
+    its terms one after another.  A path's term takes the same bits
+    whether it is synthesized alone or with others, and so does the sum,
+    while no (L, M, N, F) array is ever built.
     """
     from .validation import as_points
 
@@ -394,10 +448,18 @@ def synth_channel(paths, tx_positions, rx_positions, grid: FrequencyGrid,
     rx_positions = as_points(rx_positions, "rx_positions")
     lengths = path_lengths(paths, rx_positions[:, None, :],
                            tx_positions[None, :, :], rx_ref, tx_ref, model)
-    phasors = tone_phasors(lengths, grid)
-    out = np.zeros(phasors.shape[1:], dtype=complex)
-    for p, e in zip(paths, phasors):
-        out += p.gain * e
+    coarse, inner = _comb_factors(lengths, -2j * np.pi / SPEED_OF_LIGHT,
+                                  grid.comb)
+    coarse *= np.array([p.gain for p in paths]).reshape(-1, 1, 1, 1)
+    chunk = max(1, _SUM_CHUNK // (coarse[0].size * inner.shape[-1]))
+    size = coarse.shape[-1] * inner.shape[-1]
+    out = None
+    for lo in range(0, len(paths), chunk):
+        terms = coarse[lo:lo + chunk, ..., :, None] * inner[lo:lo + chunk, ..., None, :]
+        terms = terms.reshape(terms.shape[:-2] + (size,))[..., :grid.num_tones]
+        if out is not None:
+            terms[0] += out
+        out = terms.sum(axis=0)
     return out
 
 

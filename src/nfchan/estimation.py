@@ -29,9 +29,9 @@ own delays or, for delays on the half-bin comb that are dense enough
 for a fixed cost rule on the dictionary shape, with a zero-padded
 inverse FFT over every bin.  The FFT is unnormalized, so its bins are
 the correlations themselves, read in place when the dictionary holds
-every bin.  Every factor is built by the two-level tone split that
+every bin.  Every factor is built by the three-level tone split that
 synthesis uses (:func:`~nfchan.channel.comb_phasors`), so a delay costs
-``A + B`` exponentials instead of ``F``.
+``A + M + B`` exponentials instead of ``F``.
 
 The off-grid polish moves one coordinate of one path at a time.  Each
 path keeps its three factors, and a factor is built again only when its
@@ -198,8 +198,8 @@ class ExtractionResult:
 def _phase_factor(tau, comb):
     """``exp(-2j pi f tau)`` of every ``tau`` at every tone of the
     :class:`~nfchan.channel.ToneComb` ``comb``, shape ``tau.shape +
-    (F,)``, built by the two-level tone split (:func:`comb_phasors`,
-    ``A + B`` exponentials per ``tau``).
+    (F,)``, built by the three-level tone split (:func:`comb_phasors`,
+    ``A + M + B`` exponentials per ``tau``).
     """
     return comb_phasors(tau, -2j * np.pi, comb)
 
@@ -314,7 +314,13 @@ class ScoreEngine:
             # Strictly increasing bins below n_fft: when there are n_fft
             # of them they are every bin, read without a gather.
             self._q_idx = None if q.size == n_fft else q_round.astype(int)
-            self._n_fft = n_fft
+            # The FFT writes into one buffer kept for the engine's life.
+            # A fresh (2F, B, K) array per call would be the largest the
+            # sweep allocates, and glibc maps a request that large anew,
+            # with page faults, on every call unless a larger array
+            # happened to be freed first.  (ifft's out= needs numpy 2.)
+            self._fft_out = np.empty(
+                (n_fft, dictionary.aods.size, plan.n_placements), dtype=complex)
         else:
             # Offsets from the first tone, as the FFT's bin phases are:
             # the common phase exp(-2j pi f0 delta) cancels in |.|^2.
@@ -330,7 +336,8 @@ class ScoreEngine:
     def _delay_scores(self, t):
         """(R, D) scores of the transmit-contracted rows ``t`` (F, R, K)."""
         if self._use_fft:
-            c = np.fft.ifft(t, n=self._n_fft, axis=0, norm="forward")
+            c = np.fft.ifft(t, n=self._fft_out.shape[0], axis=0,
+                            norm="forward", out=self._fft_out[:, :t.shape[1]])
             if self._q_idx is not None:
                 c = c[self._q_idx]
         else:
@@ -381,21 +388,24 @@ class ScoreEngine:
         of ``1e-9`` for rounding.  The row with the highest bound is
         scored first to seed the best score; arrival angles are then
         visited by descending best-row bound, each scoring only the rows
-        whose bound still reaches the best score so far, until the next
-        angle's bound falls below it.  Ties resolve to the lowest (aoa,
-        aod, delay) index triple, same as a flat C-order argmax of
-        :meth:`scores`.
+        whose bound still reaches the best score so far (the seed row is
+        not scored again), until the next angle's bound falls below it.
+        Ties resolve to the lowest (aoa, aod, delay) index triple, same
+        as a flat C-order argmax of :meth:`scores`.
         """
         bound = self._row_bounds(residual) * (1.0 + 1e-9)
         top = bound.max(axis=1)
         order = np.argsort(-top, kind="stable")
-        best_val, best_idx = self._score_rows(
-            residual, order[0], np.argmax(bound[order[0]], keepdims=True))
+        seed = np.argmax(bound[order[0]], keepdims=True)
+        best_val, best_idx = self._score_rows(residual, order[0], seed)
+        bound[order[0], seed] = -np.inf  # scored; its angle skips it
         for ia in order:
             if top[ia] < best_val:
                 break
-            val, idx = self._score_rows(
-                residual, ia, np.flatnonzero(bound[ia] >= best_val))
+            rows = np.flatnonzero(bound[ia] >= best_val)
+            if not rows.size:
+                continue
+            val, idx = self._score_rows(residual, ia, rows)
             if val > best_val or (val == best_val and idx < best_idx):
                 best_val, best_idx = val, idx
         return best_idx, best_val

@@ -48,6 +48,7 @@ __all__ = [
     "compose",
     "enumerate_images",
     "feasible_images",
+    "search_costs",
     "validate_path",
     "unfolded_polyline",
     "point_in_polygon",
@@ -418,6 +419,27 @@ def feasible_images(room: Room, tx_ref, rx_ref, max_order: int,
             live = _unblocked(room, *_backtrace(room, tree, rows, rx0))
             out += _image_paths(tree, rows[live], rx0, bounce_loss)
     return out
+
+
+def search_costs(room: Room, max_order: int):
+    """Running totals of the work of :func:`feasible_images`.
+
+    Yields ``(images, steps)`` after each order 0, 1, ... of the image
+    tree, until ``max_order`` or an order with no images: the candidate
+    images so far (``1 + sum_k r (r - 1)**(k - 1)`` over the ``r``
+    reflective walls) and the sequential back-trace steps, ``k`` for
+    each block of ``_BLOCK`` order-``k`` candidates.  Lazy, so a caller
+    may stop at a cap without walking a huge ``max_order``.
+    """
+    r = len(room.reflective_indices())
+    images, steps, term = 1, 0, r
+    yield images, steps
+    for order in range(1, max_order + 1):
+        if not term:
+            return
+        images, steps = images + term, steps + order * -(-term // _BLOCK)
+        term *= r - 1
+        yield images, steps
 
 
 _EPS = 1e-9

@@ -23,7 +23,7 @@ import numpy as np
 from .aperture import plan_linear_track
 from .channel import SPEED_OF_LIGHT, FrequencyGrid, image_to_rm_params
 from .errors import InvalidGeometry, ScenarioError
-from .geometry import Room, feasible_images
+from .geometry import Room, feasible_images, search_costs
 
 @dataclass(eq=False)
 class ScenarioConfig:
@@ -70,11 +70,14 @@ class ScenarioConfig:
 # before anything is allocated.
 _MAX_VALUES = 10**6
 # Largest campaign a scenario may describe: response samples (placements
-# x n_rx x transmit elements x tones) and candidate images up to
-# max_order.  Both sit far above every bundled scenario and refuse a
-# campaign that would not fit in memory before anything is built.
+# x n_rx x transmit elements x tones), and the candidate images and
+# sequential back-trace steps of the image search up to max_order (as
+# geometry.search_costs counts them).  All sit far above every bundled
+# scenario and refuse a campaign that would not fit in memory, or whose
+# image search would run for seconds, before anything is built.
 _MAX_SAMPLES = 10**8
 _MAX_IMAGES = 10**6
+_MAX_TRACE_STEPS = 10**4
 
 _OPS = {">=": ge, ">": gt, "<=": le, "<": lt}
 
@@ -371,14 +374,12 @@ def _validate_config(cfg, lines):
     if math.prod(counts.values()) > _MAX_SAMPLES:  # blame the largest count
         fail(max(counts, key=counts.get), f"campaign needs more than "
              f"{_MAX_SAMPLES} response samples")
-    # 1 + sum_i r (r - 1)**(i - 1) images over the r reflective walls,
-    # summed until the terms vanish or the total passes the cap
-    r = len(room.reflective_indices())
-    images, term, order = 1, r, 0
-    while term and images <= _MAX_IMAGES and order < cfg.max_order:
-        images, term, order = images + term, term * (r - 1), order + 1
-    if images > _MAX_IMAGES:
-        fail("max_order", f"more than {_MAX_IMAGES} candidate images")
+    for images, steps in search_costs(room, cfg.max_order):
+        if images > _MAX_IMAGES:
+            fail("max_order", f"more than {_MAX_IMAGES} candidate images")
+        if steps > _MAX_TRACE_STEPS:
+            fail("max_order", f"image search needs more than "
+                 f"{_MAX_TRACE_STEPS} sequential back-trace steps")
     seen = set()
     for group in () if cfg.subsets == "by-offset" else cfg.subsets:
         for i in group:

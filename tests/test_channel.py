@@ -1,16 +1,22 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nfchan import channel
 from nfchan.channel import (
     SPEED_OF_LIGHT as C,
     FrequencyGrid,
     PwaPathParams,
     RmPathParams,
+    ToneComb,
     alpha_from_bearings,
     aod_from_aoa,
+    comb_phasors,
     image_to_rm_params,
     path_distance_pwa,
     path_distance_rm,
@@ -244,6 +250,39 @@ class TestSynthChannel:
         ]
         assert np.array_equal(both, singles[0] + singles[1])
 
+    @pytest.mark.parametrize("chunk", [None, 1, 3, 7])
+    def test_superposition_of_many_paths(self, monkeypatch, chunk):
+        # the sum runs in chunks of paths; a chunk of 1, 3 or 7 of the
+        # 20 paths leaves a partial last chunk
+        grid = FrequencyGrid(center=10e9, bandwidth=500e6, num_tones=512)
+        if chunk:
+            monkeypatch.setattr(channel, "_SUM_CHUNK",
+                                chunk * self.rx.shape[0] * self.tx.shape[0] * 512)
+        paths = random_paths(np.random.default_rng(20), 20)
+        refs = (self.tx_ref, self.rx_ref)
+        got = synth_channel(paths, self.tx, self.rx, grid, refs)
+        want = np.zeros_like(got)
+        for p in paths:
+            want = want + synth_channel([p], self.tx, self.rx, grid, refs)
+        assert np.array_equal(got, want)
+
+    def test_peak_memory_below_half_the_path_tensor(self):
+        # 200 paths over 2 x 3 elements and 512 tones: the (L, M, N, F)
+        # phasor tensor alone would take 9.8 MB
+        grid = FrequencyGrid(center=10e9, bandwidth=500e6, num_tones=512)
+        rx = self.rx_ref + np.array([[0.0, 0.0], [0.015, 0.0]])
+        tx = self.tx_ref + np.array([[0.0, 0.0], [0.0, 0.015], [0.015, 0.0]])
+        paths = random_paths(np.random.default_rng(200), 200)
+        refs = (self.tx_ref, self.rx_ref)
+        synth_channel(paths, tx, rx, grid, refs)  # caches the level offsets
+        tracemalloc.start()
+        try:
+            synth_channel(paths, tx, rx, grid, refs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * len(paths) * 2 * 3 * 512 * 16
+
     def test_opposite_gains_cancel(self):
         p = self.paths[0]
         q = RmPathParams(-p.gain, p.tau, p.aoa, p.aod, p.parity)
@@ -298,13 +337,18 @@ def scalar_length(p, x_r, x_t, rx_ref, tx_ref, model):
 def phasor_bound(phase_max):
     """Worst gap between ``tone_phasors`` and a direct ``np.exp``.
 
-    Each side forms its phase with at most three roundings (the product
-    ``k * d``, the tone, the product with the tone), each within
-    ``eps/2`` of the phase, and the split's two phases sum to at most
-    the largest phase plus the fine one, so the phases differ by less
-    than ``3 * eps * phase_max``.  The exponentials and the product of
-    the two unit factors add a few ``eps``; ``4 * eps * (phase_max + 1)``
-    covers both.
+    Both sides share the rounded ``k * d``.  The direct side then rounds
+    the tone twice (``i * spacing``, plus the start) and the product with
+    it once, each within ``eps/2`` of a value no larger than the phase.
+    The split rounds each of its three level frequencies and their
+    products the same way: three roundings on the coarse level (which
+    holds the start), two on the mid and fine ones.  The three level
+    frequencies are nonnegative and sum to the tone, so the split's
+    roundings add up to at most ``3 * eps/2`` times the phase, as the
+    direct side's do, and the phases differ by less than ``3 * eps *
+    phase_max``.  The four exponentials and the split's two products of
+    unit factors add a few ``eps``; ``4 * eps * (phase_max + 1)`` covers
+    both.
     """
     return 4.0 * np.finfo(float).eps * (phase_max + 1.0)
 
@@ -319,6 +363,28 @@ class TestKernel:
         want = np.exp(-2j * np.pi / C * lengths[..., None] * grid.tones())
         assert got.shape == lengths.shape + (n_tones,)
         assert np.max(np.abs(got - want)) <= phasor_bound(phase.max())
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 4096),
+           start=st.one_of(st.just(0.0), st.floats(1e3, 1e11)),
+           spacing=st.floats(1e-3, 1e8),
+           lengths=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=6))
+    def test_comb_phasors_match_direct_exp(self, n, start, spacing, lengths):
+        comb = ToneComb(start, spacing, n)
+        k = -2j * np.pi / C
+        d = np.array(lengths)
+        got = comb_phasors(d, k, comb)
+        phase = np.abs(k * d[:, None] * comb.tones())
+        want = np.exp(k * d[:, None] * comb.tones())
+        assert got.shape == (d.size, n)
+        assert np.max(np.abs(got - want)) <= phasor_bound(phase.max())
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+    def test_phasors_of_no_lengths(self, shape):
+        comb = ToneComb(1e9, 1e6, 512)
+        assert comb_phasors(np.zeros(shape), -2j * np.pi / C, comb).shape == shape + (512,)
+        grid = FrequencyGrid(center=10e9, bandwidth=500e6, num_tones=128)
+        assert tone_phasors(np.zeros(shape), grid).shape == shape + (128,)
 
     def test_path_lengths_match_scalar_formula(self):
         rng = np.random.default_rng(17)

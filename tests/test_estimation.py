@@ -236,6 +236,42 @@ class TestScoreEngine:
                          grid.num_tones), dtype=complex)
         assert engine.best(zero) == ((0, 0, 0), 0.0)
 
+    def test_every_row_scored_once(self, monkeypatch):
+        # The seed row is scored alone first and left out of its angle's
+        # block: a zero residual ties every row at 0 and prunes none, so
+        # each of the A * B rows is scored exactly once.
+        grid = grid64()
+        plan = small_plan()
+        dic = DictionaryGrid(aoas=np.linspace(0.2, 1.0, 4),
+                             aods=np.linspace(-2.0, -1.0, 3),
+                             delays=fft_delay_bins(grid, 38e-9, 46e-9))
+        scored = []
+        score_rows = ScoreEngine._score_rows
+
+        def recording(engine, residual, ia, rows):
+            scored.extend((int(ia), int(r)) for r in rows)
+            return score_rows(engine, residual, ia, rows)
+
+        monkeypatch.setattr(ScoreEngine, "_score_rows", recording)
+        engine = ScoreEngine(plan, grid, dic)
+        zero = np.zeros((plan.n_placements, plan.n_rx, plan.n_tx,
+                         grid.num_tones), dtype=complex)
+        assert engine.best(zero) == ((0, 0, 0), 0.0)
+        assert engine.rows_scored == len(scored) == 4 * 3
+        assert len(set(scored)) == len(scored)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            scored.clear()
+            before = engine.rows_scored
+            residual = (rng.normal(size=zero.shape)
+                        + 1j * rng.normal(size=zero.shape))
+            idx, _ = engine.best(residual)
+            scores = engine.scores(residual)
+            assert idx == np.unravel_index(int(np.argmax(scores)),
+                                           scores.shape)
+            assert engine.rows_scored - before == len(scored)
+            assert len(set(scored)) == len(scored)
+
     def test_single_path_prunes_coarse_preset_rows(self):
         # The room-20x10 coarse sweep: every true path alone, and all
         # four together, must be found after scoring under a quarter of

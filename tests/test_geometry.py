@@ -507,6 +507,29 @@ class TestBatchedKernel:
             got = feasible_images(room, tx, rx, max_order, 0.6)
         assert [image_record(p) for p in got] == feasible
 
+    @pytest.mark.parametrize("block", [1, 3, geometry._BLOCK])
+    @pytest.mark.parametrize("max_order", [0, 1, 4])
+    @pytest.mark.parametrize("reflective", [None, [1]])
+    def test_search_costs_count_the_back_trace(self, reflective, block, max_order):
+        # every candidate is back-traced once, an order-k block in k
+        # steps; one reflective wall has no images past order 1
+        room = rect_room(reflective)
+        tx, rx = np.array([5.0, 3.0]), np.array([15.0, 6.0])
+        images = steps = 0
+        backtrace = geometry._backtrace
+
+        def counted(room, levels, rows, rx):
+            nonlocal images, steps
+            images, steps = images + len(rows), steps + len(levels) - 1
+            return backtrace(room, levels, rows, rx)
+
+        with mock.patch.object(geometry, "_BLOCK", block), \
+                mock.patch.object(geometry, "_backtrace", counted):
+            feasible_images(room, tx, rx, max_order, 0.6)
+            costs = list(geometry.search_costs(room, max_order))
+        assert len(costs) == 1 + (max_order if reflective is None else min(max_order, 1))
+        assert costs[-1] == (images, steps)
+
     def test_parallel_legs_raise_no_warning(self):
         # tx and rx share y = 3, so the LOS leg and the first legs of the
         # side-wall bounces run parallel to floor and ceiling; rx = (35, 8)

@@ -322,6 +322,25 @@ class TestCampaignCap:
                 parse_scenario(text)
             assert err.value.line == line
 
+    @pytest.mark.parametrize("max_order, parses", [(100, True),
+                                                   (1000, False)])
+    def test_back_trace_steps_on_facing_walls(self, max_order, parses):
+        # two facing walls keep two images per order, and an order-k
+        # image is back-traced in k sequential steps: order 100 takes
+        # 5050 steps, order 1000 about 5e5 (tens of seconds) on 2001
+        # images, far under the image cap
+        text = format_scenario(load_preset("room-20x10"))
+        text, _ = with_line(text, "room", "reflective", "0 2")
+        text, line = with_line(text, "measurement", "max_order",
+                               str(max_order))
+        if parses:
+            assert parse_scenario(text).max_order == max_order
+        else:
+            with pytest.raises(ScenarioError,
+                               match="max_order: .*back-trace steps") as err:
+                parse_scenario(text)
+            assert err.value.line == line
+
     def test_largest_bench_campaign_parses(self):
         # perfbench's synth-campaign: about 3.7e5 samples and 4687 images
         path = Path(__file__).resolve().parents[1] / "perfbench/workloads.py"
