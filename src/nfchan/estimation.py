@@ -46,9 +46,10 @@ below where it started.
 The sweep's argmax is an exact branch and bound over (aoa, aod) rows.
 Delay factors have unit modulus, so by Cauchy-Schwarz no score in a row
 exceeds ``F`` times the row's energy after the receive and transmit
-contractions; that energy is a quadratic form of the transmit factor in
-the per-tone Gram of the receive-contracted residual over placements,
-and one real GEMM gives it for every row.  Arrival angles are visited
+contractions.  Receive phasors have unit modulus as well, so that energy
+is the transmit-contracted residual's energy plus a cross term over
+receive-element pairs, and one real GEMM per block of tones gives the
+cross term of every row.  Arrival angles are visited
 by descending best-row bound, and only rows whose bound (widened by a
 relative ``1e-9`` for rounding) still reaches the best score so far are
 scored, so the winner, with ties going to the lowest (aoa, aod, delay)
@@ -273,7 +274,10 @@ class ScoreEngine:
     :meth:`best` only scores the (aoa, aod) rows whose upper bound
     (:meth:`_row_bounds`) can still reach the best score found so far;
     ``rows_scored`` counts the rows it has scored over the engine's
-    life.
+    life.  The bounds of all rows take one batched transmit contraction
+    and one real GEMM per block of tones, which pairs the receive
+    elements of every arrival angle with those of every departure row;
+    nothing in them runs per angle.
     """
 
     def __init__(self, plan: MeasurementPlan, grid: FrequencyGrid,
@@ -291,17 +295,6 @@ class ScoreEngine:
             .transpose(2, 0, 1))
         self.mnf = plan.n_rx * plan.n_tx * grid.num_tones
         self.rows_scored = 0
-
-        # Transmit-factor products that turn per-angle placement Grams
-        # into row bounds with one real GEMM: (B, J * F) with J = N * N
-        # reals per tone, [|w_n|^2, 2 Re(w_n w_n'*), -2 Im(w_n w_n'*)]
-        # over n < n'.
-        w = self._wt.transpose(1, 2, 0)  # (B, N, F)
-        self._pairs = np.triu_indices(plan.n_tx, 1)
-        z = 2.0 * w[:, self._pairs[0]] * w[:, self._pairs[1]].conj()
-        self._pmat = np.concatenate(
-            [w.real ** 2 + w.imag ** 2, z.real, -z.imag], axis=1
-        ).reshape(w.shape[0], -1)
 
         n_fft = 2 * grid.num_tones
         q = dictionary.delays * (2.0 * grid.bandwidth)
@@ -329,9 +322,9 @@ class ScoreEngine:
                 conj=True))
 
     def _receive(self, residual, ia):
-        """Residual contracted with the receive factor: (..., K, N, F)
-        for an arrival-angle index or slice ``ia``."""
-        return np.einsum("...kmf,kmnf->...knf", self._wr[ia], residual)
+        """Residual contracted with the receive factor of arrival angle
+        ``ia``: (K, N, F)."""
+        return np.einsum("kmf,kmnf->knf", self._wr[ia], residual)
 
     def _delay_scores(self, t):
         """(R, D) scores of the transmit-contracted rows ``t`` (F, R, K)."""
@@ -350,25 +343,43 @@ class ScoreEngine:
         """(A, B) upper bounds on every score of each (aoa, aod) row.
 
         Every delay factor has unit modulus, so by Cauchy-Schwarz over
-        tones a row's scores are at most ``F * sum_{f,k} |t[f,b,k]|^2 /
-        (M N F)``, and ``sum_k |t[f,b,k]|^2 = w^T G_f w*`` with ``G_f``
-        the N x N Gram over placements of the receive-contracted
-        residual.  The Grams are built a few angles at a time (about
-        1 MB of transients) and meet the transmit products in one GEMM.
+        tones a row's scores are at most ``sum_{f,k} |t[f,b,k]|^2 /
+        (M N)``, with ``t = sum_m wr[a,k,m,f] h[f,b,k,m]`` and ``h =
+        sum_n wt[f,b,n] res[k,m,n,f]`` the transmit side contracted
+        first (one batched matmul).  The receive phasors have unit
+        modulus too, so ``sum_{k,f} |t|^2 = D[b] + 2 Re sum_{k,m<m',f}
+        W[a,k,m,m',f] V[b,k,m,m',f]`` with ``D = sum |h|^2``, ``W =
+        wr_m conj(wr_m')`` and ``V = h_m conj(h_m')``: the cross term is
+        one real GEMM of the float views of ``conj(W)`` and ``V``.  Tones
+        go a block at a time, about 1 MB of ``h`` per block.
         """
-        k, _, n, f = residual.shape
-        a = self.dictionary.aoas.size
-        iu, ju = self._pairs
-        out = np.empty((a, self._pmat.shape[0]))
-        step = max(1, (1 << 20) // (16 * k * n * f))
-        for lo in range(0, a, step):
-            g = self._receive(residual, slice(lo, lo + step))
-            z = np.sum(g[:, :, iu] * g[:, :, ju].conj(), axis=1)
-            gram = np.concatenate(
-                [np.sum(g.real ** 2 + g.imag ** 2, axis=1), z.real, z.imag],
-                axis=1)
-            out[lo:lo + step] = gram.reshape(gram.shape[0], -1) @ self._pmat.T
-        return out / (self.plan.n_rx * n)
+        k, m, n, f = residual.shape
+        a, b = self._wr.shape[0], self._wt.shape[1]
+        r = np.ascontiguousarray(residual.reshape(k * m, n, f).T)  # (F, N, KM)
+        out = np.zeros((a, b))
+        step = max(1, (1 << 20) // (16 * b * k * m))
+        for lo in range(0, f, step):
+            h = np.matmul(self._wt[lo:lo + step], r[lo:lo + step])
+            fb = h.shape[0]
+            hv = h.view(float).reshape(fb, b, -1)
+            out += np.einsum("fbx,fbx->b", hv, hv)
+            h = h.reshape(fb, b, k, m).transpose(1, 2, 3, 0)  # (B, K, M, Fb)
+            wr = self._wr[..., lo:lo + step]
+            # The P pairs m < m', grouped by m, in V and conj(W) alike.
+            p = m * (m - 1) // 2
+            v = np.empty((b, k, p, fb), dtype=complex)
+            w = np.empty((a, k, p, fb), dtype=complex)
+            j = 0
+            for i in range(m - 1):
+                pairs = slice(j, j + m - 1 - i)
+                np.multiply(h[:, :, i:i + 1], h[:, :, i + 1:].conj(),
+                            out=v[:, :, pairs])
+                np.multiply(wr[:, :, i:i + 1].conj(), wr[:, :, i + 1:],
+                            out=w[:, :, pairs])
+                j = pairs.stop
+            out += 2.0 * (w.reshape(a, -1).view(float)
+                          @ v.reshape(b, -1).view(float).T)
+        return out / (m * n)
 
     def scores(self, residual):
         """Full (A, B, D) score tensor, the scan :meth:`best` must agree

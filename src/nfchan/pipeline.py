@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .aperture import mean_pdp, simulate_campaign
-from .channel import SPEED_OF_LIGHT, RmPathParams, unit_vector
+from .channel import SPEED_OF_LIGHT, RmPathParams, unit_vector, wrap_angle
 from .errors import (
     DegenerateTriangulation,
     EmptyChannel,
@@ -118,6 +118,20 @@ def _fold_setup(plan, room):
     return axis, float(side)
 
 
+def _unfold(result, axis, side):
+    """Reflect, in place, every path arrival angle that points away from
+    the chosen side of a collinear track to its mirror about the track
+    axis, ``2 phi - aoa``.  The two give the same atom, so gains and
+    residual hold; the polish can slide a pick across the fold, and only
+    the interior-facing one of the pair can yield bearings."""
+    aoas = np.array([p.aoa for p in result.paths])
+    away = np.flatnonzero(~_facing(aoas, axis, side))
+    if away.size:
+        phi = math.atan2(axis[1], axis[0])
+        for j in away:
+            result.paths[j].aoa = float(wrap_angle(2.0 * phi - aoas[j]))
+
+
 def _pdp_delay_support(mset, cfg):
     pdp = mean_pdp(mset, window="hann")
     peaks = detect_paths_pdp(pdp, threshold_db=cfg.detect_threshold_db,
@@ -182,7 +196,9 @@ def extract_paths(mset, cfg, room=None):
     literally; an axis without one sweeps the full circle in 3-degree
     (arrival) or 6-degree (departure) steps.  The sweep polishes every
     pick off the grid, so no finer grid follows; the refinement then
-    polishes all paths jointly within one degree.  The stages run on
+    polishes all paths jointly within one degree.  On a collinear track
+    a path whose arrival angle ended up facing away from the room is
+    reflected to its mirror (:func:`_unfold`).  The stages run on
     responses scaled by a power of two (:func:`_unit_scale`); gains come
     back in input units, energies at that scale with its exponent
     (:meth:`ExtractionResult.input_energy` converts them).
@@ -209,6 +225,7 @@ def extract_paths(mset, cfg, room=None):
                                    aod_step=np.deg2rad(FINE_STEP_DEG),
                                    passes=cfg.refine_passes)
         timing["refine"] = time.perf_counter() - t0
+    _unfold(result, axis, side)
     _to_input_units(result, e)
     return result, (axis, side), timing
 

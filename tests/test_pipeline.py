@@ -19,11 +19,11 @@ from nfchan.errors import (DegenerateTriangulation, InvalidGeometry,
 from nfchan.estimation import (DictionaryGrid, ExtractionResult,
                                ScoreEngine, fft_delay_bins, omp_extract)
 from nfchan.geometry import wrap_angle
-from nfchan.pipeline import (_fold_setup, collinear_axis, extract_paths,
-                             run_estimate, run_evaluate, run_heatmap,
-                             run_synth, subset_bearings, subset_groups,
-                             sweep_runs, sweep_values)
-from nfchan.scenario import build_room, load_preset
+from nfchan.pipeline import (_facing, _fold_setup, collinear_axis,
+                             extract_paths, run_estimate, run_evaluate,
+                             run_heatmap, run_synth, subset_bearings,
+                             subset_groups, sweep_runs, sweep_values)
+from nfchan.scenario import build_plan, build_room, load_preset
 
 WL = C / 10e9
 TX3 = WL / 2 * np.array(
@@ -318,6 +318,20 @@ class TestCollinearFold:
                                       delay_origin=ext.delay_origin)
             got = subset_bearings(mset, result, quick_cfg, fold)
             assert len(got[0]) == want
+
+    def test_polished_pick_unfolds_to_interior(self):
+        # At 0 dB, seed 3, the sweep's polish slides one pick across the
+        # track line to -8 degrees, where no subset bearing faces the
+        # room.  Its mirror about the track axis is the same atom, so
+        # extraction reflects it back (+8 degrees) and it triangulates.
+        cfg = replace(load_preset("room-20x10-fs1ghz"), snr_db=0.0, seed=3)
+        rep = run_evaluate(cfg)
+        axis, side = _fold_setup(build_plan(cfg), build_room(cfg))
+        aoas = np.array([p.aoa for p in rep.paths])
+        assert axis is not None and side != 0.0
+        assert np.all(_facing(aoas, axis, side))
+        assert np.any(np.abs(aoas - np.deg2rad(8.0)) < 1e-9)
+        assert all(len(b) >= cfg.min_bearings for b in rep.bearings)
 
 
 class TestDatasetRebind:
