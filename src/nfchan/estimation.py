@@ -41,7 +41,9 @@ factor; that one build gives the score and its closed-form first and
 second derivatives, since the factor's derivatives are the factor times
 ``2j pi f tau'`` and its square.  A safeguarded Newton ascent inside one
 grid step climbs the score in about three evaluations and never ends
-below where it started.
+below where it started.  The polish runs S independent problems (one
+per placement subset) in lockstep on one stacked placement axis, so S
+problems pay one call's overhead; the sweep is the case S = 1.
 
 The sweep's argmax is an exact branch and bound over (aoa, aod) rows.
 Delay factors have unit modulus, so by Cauchy-Schwarz no score in a row
@@ -85,6 +87,8 @@ _PARALLEL_TOL = 1e-6
 # fraction of its window, or after this many steps.
 _NEWTON_TOL = 1e-7
 _NEWTON_MAX_STEPS = 30
+# An angle and the angle whose unit vector is its derivative.
+_QUARTER_TURN = np.array([0.0, np.pi / 2])
 
 
 @dataclass(eq=False)
@@ -401,8 +405,14 @@ class ScoreEngine:
         visited by descending best-row bound, each scoring only the rows
         whose bound still reaches the best score so far (the seed row is
         not scored again), until the next angle's bound falls below it.
-        Ties resolve to the lowest (aoa, aod, delay) index triple, same
-        as a flat C-order argmax of :meth:`scores`.
+        Ties between equal scores resolve to the lowest (aoa, aod,
+        delay) index triple, as in a flat C-order argmax of
+        :meth:`scores`.  Distinct (aoa, aod) rows can be the same atom,
+        as every aod row is with one transmit element; their scores tie
+        only in exact arithmetic, and since the delay contraction rounds
+        differently in the seed row's block than in the rest of its
+        angle's block, a later row can win such a tie by an ulp.  No
+        bundled preset has one transmit element.
         """
         bound = self._row_bounds(residual) * (1.0 + 1e-9)
         top = bound.max(axis=1)
@@ -503,18 +513,95 @@ def _package(raw, gains, selections, history):
                             delay_origin=float(origin))
 
 
-def _line_score(plan, comb, factors, coord, peeled):
-    """Energy an atom captures from ``peeled`` as one coordinate moves.
+class _PolishBatch:
+    """S independent polish problems stacked on one placement axis.
 
-    ``factors`` holds the atom's three conjugated factors ``[r, t, e]``
-    (:func:`_atom_factor` with ``conj=True``, in the coordinate order
-    [aoa, aod, delay]); ``factors[coord]`` is not read.  Returns
-    ``score(x)``, the triple ``(s, s', s'')`` in ``x`` of ``s = sum_k
-    |c_k|^2 / (M N F)`` with ``c_k = <atom_k, peeled_k>`` of that atom
+    Problem ``s`` is ``data[s]`` (K_s, M, N, F) measured on ``plans[s]``;
+    the plans share their transmit elements, transmit reference and
+    receive array size.  Every problem is padded to ``kmax``, the
+    largest K_s, with zero-data placements at the positions of its
+    first placement, and the stacked data ``y`` is (S * kmax, M, N, F),
+    problem-major.  A zero-data placement's gains solve to exactly zero
+    and its residual is zero, so it adds nothing to any score or gain.
+
+    A path's conjugated factors ``[r, t, e]`` are stacked the same way:
+    ``r`` (S * kmax, M, F), each placement against its own problem's
+    receive reference, ``t`` (S, N, F) and ``e`` (S, F).
+    """
+
+    def __init__(self, plans, data):
+        self.size = len(plans)
+        self.counts = [len(d) for d in data]
+        self.kmax = max(self.counts)
+        self.tx = plans[0].tx_positions - plans[0].tx_ref  # (N, 2)
+        rx = [p.rx_positions - p.rx_ref for p in plans]
+        if self.size == 1:  # nothing to pad: the data is used as it is
+            self.rx, self.y = rx[0][None], np.asarray(data[0])
+            return
+        self.rx = np.stack([
+            np.concatenate([d, np.repeat(d[:1], self.kmax - len(d), axis=0)])
+            for d in rx])
+        self.y = np.zeros((self.size * self.kmax,) + data[0].shape[1:],
+                          dtype=complex)
+        for s, d in enumerate(data):
+            self.y[s * self.kmax:s * self.kmax + len(d)] = d
+
+    def delay(self, coord, x, idx):
+        """Delays ``tau`` of one factor (see :func:`_factor_delay`) of
+        problems ``idx`` at values ``x`` (n, X), row i against problem
+        ``idx[i]``'s elements: (n, X, kmax, M) for the receive factor,
+        (n, X, N) for the transmit factor, ``x`` for the delay factor."""
+        if coord == 2:
+            return x
+        u = unit_vector(x)  # (n, X, 2)
+        if coord == 1:
+            # one small product per problem: the bits of a one-problem
+            # call, which a single product over all rows need not give
+            return u @ self.tx.T / -SPEED_OF_LIGHT
+        disp = self.rx if len(idx) == self.size else self.rx[idx]
+        proj = u @ disp.reshape(disp.shape[0], -1, 2).transpose(0, 2, 1)
+        return proj.reshape(x.shape + disp.shape[1:-1]) / -SPEED_OF_LIGHT
+
+    def factor(self, coord, x, comb):
+        """Conjugated factor ``coord`` of every problem at values ``x``
+        (S,), in the stacked shapes of the class docstring."""
+        tau = self.delay(coord, x[:, None], range(self.size))[:, 0]
+        phi = _phase_factor(-tau, comb)
+        return phi.reshape((-1,) + phi.shape[2:]) if coord == 0 else phi
+
+    def atom(self, factors):
+        """The (S * kmax, M, N, F) atom of conjugated stacked factors, the
+        same bits as :func:`response_atom` on each problem's plan."""
+        r, t, e = factors
+        k, m, f = r.shape
+        r = r.reshape(self.size, -1, m, 1, f)
+        atom = (e[:, None, None, None, :] * r * t[:, None, None]).conj()
+        return atom.reshape(k, m, t.shape[1], f)
+
+    def split(self, params, gains, residual):
+        """Per-problem (params, gains, residual) lists, pads dropped."""
+        residual = residual.reshape(
+            (self.size, self.kmax) + residual.shape[1:])
+        cuts = [(s * self.kmax, s * self.kmax + k)
+                for s, k in enumerate(self.counts)]
+        return (params.tolist(), [gains[:, a:b] for a, b in cuts],
+                [residual[s, :k] for s, k in enumerate(self.counts)])
+
+
+def _line_score(batch, comb, factors, coord, peeled):
+    """Energy an atom captures from ``peeled`` as one coordinate moves,
+    in each problem of a :class:`_PolishBatch`.
+
+    ``factors`` holds the atom's three conjugated stacked factors ``[r,
+    t, e]`` (:meth:`_PolishBatch.factor`, in the coordinate order [aoa,
+    aod, delay]); ``factors[coord]`` is not read.  Returns ``score(x,
+    idx)``: for problems ``idx`` at values ``x`` (n,), the arrays ``(s,
+    s', s'')`` in ``x`` of ``s = sum_k |c_k|^2 / (M N F)`` over the
+    problem's placements, with ``c_k = <atom_k, peeled_k>`` of that atom
     with coordinate ``coord`` moved to ``x``.  The two fixed factors are
     contracted with ``peeled`` once, so each call builds only the moving
     factor, through :func:`_phase_factor` on the tone comb ``comb``: K*M,
-    N or 1 delays for the aoa, the aod and the delay.
+    N or 1 delays per problem for the aoa, the aod and the delay.
 
     The conjugated moving factor is ``phi = exp(2j pi f tau(x))``, so
     ``phi' = 2j pi f tau' phi`` and ``phi'' = (2j pi f tau'' + (2j pi f
@@ -525,112 +612,155 @@ def _line_score(plan, comb, factors, coord, peeled):
     Re sum_k conj(c_k) c'_k / (M N F)``, ``s'' = 2 sum_k (|c'_k|^2 + Re
     conj(c_k) c''_k) / (M N F)``.
     """
-    k, m, n, f = peeled.shape
+    kt, m, n, f = peeled.shape
     mnf = m * n * f
     r, t, e = factors
+    s, kmax = batch.size, batch.kmax
     if coord == 0:
-        h = np.einsum("nf,kmnf->kmf", t * e, peeled)
+        h = np.einsum("snf,skmnf->skmf", t * e[:, None],
+                      peeled.reshape(s, kmax, m, n, f))
     elif coord == 1:
-        h = np.einsum("kmf,kmnf->knf", r * e, peeled)
+        re = r.reshape(s, kmax, m, f) * e[:, None, None]
+        h = np.einsum("kmf,kmnf->knf", re.reshape(kt, m, f), peeled)
     else:
-        h = np.einsum("nf,knf->kf", t, np.einsum("kmf,kmnf->knf", r, peeled))
+        h = np.einsum("snf,sknf->skf", t,
+                      np.einsum("kmf,kmnf->knf", r, peeled)
+                      .reshape(s, kmax, n, f))
+    h = h.reshape(s, kmax, -1, f)  # (S, kmax, R, F)
     freqs = comb.tones()
     powers = np.stack([np.ones(f), freqs, freqs * freqs], axis=1).astype(complex)
 
-    def score(x):
+    def score(x, idx):
+        hx = h if len(idx) == s else h[idx]
         if coord == 2:
-            tau, dtau = x, 1.0
+            tau, dtau = x[:, None, None], 1.0
         else:
             # u'(x) = u(x + pi/2): tau and tau' from one projection
-            tau, dtau = _factor_delay(plan, coord, [x, x + np.pi / 2])
-        p = (_phase_factor(-tau, comb) * h).reshape(k, -1, f)
-        q = p @ powers  # (K, R, 3) tone moments
+            both = batch.delay(coord, x[:, None] + _QUARTER_TURN, idx)
+            tau, dtau = both[:, 0], both[:, 1]
+            if coord == 1:  # shared by the problem's placements
+                tau, dtau = tau[:, None], dtau[:, None]
+        p = (_phase_factor(-tau, comb) * hx).reshape(-1, hx.shape[2], f)
+        q = (p @ powers).reshape(hx.shape[:3] + (3,))  # (n, kmax, R, 3)
         d1 = 2j * np.pi * dtau
         d2 = 0.0 if coord == 2 else -2j * np.pi * tau
-        c0 = q[..., 0].sum(axis=1)
-        c1 = (d1 * q[..., 1]).sum(axis=1)
-        c2 = (d2 * q[..., 1] + d1 * d1 * q[..., 2]).sum(axis=1)
-        return (float(np.sum(c0.real ** 2 + c0.imag ** 2)) / mnf,
-                2.0 * float(np.sum((c0.conj() * c1).real)) / mnf,
-                2.0 * float(np.sum(c1.real ** 2 + c1.imag ** 2
-                                   + (c0.conj() * c2).real)) / mnf)
+        c0 = q[..., 0].sum(axis=-1)
+        c1 = (d1 * q[..., 1]).sum(axis=-1)
+        c2 = (d2 * q[..., 1] + d1 * d1 * q[..., 2]).sum(axis=-1)
+        return ((c0.real ** 2 + c0.imag ** 2).sum(axis=1) / mnf,
+                2.0 * (c0.conj() * c1).real.sum(axis=1) / mnf,
+                2.0 * (c1.real ** 2 + c1.imag ** 2
+                       + (c0.conj() * c2).real).sum(axis=1) / mnf)
 
     return score
 
 
 def _newton_ascent(score, center, step):
-    """Safeguarded Newton ascent of ``score`` inside ``center +- step``.
+    """Safeguarded Newton ascents of independent problems in lockstep,
+    each of its ``score`` inside its ``center +- step``.
 
-    From the current point, a Newton step on ``(s, s', s'')`` when
-    ``s'' < 0``, else a step to the window's edge in the direction of
-    ``s'``; the target is clamped to the window and the step halved
-    until the score is not worse.  Starting at ``center`` and moving
-    only uphill, it never returns a point scoring below ``center``.
-    Stops once a step would move less than ``_NEWTON_TOL * step``.
+    ``score(x, idx)`` gives ``(s, s', s'')`` of the problems listed in
+    ``idx`` at the points ``x``, arrays or scalars that broadcast to
+    ``x``; ``center`` and ``step`` broadcast to the problems' shape,
+    which the result takes (a scalar center is one problem).  The
+    control runs per problem on Python floats, and only the scoring is
+    batched.  Each problem on its own: from its current point, a Newton
+    step on ``(s, s', s'')`` when ``s'' < 0``, else a step to its
+    window's edge in the direction of ``s'``; the target is clamped to
+    the window and the step halved until the score is not worse.
+    Starting at ``center`` and moving only uphill, it never returns a
+    point scoring below ``center``.  A problem stops once its step would
+    move less than ``_NEWTON_TOL * step`` and is scored no further, so
+    each returns exactly what it would alone.
     """
-    lo, hi = center - step, center + step
-    tol = _NEWTON_TOL * step
-    x = center
-    s, d1, d2 = score(x)
+    shape = np.shape(center)
+    x = np.ravel(center).astype(float).tolist()
+    step = np.full(len(x), step).tolist()
+    lo = [c - w for c, w in zip(x, step)]
+    hi = [c + w for c, w in zip(x, step)]
+    tol = [_NEWTON_TOL * w for w in step]
+
+    def scored(idx, at):
+        """Per-problem triples (s, s', s'') at points ``at``."""
+        out = [np.asarray(v, dtype=float) for v in score(np.array(at), idx)]
+        return zip(*(v.tolist() if v.ndim else [float(v)] * len(idx)
+                     for v in out))
+
+    live = list(range(len(x)))
+    state = list(scored(live, x))
+    dx = [0.0] * len(x)
     for _ in range(_NEWTON_MAX_STEPS):
-        target = x - d1 / d2 if d2 < 0 else (hi if d1 > 0 else lo)
-        dx = min(max(target, lo), hi) - x
-        while abs(dx) > tol:
-            trial = score(x + dx)
-            if trial[0] >= s:
-                break
-            dx /= 2.0
-        if abs(dx) <= tol:
+        for i in live:
+            _, d1, d2 = state[i]
+            target = x[i] - d1 / d2 if d2 < 0 else (hi[i] if d1 > 0 else lo[i])
+            dx[i] = min(max(target, lo[i]), hi[i]) - x[i]
+        search = [i for i in live if abs(dx[i]) > tol[i]]
+        while search:
+            trials = scored(search, [x[i] + dx[i] for i in search])
+            halved = []
+            for i, trial in zip(search, trials):
+                if trial[0] >= state[i][0]:
+                    x[i] += dx[i]
+                    state[i] = trial
+                else:
+                    dx[i] /= 2.0
+                    if abs(dx[i]) > tol[i]:
+                        halved.append(i)
+            search = halved
+        live = [i for i in live if abs(dx[i]) > tol[i]]
+        if not live:
             break
-        x += dx
-        s, d1, d2 = trial
-    return x
+    return np.array(x).reshape(shape)[()]
 
 
-def _cyclic_polish(plan, grid, params, data, steps, passes):
-    """Cyclic coordinate ascent of every path against its peeled residual.
+def _cyclic_polish(plans, grid, params, data, steps, passes):
+    """Cyclic coordinate ascent of every path against its peeled
+    residual, in S independent problems at once.
 
-    ``params`` is a list of [aoa, aod, raw_delay] triples, modified in
-    place.  Each path in turn is peeled out of the running residual
-    (``residual + atom_j * gains_j``), then each coordinate climbs its
-    separable score (:func:`_line_score`) by a safeguarded Newton ascent
-    inside +-1 step (:func:`_newton_ascent`), which never ends below the
-    current value.  Gains are refit jointly after every path update, so
-    the joint residual is non-increasing.
+    Problem ``s`` fits ``params[s]``, a list of L [aoa, aod, raw_delay]
+    triples (L the same in every problem), to ``data[s]`` (K_s, M, N, F)
+    measured on ``plans[s]``; the plans share their transmit elements.
+    The problems run in lockstep on one stacked placement axis
+    (:class:`_PolishBatch`): problems of fewer placements are padded
+    with zero-data placements, which add nothing to any score or gain.
+    Each path in turn is peeled out of the running residual (``residual
+    + atom_j * gains_j``), then each coordinate climbs its separable
+    score (:func:`_line_score`) by safeguarded Newton ascents inside +-1
+    step (:func:`_newton_ascent`), one per problem, each of which never
+    ends below the current value.  Gains are refit after every path
+    update, every placement of every problem in one batch, so each
+    problem's joint residual is non-increasing.  A problem's results
+    are those of the same call on that problem alone; the sweep and its
+    refinement are the ``S = 1`` case.
 
     Each path keeps its three conjugated factors; a factor is rebuilt
-    only when the ascent moved its coordinate, and the path's atom is
+    only when an ascent moved its coordinate, and the path's atom is
     the conjugate of their product, the same bits as
     :func:`response_atom`.
 
-    Returns (params, gains, residual).
+    Returns (params, gains, residuals), lists over the problems of L
+    triples, (L, K_s) gains and (K_s, M, N, F) residuals.
     """
     comb = grid.comb
-    factors = [[_atom_factor(plan, c, p[c], comb, conj=True) for c in range(3)]
-               for p in params]
-    stack = np.stack([_conj_atom(fac) for fac in factors])
-    gains, residual = per_placement_lsq(stack, data)
+    batch = _PolishBatch(plans, data)
+    p = np.array(params, dtype=float).reshape(batch.size, -1, 3)
+    factors = [[batch.factor(c, p[:, j, c], comb) for c in range(3)]
+               for j in range(p.shape[1])]
+    stack = np.stack([batch.atom(fac) for fac in factors])
+    gains, residual = per_placement_lsq(stack, batch.y)
     for _ in range(max(passes, 0)):
         for j, fac in enumerate(factors):
             peeled = residual + stack[j] * gains[j][:, None, None, None]
             for coord in range(3):
                 if steps[coord] > 0:
-                    score = _line_score(plan, comb, fac, coord, peeled)
-                    x = float(_newton_ascent(score, params[j][coord],
-                                             steps[coord]))
-                    if x != params[j][coord]:
-                        fac[coord] = _atom_factor(plan, coord, x, comb,
-                                                  conj=True)
-                    params[j][coord] = x
-            stack[j] = _conj_atom(fac)
-            gains, residual = per_placement_lsq(stack, data)
-    return params, gains, residual
-
-
-def _conj_atom(factors):
-    """The (K, M, N, F) atom of conjugated factors ``[r, t, e]``."""
-    r, t, e = factors
-    return (e * r[:, :, None, :] * t).conj()
+                    score = _line_score(batch, comb, fac, coord, peeled)
+                    x = _newton_ascent(score, p[:, j, coord], steps[coord])
+                    if np.any(x != p[:, j, coord]):
+                        fac[coord] = batch.factor(coord, x, comb)
+                    p[:, j, coord] = x
+            stack[j] = batch.atom(fac)
+            gains, residual = per_placement_lsq(stack, batch.y)
+    return batch.split(p, gains, residual)
 
 
 def _energy(x):
@@ -706,9 +836,9 @@ def omp_extract(mset: MeasurementSet, dictionary: DictionaryGrid,
             (dictionary.aoas, dictionary.aods, dictionary.delays), idx)]
         if picked in params:
             break
-        trial, new_gains, new_residual = _cyclic_polish(
-            plan=mset.plan, grid=mset.grid,
-            params=[list(p) for p in params] + [picked], data=data,
+        ([trial], [new_gains], [new_residual]) = _cyclic_polish(
+            plans=[mset.plan], grid=mset.grid,
+            params=[params + [picked]], data=[data],
             steps=steps, passes=polish_passes)
         new_energy = _energy(new_residual)
         if new_energy >= history[-1] * (1.0 - 1e-12):
@@ -741,8 +871,9 @@ def refine_extraction(mset: MeasurementSet, result: ExtractionResult,
               for p in result.paths]
     if not params:
         return result
-    params, gains, residual = _cyclic_polish(
-        plan=mset.plan, grid=mset.grid, params=params, data=mset.responses,
+    ([params], [gains], [residual]) = _cyclic_polish(
+        plans=[mset.plan], grid=mset.grid, params=[params],
+        data=[mset.responses],
         steps=(aoa_step, aod_step, 1.0 / (2.0 * mset.grid.bandwidth)),
         passes=passes)
     history = [result.input_energy(x) for x in result.residual_history]

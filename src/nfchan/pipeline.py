@@ -260,12 +260,16 @@ def subset_bearings(mset, result, cfg, fold_info=(None, 0.0)):
     delay shifts by the track-motion projection onto the arrival
     direction, and the bearing re-aims at the implied source point seen
     from the subset centroid.  :data:`SUBSET_POLISH_PASSES` cyclic
-    passes (:func:`~nfchan.estimation._cyclic_polish`) then move each
-    coordinate within +-:data:`SUBSET_WINDOW_DEG` degrees or
-    +-:data:`SUBSET_PAD_HALFBINS` half-bins per pass, so polished path j
-    is path j and no matching is needed.  On a collinear track a bearing
-    that turns away from the room interior is dropped, as the sweep's
-    fold would drop it.  Returns one list of bearings per global path.
+    passes then move each coordinate within +-:data:`SUBSET_WINDOW_DEG`
+    degrees or +-:data:`SUBSET_PAD_HALFBINS` half-bins per pass, so
+    polished path j is path j and no matching is needed.  All subsets
+    polish in one lockstep call of
+    :func:`~nfchan.estimation._cyclic_polish`, one problem per subset,
+    each about its own centroid; explicit subsets of unequal size are
+    padded with zero-data placements, which change no subset's
+    result.  On a collinear track a bearing that turns away from the
+    room interior is dropped, as the sweep's fold would drop it.
+    Returns one list of bearings per global path.
     """
     plan, grid = mset.plan, mset.grid
     axis, side = fold_info
@@ -275,21 +279,24 @@ def subset_bearings(mset, result, cfg, fold_info=(None, 0.0)):
     bearings = [[] for _ in paths]
     if not paths:
         return bearings
-    for idx in subset_groups(plan, cfg):
-        sub = plan.subset(idx)
+    groups = subset_groups(plan, cfg)
+    subs = [plan.subset(idx) for idx in groups]
+    seeds = []
+    for sub in subs:
         shift = sub.rx_ref - plan.rx_ref
-        seeds = []
+        seeds.append([])
         for p in paths:
             draw = p.delta + result.delay_origin
             dsub = draw - float(unit_vector(p.aoa) @ shift) / SPEED_OF_LIGHT
             v = image_from_polar(plan.rx_ref, p.aoa, draw) - sub.rx_ref
-            seeds.append([math.atan2(v[1], v[0]), p.aod, dsub])
-        params, gains, _ = _cyclic_polish(sub, grid, seeds,
-                                          mset.responses[idx], steps,
-                                          SUBSET_POLISH_PASSES)
-        aoas = np.array([aoa for aoa, _, _ in params])
+            seeds[-1].append([math.atan2(v[1], v[0]), p.aod, dsub])
+    params, gains, _ = _cyclic_polish(subs, grid, seeds,
+                                      [mset.responses[idx] for idx in groups],
+                                      steps, SUBSET_POLISH_PASSES)
+    for sub, sub_params, sub_gains in zip(subs, params, gains):
+        aoas = np.array([aoa for aoa, _, _ in sub_params])
         for j in np.flatnonzero(_facing(aoas, axis, side)):
-            strength = float(np.sum(np.abs(gains[j]) ** 2))
+            strength = float(np.sum(np.abs(sub_gains[j]) ** 2))
             bearings[j].append(Bearing(position=sub.rx_ref, angle=aoas[j],
                                        weight=max(strength, 1e-30)))
     return bearings

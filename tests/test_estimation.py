@@ -40,7 +40,7 @@ from nfchan.estimation import (
     response_atom,
     triangulate,
 )
-from nfchan.estimation import (_atom_factor, _cyclic_polish, _line_score,
+from nfchan.estimation import (_PolishBatch, _cyclic_polish, _line_score,
                                _newton_ascent, _noise_energy, _phase_factor,
                                _plane_delay)
 from nfchan.pipeline import (
@@ -388,10 +388,13 @@ class TestPlaneDelay:
             assert np.array_equal(got, want)
 
 
-def conj_factors(plan, comb, params):
-    """The conjugated [r, t, e] factors :func:`_line_score` takes."""
-    return [_atom_factor(plan, c, params[c], comb, conj=True)
-            for c in range(3)]
+def line_score(plan, comb, params, coord, data):
+    """:func:`_line_score` of one problem at ``params``, as a scalar
+    function returning the float triple (s, s', s'')."""
+    batch = _PolishBatch([plan], [data])
+    factors = [batch.factor(c, np.array([params[c]]), comb) for c in range(3)]
+    score = _line_score(batch, comb, factors, coord, batch.y)
+    return lambda x: tuple(float(v[0]) for v in score(np.array([x]), [0]))
 
 
 class TestLineScore:
@@ -407,9 +410,7 @@ class TestLineScore:
         offsets = {0: (-0.017, 0.004, 0.029), 1: (-0.031, 0.011, 0.022),
                    2: (-0.61e-9, 0.13e-9, 0.83e-9)}
         for coord, deltas in offsets.items():
-            score = _line_score(plan, grid.comb,
-                                conj_factors(plan, grid.comb, params), coord,
-                                m.responses)
+            score = line_score(plan, grid.comb, params, coord, m.responses)
             for dx in deltas:
                 trial = list(params)
                 trial[coord] += dx
@@ -431,9 +432,7 @@ class TestLineScore:
                   2: (-0.61e-9, 0.83e-9)}
         widths = {0: 1e-3, 1: 1e-3, 2: 1e-11}
         for coord, deltas in points.items():
-            score = _line_score(plan, grid.comb,
-                                conj_factors(plan, grid.comb, params), coord,
-                                m.responses)
+            score = line_score(plan, grid.comb, params, coord, m.responses)
             h = widths[coord]
             for dx in deltas:
                 x = params[coord] + dx
@@ -522,8 +521,8 @@ class TestPolish:
                  for j, p in enumerate(paths)]
         atoms = np.stack([response_atom(plan, grid, *q) for q in start])
         before = np.sum(np.abs(per_placement_lsq(atoms, m.responses)[1]) ** 2)
-        params, _, residual = _cyclic_polish(
-            plan, grid, [list(q) for q in start], m.responses, steps, 1)
+        [params], _, [residual] = _cyclic_polish(
+            [plan], grid, [[list(q) for q in start]], [m.responses], steps, 1)
         assert np.sum(np.abs(residual) ** 2) <= before * (1 + 1e-12)
         for old, new in zip(start, params):
             for c in range(3):
@@ -541,8 +540,8 @@ class TestPolish:
         steps = (np.deg2rad(3.0), np.deg2rad(6.0), 1.0 / (2 * grid.bandwidth))
         start = [[p.aoa + 0.4 * steps[0], p.aod - 0.3 * steps[1],
                   p.tau + 0.2 * steps[2]] for p in paths]
-        params, gains, residual = _cyclic_polish(
-            plan, grid, [list(q) for q in start], m.responses, steps, 2)
+        [params], [gains], [residual] = _cyclic_polish(
+            [plan], grid, [[list(q) for q in start]], [m.responses], steps, 2)
         assert all(new[c] != old[c] for old, new in zip(start, params)
                    for c in range(3))
         atoms = np.stack([response_atom(plan, grid, *q) for q in params])
@@ -571,6 +570,30 @@ class TestPolish:
             return np.cos(3 * x), -3 * np.sin(3 * x), -9 * np.cos(3 * x)
 
         assert abs(_newton_ascent(score, 0.4, 1.0)) < 1e-7
+
+    def test_newton_ascent_lockstep_matches_one_problem(self):
+        # the three scores above, each with its own center and step, in
+        # one lockstep ascent: problems stop at different steps, and each
+        # must end exactly where its one-problem ascent ends
+        scores = [lambda x: (-(x - 3.0) ** 2, -2.0 * (x - 3.0), -2.0),
+                  lambda x: (x * x, 2.0 * x, 2.0),
+                  lambda x: (np.cos(3 * x), -3 * np.sin(3 * x),
+                             -9 * np.cos(3 * x))]
+        centers, steps = [0.5, -0.2, 0.4], [1.0, 0.7, 0.9]
+        called = []
+
+        def batched(x, idx):
+            called.append(list(idx))
+            return np.array([np.broadcast_to(scores[i](v), 3)
+                             for i, v in zip(idx, x)]).T
+
+        got = _newton_ascent(batched, np.array(centers), np.array(steps))
+        want = [_newton_ascent(lambda x, *_, f=f: f(x), c, w)
+                for f, c, w in zip(scores, centers, steps)]
+        assert got.tolist() == want
+        # every problem is scored at its center, then only while it moves
+        assert called[0] == [0, 1, 2]
+        assert any(len(idx) < 3 for idx in called)
 
 
 class TestOmpExtract:
