@@ -28,10 +28,12 @@ correlates the delay axis either with one GEMM against the dictionary's
 own delays or, for delays on the half-bin comb that are dense enough
 for a fixed cost rule on the dictionary shape, with a zero-padded
 inverse FFT over every bin.  The FFT is unnormalized, so its bins are
-the correlations themselves, read in place when the dictionary holds
-every bin.  Every factor is built by the three-level tone split that
-synthesis uses (:func:`~nfchan.channel.comb_phasors`), so a delay costs
-``A + M + B`` exponentials instead of ``F``.
+the correlations themselves.  It runs in place in a buffer the block's
+rows were written into, batched over lines by ``scipy.fft``, and the
+scores are squared and summed on every bin before the dictionary's
+bins are picked out.  Every factor is built by the three-level tone
+split that synthesis uses (:func:`~nfchan.channel.comb_phasors`), so a
+delay costs ``A + M + B`` exponentials instead of ``F``.
 
 The off-grid polish moves one coordinate of one path at a time.  Each
 path keeps its three factors, and a factor is built again only when its
@@ -55,12 +57,15 @@ cross term of every row.  Arrival angles are visited
 by descending best-row bound, and only rows whose bound (widened by a
 relative ``1e-9`` for rounding) still reaches the best score so far are
 scored, so the winner, with ties going to the lowest (aoa, aod, delay)
-index triple, is the full scan's.
+index triple, is the full scan's.  Rows that repeat a lower row's
+receive or transmit factor are the same atoms and are never scored, so
+such a tie does not depend on rounding.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .aperture import MeasurementPlan, MeasurementSet, Pdp, _window
 from .channel import (
@@ -247,18 +252,29 @@ def _atom_factor(plan, coord, value, comb, conj=False):
     return _phase_factor(-tau if conj else tau, comb)
 
 
+def _repeats(tau):
+    """Which rows of ``tau`` equal a lower-index row.  ``np.unique``
+    compares rows by value, element by element, so -0.0 equals 0.0."""
+    rep = np.ones(len(tau), dtype=bool)
+    first = np.unique(tau.reshape(len(tau), -1), axis=0, return_index=True)[1]
+    rep[first] = False
+    return rep
+
+
 def _fft_beats_gemm(n_tones, n_delays):
     """Cost rule for the delay axis of a sweep block.
 
     Per (aod, placement) row, a GEMM against the (D, F) delay matrix
     costs F * D multiply-adds whatever the comb, while the zero-padded
-    FFT over ``2F`` bins costs about ``12 * 2F * log2(2F)`` whatever D.
-    The constant 12 puts the switch at D > 24 log2(2F) (192 delays at
-    F = 128, 240 at F = 512), where the two measured block times cross
-    on a single-threaded OpenBLAS x86-64 host.
+    FFT over ``2F`` bins costs about ``6 * 2F * log2(2F)`` whatever D.
+    The constant 6 puts the switch at D > 12 log2(2F): 96 delays at
+    F = 128, where the two block times of :meth:`ScoreEngine._score_rows`
+    cross on a single-threaded OpenBLAS x86-64 host, and 120 at
+    F = 512, where they cross near 140 and the FFT is at most a few
+    percent slower in between.
     """
     n_fft = 2 * n_tones
-    return n_tones * n_delays > 12 * n_fft * np.log2(n_fft)
+    return n_tones * n_delays > 6 * n_fft * np.log2(n_fft)
 
 
 class ScoreEngine:
@@ -270,18 +286,25 @@ class ScoreEngine:
     delay axis is a GEMM against the dictionary's own delays, or, when
     every delay sits on the half-bin comb and :func:`_fft_beats_gemm`
     says so, a zero-padded inverse FFT over all ``2F`` bins
-    (``_use_fft``).  That FFT is unnormalized (``norm="forward"``), so
-    its bins need no rescale; they are gathered only when the
-    dictionary holds fewer than ``2F`` delays.  Either way a row's
-    scores are one ``einsum`` over the float view of its correlations.
+    (``_use_fft``).  The transmit contraction writes a block's rows
+    straight into the first ``F`` bins of a buffer kept for the
+    engine's life, and ``scipy.fft`` transforms the buffer in place, all
+    (aod, placement) lines in one batched call; numpy's ``ifft`` gives
+    the same bits but goes one strided line at a time.  The FFT is
+    unnormalized (``norm="forward"``), so its bins need no rescale.
+    Either way a row's scores are one ``einsum`` over the float view of
+    its correlations; on the FFT path that runs on all ``2F`` bins, and
+    the dictionary's bins are gathered from the real (2F, R) result
+    when it holds fewer than ``2F`` delays.
 
     :meth:`best` only scores the (aoa, aod) rows whose upper bound
-    (:meth:`_row_bounds`) can still reach the best score found so far;
-    ``rows_scored`` counts the rows it has scored over the engine's
-    life.  The bounds of all rows take one batched transmit contraction
-    and one real GEMM per block of tones, which pairs the receive
-    elements of every arrival angle with those of every departure row;
-    nothing in them runs per angle.
+    (:meth:`_row_bounds`) can still reach the best score found so far,
+    and never a row whose receive or transmit factor repeats a lower
+    row's; ``rows_scored`` counts the rows it has scored over the
+    engine's life.  The bounds of all rows take one batched transmit
+    contraction and one real GEMM per block of tones, which pairs the
+    receive elements of every arrival angle with those of every
+    departure row; nothing in them runs per angle.
     """
 
     def __init__(self, plan: MeasurementPlan, grid: FrequencyGrid,
@@ -292,11 +315,16 @@ class ScoreEngine:
         comb = grid.comb
         # Matched filters: multiplying the residual by these and summing
         # realizes <atom, residual> without forming atoms.
-        self._wr = np.ascontiguousarray(
-            _atom_factor(plan, 0, dictionary.aoas, comb, conj=True))
+        tau_r = _factor_delay(plan, 0, dictionary.aoas)
+        tau_t = _factor_delay(plan, 1, dictionary.aods)
+        self._wr = np.ascontiguousarray(_phase_factor(-tau_r, comb))
         self._wt = np.ascontiguousarray(
-            _atom_factor(plan, 1, dictionary.aods, comb, conj=True)
-            .transpose(2, 0, 1))
+            _phase_factor(-tau_t, comb).transpose(2, 0, 1))
+        # Rows whose factor repeats a lower row's (mirror arrival angles
+        # on an unfolded collinear track, every aod row with one
+        # transmit element): the same atoms, which best() never scores.
+        self._repeat_aoa = _repeats(tau_r)
+        self._repeat_aod = _repeats(tau_t)
         self.mnf = plan.n_rx * plan.n_tx * grid.num_tones
         self.rows_scored = 0
 
@@ -311,11 +339,12 @@ class ScoreEngine:
             # Strictly increasing bins below n_fft: when there are n_fft
             # of them they are every bin, read without a gather.
             self._q_idx = None if q.size == n_fft else q_round.astype(int)
-            # The FFT writes into one buffer kept for the engine's life.
-            # A fresh (2F, B, K) array per call would be the largest the
-            # sweep allocates, and glibc maps a request that large anew,
-            # with page faults, on every call unless a larger array
-            # happened to be freed first.  (ifft's out= needs numpy 2.)
+            # The rows, their zero pad and the FFT share one buffer kept
+            # for the engine's life, transformed in place.  A fresh
+            # (2F, B, K) array per call would be the largest the sweep
+            # allocates, and glibc maps a request that large anew, with
+            # page faults, on every call unless a larger array happened
+            # to be freed first.
             self._fft_out = np.empty(
                 (n_fft, dictionary.aods.size, plan.n_placements), dtype=complex)
         else:
@@ -330,18 +359,31 @@ class ScoreEngine:
         ``ia``: (K, N, F)."""
         return np.einsum("kmf,kmnf->knf", self._wr[ia], residual)
 
-    def _delay_scores(self, t):
-        """(R, D) scores of the transmit-contracted rows ``t`` (F, R, K)."""
+    def _delay_scores(self, w, r):
+        """(R, D) scores of the aod rows whose transmit filters are ``w``
+        (F, R, N), at one arrival angle's receive-contracted residual
+        ``r`` (F, N, K).
+
+        On the FFT path the rows ``w @ r`` fill the first F bins of the
+        engine's buffer and the F pad bins are zeroed again, since the
+        last call's in-place transform left its output there; the
+        squared magnitudes are summed over placements on every bin
+        before the dictionary's bins are gathered.
+        """
         if self._use_fft:
-            c = np.fft.ifft(t, n=self._fft_out.shape[0], axis=0,
-                            norm="forward", out=self._fft_out[:, :t.shape[1]])
-            if self._q_idx is not None:
-                c = c[self._q_idx]
+            f = r.shape[0]
+            c = self._fft_out[:, :w.shape[1]]  # (2F, R, K)
+            np.matmul(w, r, out=c[:f])
+            c[f:] = 0.0
+            c = scipy.fft.ifft(c, axis=0, norm="forward", overwrite_x=True)
         else:
-            c = self._dmat @ t.reshape(t.shape[0], -1)
-            c = c.reshape(-1, *t.shape[1:])  # (D, R, K)
-        v = c.view(float)  # (D, R, 2K): sum_k |c|^2 is a plain dot
-        return np.einsum("...k,...k->...", v, v).T / self.mnf
+            c = self._dmat @ np.matmul(w, r).reshape(r.shape[0], -1)
+            c = c.reshape(-1, w.shape[1], r.shape[2])  # (D, R, K)
+        v = c.view(float)  # (., R, 2K): sum_k |c|^2 is a plain dot
+        e = np.einsum("...k,...k->...", v, v)
+        if self._use_fft and self._q_idx is not None:
+            e = e[self._q_idx]
+        return e.T / self.mnf
 
     def _row_bounds(self, residual):
         """(A, B) upper bounds on every score of each (aoa, aod) row.
@@ -391,8 +433,8 @@ class ScoreEngine:
         a, b, d = self.dictionary.shape
         out = np.empty((a, b, d))
         for ia in range(a):
-            out[ia] = self._delay_scores(
-                np.matmul(self._wt, self._receive(residual, ia).T))
+            out[ia] = self._delay_scores(self._wt,
+                                         self._receive(residual, ia).T)
         return out
 
     def best(self, residual):
@@ -407,14 +449,14 @@ class ScoreEngine:
         not scored again), until the next angle's bound falls below it.
         Ties between equal scores resolve to the lowest (aoa, aod,
         delay) index triple, as in a flat C-order argmax of
-        :meth:`scores`.  Distinct (aoa, aod) rows can be the same atom,
-        as every aod row is with one transmit element; their scores tie
-        only in exact arithmetic, and since the delay contraction rounds
-        differently in the seed row's block than in the rest of its
-        angle's block, a later row can win such a tie by an ulp.  No
-        bundled preset has one transmit element.
+        :meth:`scores`.  A row whose receive or transmit factor repeats
+        a lower row's is the same atom and gets bound ``-inf``, so it is
+        never scored and the lower row wins its tie whatever block
+        either would be scored in.
         """
         bound = self._row_bounds(residual) * (1.0 + 1e-9)
+        bound[self._repeat_aoa] = -np.inf
+        bound[:, self._repeat_aod] = -np.inf
         top = bound.max(axis=1)
         order = np.argsort(-top, kind="stable")
         seed = np.argmax(bound[order[0]], keepdims=True)
@@ -435,7 +477,7 @@ class ScoreEngine:
         """Best (score, index triple) over the given aod rows of one
         arrival angle, ties going to the lowest (aod, delay) pair."""
         w = self._wt if rows.size == self._wt.shape[1] else self._wt[:, rows]
-        block = self._delay_scores(np.matmul(w, self._receive(residual, ia).T))
+        block = self._delay_scores(w, self._receive(residual, ia).T)
         self.rows_scored += rows.size
         flat = int(np.argmax(block))
         ir, idl = np.unravel_index(flat, block.shape)

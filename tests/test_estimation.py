@@ -42,7 +42,7 @@ from nfchan.estimation import (
 )
 from nfchan.estimation import (_PolishBatch, _cyclic_polish, _line_score,
                                _newton_ascent, _noise_energy, _phase_factor,
-                               _plane_delay)
+                               _plane_delay, _repeats)
 from nfchan.pipeline import (
     COARSE_AOA_STEP_DEG,
     COARSE_AOD_STEP_DEG,
@@ -195,12 +195,20 @@ class TestScoreEngine:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_best_matches_full_scan(self, data):
-        # Angles are whole degrees in (0, 180): the receive track and a
-        # two-element transmitter lie along x, where +-theta would tie.
+        # Angles are whole degrees.  The receive track lies along x, so
+        # arrival angles come from both sides and +-theta, the same
+        # atom, occur as pairs of rows.  Departure angles stay in
+        # (0, 180): a two-element transmitter lies along x too.
         draw = data.draw
         grid = FrequencyGrid(center=10e9, bandwidth=500e6, num_tones=128)
         degrees = st.lists(st.integers(1, 179), min_size=1, max_size=5,
                            unique=True).map(lambda d: np.deg2rad(sorted(d)))
+        sides = st.lists(
+            st.tuples(st.integers(1, 179),
+                      st.sampled_from([(1,), (-1,), (-1, 1)])),
+            min_size=1, max_size=4, unique_by=lambda p: p[0]).map(
+                lambda ds: np.deg2rad(sorted(s * d for d, ss in ds
+                                             for s in ss)))
         plan = plan_linear_track(
             [1.0, 1.0],
             draw(st.lists(st.sampled_from([0.0, 0.2, 0.4, 0.8]),
@@ -212,7 +220,7 @@ class TestScoreEngine:
         span, use_fft = draw(st.sampled_from([((38e-9, 46e-9), False),
                                               ((20e-9, 219e-9), True),
                                               ((0.0, None), True)]))
-        dic = DictionaryGrid(aoas=draw(degrees), aods=draw(degrees),
+        dic = DictionaryGrid(aoas=draw(sides), aods=draw(degrees),
                              delays=fft_delay_bins(grid, *span))
         kind = draw(st.sampled_from(["noise", "path", "node"]))
         if kind == "noise":
@@ -250,12 +258,20 @@ class TestScoreEngine:
         idx, val = engine.best(residual)
         want = np.unravel_index(int(np.argmax(scores)), scores.shape)
         if plan.n_tx == 1:
-            # Every aod row is the same atom, so the rows tie but for
-            # rounding that depends on the block a row is scored in:
-            # only the aoa and the delay are defined.
+            # Every aod row is the same atom: best() scores only the
+            # first, while within scores()' blocks the rows tie but for
+            # rounding that depends on where in the block a row sits.
+            assert idx[1] == 0
             idx, want = idx[::2], want[::2]
         assert idx == want
         assert val == pytest.approx(scores.max(), rel=1e-12)
+
+    def test_repeats_compare_values(self):
+        # -0.0 and 0.0 are one value; the first of equal rows is kept
+        tau = np.array([[[0.0, 1.0]], [[-0.0, 1.0]], [[1.0, 0.0]],
+                        [[0.0, 1.0]], [[1.0, 0.0]], [[1.0, 2.0]]])
+        assert _repeats(tau).tolist() == [False, True, False, True, True,
+                                          False]
 
     def test_zero_residual_ties_to_first_triple(self):
         grid = grid64()

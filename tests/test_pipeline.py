@@ -213,6 +213,18 @@ class TestInvariance:
             assert abs(wrap_angle(a.aoa - b.aoa)) < 1e-7
             assert np.allclose(a.gains / factor, b.gains, rtol=1e-5)
 
+    def test_mirror_rows_pick_one_side_at_any_scale(self, quick_synth,
+                                                    quick_cfg):
+        # Without a room the collinear track's arrival axis is not
+        # folded, and each +-theta pair of arrival rows is the same atom.
+        # The sweep must pick the same row of a pair whatever rounding a
+        # non-power-of-two scale brings.
+        mset, _ = quick_synth
+        base, _, _ = extract_paths(mset, quick_cfg)
+        for factor in (3.0, 0.3, 1e-300, 1e200):
+            result, _, _ = extract_paths(_rescaled(mset, factor), quick_cfg)
+            assert result.selections == base.selections, factor
+
     @pytest.mark.parametrize("factor", [3.0, 0.3, 1.0 + 1e-7])
     def test_non_power_of_two_scale(self, quick_synth, quick_cfg,
                                     quick_report, factor):
