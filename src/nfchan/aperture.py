@@ -58,9 +58,15 @@ class MeasurementPlan:
             self.tx_ref = self.tx_positions.mean(axis=0)
         self.rx_ref = as_vec2(self.rx_ref, "rx_ref")
         self.tx_ref = as_vec2(self.tx_ref, "tx_ref")
-        k = rx.shape[0]
         if self.offsets is not None:
-            self.offsets = np.asarray(self.offsets, dtype=float).reshape(k)
+            off = np.asarray(self.offsets, dtype=float)
+            if off.size != rx.shape[0]:
+                raise InvalidGeometry(
+                    f"offsets must hold one value per placement "
+                    f"({rx.shape[0]}), got {off.size}")
+            if not np.all(np.isfinite(off)):
+                raise InvalidGeometry("offsets must be finite")
+            self.offsets = off.reshape(rx.shape[0])
 
     @property
     def n_placements(self):

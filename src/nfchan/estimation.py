@@ -94,6 +94,9 @@ _NEWTON_TOL = 1e-7
 _NEWTON_MAX_STEPS = 30
 # An angle and the angle whose unit vector is its derivative.
 _QUARTER_TURN = np.array([0.0, np.pi / 2])
+# Delay-profile peaks more than this far (power) below the strongest are
+# not path candidates.
+PDP_THRESHOLD_DB = 30.0
 
 
 @dataclass(eq=False)
@@ -215,41 +218,20 @@ def _phase_factor(tau, comb):
 
 
 def _plane_delay(angle, disp):
-    """Plane-wave delay offsets ``-u(angle).disp / c``.
+    """Plane-wave delay offsets ``-u(angle).disp / c`` of S stacked
+    problems, the one projection behind every receive and transmit
+    factor of the first-order atom.
 
-    Shape ``angle.shape + disp.shape[:-1]``: every angle against every
-    displacement.
+    ``angle`` (S, X) holds each problem's angles and ``disp`` (S, ...,
+    2) its element displacements; an S of 1 on either side broadcasts.
+    Shape (S, X) + ``disp.shape[1:-1]``: every angle of a problem
+    against every displacement of that problem, one small product per
+    problem, so a problem's bits do not depend on what it is stacked
+    with.
     """
-    u = unit_vector(angle)
-    proj = u.reshape(-1, 2) @ disp.reshape(-1, 2).T
-    return proj.reshape(u.shape[:-1] + disp.shape[:-1]) / -SPEED_OF_LIGHT
-
-
-def _factor_delay(plan, coord, value):
-    """Delays ``tau`` of one separable atom factor (see
-    :func:`_atom_factor`): (..., K, M) plane-wave offsets for the
-    receive factor, (..., N) for the transmit factor, ``value`` itself
-    for the delay factor."""
-    if coord == 0:
-        return _plane_delay(value, plan.rx_positions - plan.rx_ref)
-    if coord == 1:
-        return _plane_delay(value, plan.tx_positions - plan.tx_ref)
-    return np.asarray(value, dtype=float)
-
-
-def _atom_factor(plan, coord, value, comb, conj=False):
-    """One separable factor of the first-order atom.
-
-    The atom is exactly ``e[f] * r[k, m, f] * t[n, f]``.  ``coord``
-    names the factor the way a path is a triple ``[aoa, aod, delay]``:
-    0 gives the receive factor ``r`` (..., K, M, F), 1 the transmit
-    factor ``t`` (..., N, F) and 2 the delay factor ``e`` (..., F), an
-    array ``value`` prepending its shape.  ``conj`` gives the conjugate,
-    the matched filter that correlates data against the factor.
-    ``comb`` is what :func:`_phase_factor` takes.
-    """
-    tau = _factor_delay(plan, coord, value)
-    return _phase_factor(-tau if conj else tau, comb)
+    u = unit_vector(angle)  # (S, X, 2)
+    proj = u @ disp.reshape(disp.shape[0], -1, 2).transpose(0, 2, 1)
+    return proj.reshape(proj.shape[:2] + disp.shape[1:-1]) / -SPEED_OF_LIGHT
 
 
 def _repeats(tau):
@@ -315,8 +297,10 @@ class ScoreEngine:
         comb = grid.comb
         # Matched filters: multiplying the residual by these and summing
         # realizes <atom, residual> without forming atoms.
-        tau_r = _factor_delay(plan, 0, dictionary.aoas)
-        tau_t = _factor_delay(plan, 1, dictionary.aods)
+        tau_r = _plane_delay(dictionary.aoas[None],
+                             (plan.rx_positions - plan.rx_ref)[None])[0]
+        tau_t = _plane_delay(dictionary.aods[None],
+                             (plan.tx_positions - plan.tx_ref)[None])[0]
         self._wr = np.ascontiguousarray(_phase_factor(-tau_r, comb))
         self._wt = np.ascontiguousarray(
             _phase_factor(-tau_t, comb).transpose(2, 0, 1))
@@ -350,9 +334,8 @@ class ScoreEngine:
         else:
             # Offsets from the first tone, as the FFT's bin phases are:
             # the common phase exp(-2j pi f0 delta) cancels in |.|^2.
-            self._dmat = np.ascontiguousarray(_atom_factor(
-                plan, 2, dictionary.delays, comb._replace(start=0.0),
-                conj=True))
+            self._dmat = np.ascontiguousarray(_phase_factor(
+                -dictionary.delays, comb._replace(start=0.0)))
 
     def _receive(self, residual, ia):
         """Residual contracted with the receive factor of arrival angle
@@ -492,10 +475,13 @@ def response_atom(plan: MeasurementPlan, grid: FrequencyGrid, aoa, aod, delta):
     product of its delay, receive and transmit factors.
     """
     comb = grid.comb
-    e = _atom_factor(plan, 2, delta, comb)
-    r = _atom_factor(plan, 0, aoa, comb)
-    t = _atom_factor(plan, 1, aod, comb)
-    return e * r[:, :, None, :] * t
+    tau_r = _plane_delay(np.reshape(aoa, (1, 1)),
+                         (plan.rx_positions - plan.rx_ref)[None])[0, 0]
+    tau_t = _plane_delay(np.reshape(aod, (1, 1)),
+                         (plan.tx_positions - plan.tx_ref)[None])[0, 0]
+    e = _phase_factor(np.asarray(delta, dtype=float), comb)
+    return (e * _phase_factor(tau_r, comb)[:, :, None, :]
+            * _phase_factor(tau_t, comb))
 
 
 def rm_response_atom(plan: MeasurementPlan, grid: FrequencyGrid,
@@ -575,7 +561,7 @@ class _PolishBatch:
         self.size = len(plans)
         self.counts = [len(d) for d in data]
         self.kmax = max(self.counts)
-        self.tx = plans[0].tx_positions - plans[0].tx_ref  # (N, 2)
+        self.tx = (plans[0].tx_positions - plans[0].tx_ref)[None]  # (1, N, 2)
         rx = [p.rx_positions - p.rx_ref for p in plans]
         if self.size == 1:  # nothing to pad: the data is used as it is
             self.rx, self.y = rx[0][None], np.asarray(data[0])
@@ -589,20 +575,17 @@ class _PolishBatch:
             self.y[s * self.kmax:s * self.kmax + len(d)] = d
 
     def delay(self, coord, x, idx):
-        """Delays ``tau`` of one factor (see :func:`_factor_delay`) of
-        problems ``idx`` at values ``x`` (n, X), row i against problem
-        ``idx[i]``'s elements: (n, X, kmax, M) for the receive factor,
-        (n, X, N) for the transmit factor, ``x`` for the delay factor."""
+        """Delays ``tau`` of one factor of problems ``idx`` at values
+        ``x`` (n, X), row i against problem ``idx[i]``'s elements:
+        (n, X, kmax, M) for the receive factor, (n, X, N) for the
+        transmit factor (:func:`_plane_delay`), ``x`` for the delay
+        factor."""
         if coord == 2:
             return x
-        u = unit_vector(x)  # (n, X, 2)
         if coord == 1:
-            # one small product per problem: the bits of a one-problem
-            # call, which a single product over all rows need not give
-            return u @ self.tx.T / -SPEED_OF_LIGHT
-        disp = self.rx if len(idx) == self.size else self.rx[idx]
-        proj = u @ disp.reshape(disp.shape[0], -1, 2).transpose(0, 2, 1)
-        return proj.reshape(x.shape + disp.shape[1:-1]) / -SPEED_OF_LIGHT
+            return _plane_delay(x, self.tx)
+        rx = self.rx if len(idx) == self.size else self.rx[idx]
+        return _plane_delay(x, rx)
 
     def factor(self, coord, x, comb):
         """Conjugated factor ``coord`` of every problem at values ``x``
@@ -930,40 +913,22 @@ class PdpPeaks:
     bins: np.ndarray
 
 
-def detect_paths_pdp(pdp: Pdp, threshold_db=30.0, min_separation_bins=2):
+def detect_paths_pdp(pdp: Pdp):
     """Candidate path delays from a delay profile.
 
-    Finds circular local maxima of the profile, keeps those within
-    ``threshold_db`` (power) of the strongest, then greedily suppresses
-    neighbors closer than ``min_separation_bins``, strongest first with
-    ties going to the lower bin.  Returned peaks are sorted by delay.
+    The profile's circular local maxima (at least the bin before, more
+    than the bin after) within :data:`PDP_THRESHOLD_DB` (power) of the
+    strongest, in ascending bin order.  Two such maxima are never
+    adjacent, so the peaks are at least two bins apart.
     """
-    if threshold_db <= 0:
-        raise InvalidGeometry("threshold_db must be positive")
-    if min_separation_bins < 1:
-        raise InvalidGeometry("min_separation_bins must be at least 1")
     m = np.asarray(pdp.magnitudes, dtype=float)
-    empty = PdpPeaks(delays=np.empty(0), magnitudes=np.empty(0),
-                     bins=np.empty(0, dtype=int))
     if m.size == 0 or m.max() == 0.0:
-        return empty
-    up = m >= np.roll(m, 1)
-    down = m > np.roll(m, -1)
-    cand = np.flatnonzero(up & down)
-    floor = m.max() * 10.0 ** (-threshold_db / 20.0)
-    cand = cand[m[cand] >= floor]
-    if cand.size == 0:
-        return empty
-    order = cand[np.argsort(-m[cand], kind="stable")]
-    kept = []
-    n = m.size
-    for i in order:
-        dist = [min(abs(i - j), n - abs(i - j)) for j in kept]
-        if all(d >= min_separation_bins for d in dist):
-            kept.append(int(i))
-    kept.sort()
-    kept = np.asarray(kept, dtype=int)
-    return PdpPeaks(delays=np.asarray(pdp.delay_bins)[kept],
+        kept = np.empty(0, dtype=int)
+    else:
+        floor = m.max() * 10.0 ** (-PDP_THRESHOLD_DB / 20.0)
+        kept = np.flatnonzero((m >= np.roll(m, 1)) & (m > np.roll(m, -1))
+                              & (m >= floor))
+    return PdpPeaks(delays=np.asarray(pdp.delay_bins, dtype=float)[kept],
                     magnitudes=m[kept], bins=kept)
 
 

@@ -104,8 +104,7 @@ class PathExtractor(_BaseEstimator):
     """
 
     _fields = ("l_max", "stop_fraction", "refine_passes", "aoa_grid_deg",
-               "aod_grid_deg", "delay_pad_bins", "detect_threshold_db",
-               "min_separation_bins")
+               "aod_grid_deg")
     _extra = {"room": None}
 
     def fit(self, X: MeasurementSet, y=None):
@@ -149,9 +148,8 @@ class ReflectionModelEstimator(_BaseEstimator):
     """
 
     _fields = ("room_vertices", "reflective", "aoa_grid_deg", "aod_grid_deg",
-               "delay_pad_bins", "l_max", "stop_fraction", "refine_passes",
-               "detect_threshold_db", "min_separation_bins",
-               "parity", "min_bearings", "subsets")
+               "l_max", "stop_fraction", "refine_passes", "parity",
+               "min_bearings", "subsets")
 
     def fit(self, X: MeasurementSet, y=None):
         report = run_estimate(X, self._config(), truth=y)

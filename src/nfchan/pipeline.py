@@ -64,6 +64,8 @@ COARSE_AOD_STEP_DEG = 6.0
 FINE_STEP_DEG = 1.0
 SUBSET_WINDOW_DEG = 2.0
 SUBSET_PAD_HALFBINS = 3
+# The sweep scores delays within this many bins of a delay-profile peak.
+DELAY_PAD_BINS = 4
 # One pass left room-20x10's noiseless LOS error at 0.059 m and two
 # passes moved quick and track-experiment away from the truth; three
 # settle every preset.
@@ -132,13 +134,12 @@ def _unfold(result, axis, side):
             result.paths[j].aoa = float(wrap_angle(2.0 * phi - aoas[j]))
 
 
-def _pdp_delay_support(mset, cfg):
+def _pdp_delay_support(mset):
     pdp = mean_pdp(mset, window="hann")
-    peaks = detect_paths_pdp(pdp, threshold_db=cfg.detect_threshold_db,
-                             min_separation_bins=cfg.min_separation_bins)
+    peaks = detect_paths_pdp(pdp)
     if peaks.bins.size == 0:
         raise EmptyChannel("no delay peaks above the detection threshold")
-    pad = 2 * int(cfg.delay_pad_bins)
+    pad = 2 * DELAY_PAD_BINS
     qs = set()
     for b in peaks.bins:
         qs.update(range(2 * int(b) - pad, 2 * int(b) + pad + 1))
@@ -205,7 +206,7 @@ def extract_paths(mset, cfg, room=None):
     """
     mset, e = _unit_scale(mset)
     axis, side = _fold_setup(mset.plan, room)
-    delays = _pdp_delay_support(mset, cfg)
+    delays = _pdp_delay_support(mset)
     aoas = (_grid_from_range(cfg.aoa_grid_deg)
             if cfg.aoa_grid_deg is not None else
             _fold(_angle_comb(COARSE_AOA_STEP_DEG), axis, side))

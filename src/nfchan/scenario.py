@@ -27,7 +27,14 @@ from .geometry import Room, feasible_images, search_costs
 
 @dataclass(eq=False)
 class ScenarioConfig:
-    """Parsed scenario.  Distances in meters, angles in degrees where named."""
+    """Parsed scenario.  Distances in meters, angles in degrees where named.
+
+    The estimation fields, ``aoa_grid_deg`` through ``parity``, are the
+    recovery stack's settable values.  Its delay support is fixed: the
+    delay-profile peaks within
+    :data:`~nfchan.estimation.PDP_THRESHOLD_DB` of the strongest, padded
+    by :data:`~nfchan.pipeline.DELAY_PAD_BINS` bins.
+    """
 
     room_vertices: np.ndarray = None
     reflective: tuple = "all"
@@ -49,12 +56,9 @@ class ScenarioConfig:
     model: str = "rm"
     aoa_grid_deg: tuple = None
     aod_grid_deg: tuple = None
-    delay_pad_bins: int = 4
     l_max: int = 6
     stop_fraction: float = 0.005
     refine_passes: int = 2
-    detect_threshold_db: float = 30.0
-    min_separation_bins: int = 2
     parity: bool = True
     min_bearings: int = 2
     subsets: object = "by-offset"
@@ -268,13 +272,10 @@ _KEYS = (
     _Key("measurement", "model", "model", _Words(("rm", "pwa"))),
     _Key("estimation", "aoa_deg", "aoa_grid_deg", _GRID),
     _Key("estimation", "aod_deg", "aod_grid_deg", _GRID),
-    _Key("estimation", "delay_pad_bins", "delay_pad_bins", _INDEX),
     _Key("estimation", "l_max", "l_max", _COUNT),
     _Key("estimation", "stop_fraction", "stop_fraction",
          _Number(float, ">= 0", "< 1")),
     _Key("estimation", "refine_passes", "refine_passes", _INDEX),
-    _Key("estimation", "detect_threshold_db", "detect_threshold_db", _POSITIVE),
-    _Key("estimation", "min_separation_bins", "min_separation_bins", _COUNT),
     _Key("estimation", "parity", "parity", _FLAG),
     _Key("triangulation", "min_bearings", "min_bearings", _Number(int, ">= 2")),
     _Key("triangulation", "subsets", "subsets", _SUBSETS),

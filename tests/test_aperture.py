@@ -73,6 +73,20 @@ class TestPlanLinearTrack:
             plan_linear_track([0, 0], [0.0], [0.01], TX3, n_rx=0)
 
 
+class TestMeasurementPlan:
+    @pytest.mark.parametrize("offsets", [
+        [0.0, 0.4],              # one short
+        [0.0, 0.4, 0.8, 1.2],    # one long
+        [0.0, np.nan, 0.8],
+        [0.0, 0.4, np.inf],
+    ])
+    def test_bad_offsets_name_offsets(self, offsets):
+        rx = np.zeros((3, 2, 2)) + np.arange(3.0)[:, None, None]
+        with pytest.raises(InvalidGeometry, match="offsets"):
+            MeasurementPlan(rx_positions=rx, tx_positions=TX3,
+                            offsets=offsets)
+
+
 class TestSimulateCampaign:
     def setup_method(self):
         self.grid = small_grid()

@@ -22,6 +22,7 @@ from nfchan.errors import (
     InvalidGeometry,
 )
 from nfchan.estimation import (
+    PDP_THRESHOLD_DB,
     Bearing,
     DictionaryGrid,
     ExtractionResult,
@@ -82,7 +83,7 @@ def room_coarse_sweep():
     cfg = load_preset("room-20x10")
     plan, grid = build_plan(cfg), build_grid(cfg)
     truth = true_paths(cfg, plan)
-    delays = _pdp_delay_support(simulate_campaign(truth, plan, grid), cfg)
+    delays = _pdp_delay_support(simulate_campaign(truth, plan, grid))
     dic = DictionaryGrid(
         aoas=_fold(_angle_comb(COARSE_AOA_STEP_DEG),
                    *_fold_setup(plan, build_room(cfg))),
@@ -397,11 +398,30 @@ class TestPlaneDelay:
                  else rng.uniform(-np.pi, np.pi, n_angles))
         for disp in (plan.rx_positions - plan.rx_ref,
                      plan.tx_positions - plan.tx_ref):
-            got = _plane_delay(angle, disp)
+            got = _plane_delay(np.reshape(angle, (1, -1)), disp[None])
             want = np.tensordot(unit_vector(angle), disp,
                                 axes=(-1, -1)) / -C
-            assert got.shape == np.shape(angle) + disp.shape[:-1]
-            assert np.array_equal(got, want)
+            assert got.shape == (1, np.size(angle)) + disp.shape[:-1]
+            assert np.array_equal(got.reshape(want.shape), want)
+
+    def test_stacked_problems_match_tensordot(self):
+        # S = 3 different problems, one angle each: row s against
+        # problem s's receive displacements only, and against the shared
+        # transmit displacements broadcast over S
+        rng = np.random.default_rng(62)
+        tx = rng.uniform(-0.05, 0.05, (3, 2))
+        rx = rng.uniform(-1.0, 1.0, (3, 4, 2, 2))  # (S, K, M, 2)
+        angle = rng.uniform(-np.pi, np.pi, (3, 1))
+        got_r = _plane_delay(angle, rx)
+        got_t = _plane_delay(angle, tx[None])
+        assert got_r.shape == (3, 1, 4, 2)
+        assert got_t.shape == (3, 1, 3)
+        for s in range(3):
+            u = unit_vector(angle[s])
+            assert np.array_equal(
+                got_r[s], np.tensordot(u, rx[s], axes=(-1, -1)) / -C)
+            assert np.array_equal(
+                got_t[s], np.tensordot(u, tx, axes=(-1, -1)) / -C)
 
 
 def line_score(plan, comb, params, coord, data):
@@ -977,28 +997,34 @@ class TestPdpDetection:
         assert peaks.magnitudes[0] > peaks.magnitudes[1]
 
     def test_threshold_drops_weak_path(self):
+        # a path 26 dB below the strongest clears the fixed 30 dB floor,
+        # one 40 dB below does not
         b = 500e6
-        pdp = self.profile([rm_from_alpha(1.0, 21 / b, 0.5, 0.0, 1),
-                            rm_from_alpha(0.01, 30 / b, 1.0, 0.3, -1)])
-        peaks = detect_paths_pdp(pdp, threshold_db=20.0)
-        assert list(peaks.bins) == [21]
+        for gain, bins in ((0.05, [21, 30]), (0.01, [21])):
+            pdp = self.profile([rm_from_alpha(1.0, 21 / b, 0.5, 0.0, 1),
+                                rm_from_alpha(gain, 30 / b, 1.0, 0.3, -1)])
+            assert list(detect_paths_pdp(pdp).bins) == bins
 
     def test_silent_profile_gives_nothing(self):
         pdp = Pdp(delay_bins=np.arange(8.0), magnitudes=np.zeros(8))
         peaks = detect_paths_pdp(pdp)
         assert peaks.bins.size == 0
 
-    def test_equal_peaks_tie_break_to_lower_bin(self):
-        mags = np.zeros(16)
-        mags[[4, 10]] = 1.0
-        pdp = Pdp(delay_bins=np.arange(16.0), magnitudes=mags)
-        peaks = detect_paths_pdp(pdp, min_separation_bins=7)
-        assert list(peaks.bins) == [4]
-
-    def test_threshold_must_be_positive(self):
-        pdp = Pdp(delay_bins=np.arange(4.0), magnitudes=np.ones(4))
-        with pytest.raises(InvalidGeometry):
-            detect_paths_pdp(pdp, threshold_db=0.0)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mags=st.lists(st.integers(0, 1000), min_size=1, max_size=40))
+    def test_peaks_are_local_maxima_above_floor(self, mags):
+        # integer magnitudes give ties and plateaus: a plateau's last bin
+        # is its peak when the bin after it is lower
+        m = np.array(mags, dtype=float)
+        n, top = len(m), max(mags)
+        want = [i for i in range(n)
+                if m[i] >= m[i - 1] and m[i] > m[(i + 1) % n]
+                and 20 * np.log10(m[i] / top) >= -PDP_THRESHOLD_DB]
+        pdp = Pdp(delay_bins=np.arange(n) * 0.5, magnitudes=m)
+        peaks = detect_paths_pdp(pdp)
+        assert peaks.bins.tolist() == want
+        assert np.array_equal(peaks.delays, np.array(want) * 0.5)
+        assert np.array_equal(peaks.magnitudes, m[want])
 
 
 class TestAssembleRm:

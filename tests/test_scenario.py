@@ -112,12 +112,9 @@ model = pwa
 [estimation]
 aoa_deg = 0:5:180
 aod_deg = -180 -90 0 90
-delay_pad_bins = 2
 l_max = 4
 stop_fraction = 0.01
 refine_passes = 0
-detect_threshold_db = 25
-min_separation_bins = 3
 parity = false
 
 [triangulation]
@@ -270,9 +267,6 @@ class TestParsing:
         ("estimation", "stop_fraction", "nan"),
         ("estimation", "stop_fraction", "1"),
         ("estimation", "refine_passes", "-1"),
-        ("estimation", "detect_threshold_db", "0"),
-        ("estimation", "min_separation_bins", "0"),
-        ("estimation", "delay_pad_bins", "-1"),
         ("estimation", "aoa_deg", "10 5"),
         ("estimation", "aod_deg", "0 0"),
         ("heatmap", "cell", "nan"),
@@ -289,11 +283,16 @@ class TestParsing:
 
 
     def test_refine_key_is_gone(self):
-        # refine_passes = 0 is how refinement is turned off
-        text = MINIMAL + "\n[estimation]\nrefine = true\n"
-        with pytest.raises(ScenarioError, match="unknown key 'refine'") as err:
-            parse_scenario(text)
-        assert err.value.line == text.splitlines().index("refine = true") + 1
+        # each removed estimation key fails by name: refine_passes = 0
+        # is how refinement is turned off, and the delay support's peak
+        # floor and pad are fixed constants
+        for key in ("refine", "detect_threshold_db", "min_separation_bins",
+                    "delay_pad_bins"):
+            text = MINIMAL + f"\n[estimation]\n{key} = 1\n"
+            with pytest.raises(ScenarioError,
+                               match=f"unknown key '{key}'") as err:
+                parse_scenario(text)
+            assert err.value.line == text.splitlines().index(f"{key} = 1") + 1
 
 
 class TestCampaignCap:
