@@ -47,6 +47,14 @@ below where it started.  The polish runs S independent problems (one
 per placement subset) in lockstep on one stacked placement axis, so S
 problems pay one call's overhead; the sweep is the case S = 1.
 
+Every gain comes from one fit (:func:`per_placement_lsq`): joint
+least squares per placement, all placements' normal equations solved in
+one batch.  The polish refits after every path it moves, and a move
+changes one atom, so it keeps the fit's placement-major atom stack,
+Grams and right-hand sides and recomputes only that atom's Gram row and
+right-hand side.  After a full pass over the paths in index order its
+gains and residual are bit-equal to the fit built from scratch.
+
 The sweep's argmax is an exact branch and bound over (aoa, aod) rows.
 Delay factors have unit modulus, so by Cauchy-Schwarz no score in a row
 exceeds ``F`` times the row's energy after the receive and transmit
@@ -506,26 +514,97 @@ def per_placement_lsq(atoms, data):
     """Joint least-squares gains per placement and the residual they leave.
 
     atoms: (L, K, M, N, F), data: (K, M, N, F) -> (gains (L, K),
-    residual ``data - model_sum(atoms, gains)``).  The normal equations
-    of all placements are formed and solved in one batch; should any
-    Gram be singular, every placement falls back to ``lstsq``.
+    residual ``data - model_sum(atoms, gains)``).  This is the one gain
+    fit, :class:`_GainFit`, built from scratch: each atom is written
+    into the placement-major stack and its Gram row formed, in index
+    order, then the normal equations of all placements are solved in
+    one batch; should any Gram be singular, every placement falls back
+    to ``lstsq``.  The polish keeps the same fit current one row per
+    moved path, so after a full in-order pass its gains and residual
+    are bit-equal to this function's on the final atoms.
     """
-    l, k = atoms.shape[0], atoms.shape[1]
-    a = atoms.reshape(l, k, -1).transpose(1, 0, 2)  # (K, L, P)
-    y = data.reshape(k, -1, 1)
-    ac = a.conj()
-    try:
-        gains = np.linalg.solve(ac @ a.transpose(0, 2, 1), ac @ y)[..., 0]
-    except np.linalg.LinAlgError:
-        gains = np.stack([np.linalg.lstsq(a[j].T, y[j, :, 0], rcond=None)[0]
-                          for j in range(k)])
-    gains = np.ascontiguousarray(gains.T)
-    return gains, data - model_sum(atoms, gains)
+    fit = _GainFit(data, len(atoms))
+    for j, atom in enumerate(atoms):
+        fit.atom(j)[...] = atom
+        fit.update(j)
+    return fit.solve()
 
 
 def model_sum(atoms, gains):
     """Model responses (K, M, N, F) of atoms (L, K, M, N, F) under gains (L, K)."""
-    return np.einsum("lk...,lk->k...", atoms, gains)
+    l, k = atoms.shape[0], atoms.shape[1]
+    stack = atoms.reshape(l, k, -1).transpose(1, 0, 2)  # (K, L, P)
+    return _model(stack, gains).reshape(atoms.shape[1:])
+
+
+def _model(stack, gains):
+    """(K, 1, P) model of the placement-major atoms ``stack`` (K, L, P)
+    under gains (L, K): one batched BLAS product, placement by
+    placement."""
+    return gains.T[:, None, :] @ stack
+
+
+class _GainFit:
+    """Joint per-placement least-squares gains of L atoms, kept current
+    one atom at a time.
+
+    For the K placements of ``data`` (K, M, N, F) it holds the atoms in
+    placement-major layout, ``stack`` (K, L, P) with P = M N F, their
+    (K, L, L) Gram matrices ``conj(A) A^T`` and their (K, L, 1)
+    right-hand sides ``conj(A) y``.  A new atom j is written straight
+    into its slot (:meth:`atom`), and :meth:`update` recomputes only
+    Gram row j, as one batched ``conj(a_j) @ A^T`` of shape (K, 1, P) @
+    (K, P, L), sets column j to its conjugate and recomputes right-hand
+    side j.  A Gram entry depends only on its two atoms, so once every
+    atom has been updated in index order the Grams and right-hand sides
+    are the bits of a fit built from scratch on the same atoms.
+    """
+
+    def __init__(self, data, n_atoms):
+        k = len(data)
+        self.data = data
+        self.y = data.reshape(k, -1, 1)
+        # Zeros: a row update multiplies every slot, filled or not.
+        self.stack = np.zeros((k, n_atoms, self.y.shape[1]), dtype=complex)
+        self.gram = np.zeros((k, n_atoms, n_atoms), dtype=complex)
+        self.rhs = np.zeros((k, n_atoms, 1), dtype=complex)
+
+    def atom(self, j):
+        """Atom j's (K, M, N, F) slot, a view to write it into."""
+        return self.stack[:, j].reshape(self.data.shape)
+
+    def update(self, j):
+        """Gram row and column j and right-hand side j, after atom j was
+        written."""
+        aj = self.stack[:, j:j + 1].conj()  # (K, 1, P): one atom
+        row = (aj @ self.stack.transpose(0, 2, 1))[:, 0]  # (K, L)
+        self.gram[:, :, j] = row.conj()
+        self.gram[:, j] = row
+        self.rhs[:, j] = (aj @ self.y)[:, 0]
+
+    def solve(self):
+        """(gains (L, K), residual ``data - model_sum``) of the atoms held:
+        every placement's normal equations in one batched ``solve``, or
+        ``lstsq`` per placement should any Gram be singular to working
+        precision.  That is, a Cholesky pivot ``|a_j|^2 sin^2`` (the angle
+        between atom j and the span of the atoms before it) is at most
+        ``P eps |a_j|^2``, which the Gram's rounding cannot tell from
+        zero.  An atom that duplicates another gives such a pivot, while
+        LU does not always meet an exact zero pivot on it."""
+        tol = self.y.shape[1] * np.finfo(float).eps
+        try:
+            pivots = np.linalg.cholesky(self.gram).diagonal(axis1=1, axis2=2)
+            norms = self.gram.diagonal(axis1=1, axis2=2).real
+            if np.any(pivots.real ** 2 <= tol * norms):
+                raise np.linalg.LinAlgError("Gram singular to working precision")
+            gains = np.linalg.solve(self.gram, self.rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            gains = np.stack([np.linalg.lstsq(a.T, y[:, 0], rcond=None)[0]
+                              for a, y in zip(self.stack, self.y)])
+        gains = np.ascontiguousarray(gains.T)
+        residual = _model(self.stack, gains).reshape(self.data.shape)
+        np.subtract(self.data, residual, out=residual)
+        return gains, residual
 
 
 def _package(raw, gains, selections, history):
@@ -541,6 +620,23 @@ def _package(raw, gains, selections, history):
                             delay_origin=float(origin))
 
 
+@dataclass(eq=False)
+class _Subsets:
+    """Per-problem polish data cut from one capture array: problem ``s``
+    is ``responses[groups[s]]``.  :class:`_PolishBatch` gathers each group
+    straight into its stacked array, so no subset is copied twice;
+    indexing gives one problem's captures as an array."""
+
+    responses: np.ndarray
+    groups: list
+
+    def __len__(self):
+        return len(self.groups)
+
+    def __getitem__(self, s):
+        return self.responses[self.groups[s]]
+
+
 class _PolishBatch:
     """S independent polish problems stacked on one placement axis.
 
@@ -549,8 +645,10 @@ class _PolishBatch:
     receive array size.  Every problem is padded to ``kmax``, the
     largest K_s, with zero-data placements at the positions of its
     first placement, and the stacked data ``y`` is (S * kmax, M, N, F),
-    problem-major.  A zero-data placement's gains solve to exactly zero
-    and its residual is zero, so it adds nothing to any score or gain.
+    problem-major; ``data`` given as :class:`_Subsets` is gathered
+    straight into ``y``.  A zero-data placement's gains solve to exactly
+    zero and its residual is zero, so it adds nothing to any score or
+    gain.
 
     A path's conjugated factors ``[r, t, e]`` are stacked the same way:
     ``r`` (S * kmax, M, F), each placement against its own problem's
@@ -559,7 +657,8 @@ class _PolishBatch:
 
     def __init__(self, plans, data):
         self.size = len(plans)
-        self.counts = [len(d) for d in data]
+        gather = isinstance(data, _Subsets)
+        self.counts = [len(d) for d in (data.groups if gather else data)]
         self.kmax = max(self.counts)
         self.tx = (plans[0].tx_positions - plans[0].tx_ref)[None]  # (1, N, 2)
         rx = [p.rx_positions - p.rx_ref for p in plans]
@@ -569,10 +668,15 @@ class _PolishBatch:
         self.rx = np.stack([
             np.concatenate([d, np.repeat(d[:1], self.kmax - len(d), axis=0)])
             for d in rx])
-        self.y = np.zeros((self.size * self.kmax,) + data[0].shape[1:],
-                          dtype=complex)
-        for s, d in enumerate(data):
-            self.y[s * self.kmax:s * self.kmax + len(d)] = d
+        tail = data.responses.shape[1:] if gather else data[0].shape[1:]
+        self.y = np.zeros((self.size * self.kmax,) + tail, dtype=complex)
+        for s, k in enumerate(self.counts):
+            rows = self.y[s * self.kmax:s * self.kmax + k]
+            if gather:  # indices checked by the caller; "clip" is unbuffered
+                np.take(data.responses, data.groups[s], axis=0, out=rows,
+                        mode="clip")
+            else:
+                rows[...] = data[s]
 
     def delay(self, coord, x, idx):
         """Delays ``tau`` of one factor of problems ``idx`` at values
@@ -594,14 +698,15 @@ class _PolishBatch:
         phi = _phase_factor(-tau, comb)
         return phi.reshape((-1,) + phi.shape[2:]) if coord == 0 else phi
 
-    def atom(self, factors):
-        """The (S * kmax, M, N, F) atom of conjugated stacked factors, the
-        same bits as :func:`response_atom` on each problem's plan."""
+    def atom(self, factors, out):
+        """Write the (S * kmax, M, N, F) atom of conjugated stacked
+        factors into ``out``, the same bits as :func:`response_atom` on
+        each problem's plan."""
         r, t, e = factors
-        k, m, f = r.shape
+        m, f = r.shape[1:]
         r = r.reshape(self.size, -1, m, 1, f)
-        atom = (e[:, None, None, None, :] * r * t[:, None, None]).conj()
-        return atom.reshape(k, m, t.shape[1], f)
+        atom = e[:, None, None, None, :] * r * t[:, None, None]
+        np.conjugate(atom.reshape(out.shape), out=out)
 
     def split(self, params, gains, residual):
         """Per-problem (params, gains, residual) lists, pads dropped."""
@@ -744,7 +849,8 @@ def _cyclic_polish(plans, grid, params, data, steps, passes):
 
     Problem ``s`` fits ``params[s]``, a list of L [aoa, aod, raw_delay]
     triples (L the same in every problem), to ``data[s]`` (K_s, M, N, F)
-    measured on ``plans[s]``; the plans share their transmit elements.
+    measured on ``plans[s]`` (``data`` a list, or :class:`_Subsets` of
+    one capture array); the plans share their transmit elements.
     The problems run in lockstep on one stacked placement axis
     (:class:`_PolishBatch`): problems of fewer placements are padded
     with zero-data placements, which add nothing to any score or gain.
@@ -761,7 +867,11 @@ def _cyclic_polish(plans, grid, params, data, steps, passes):
     Each path keeps its three conjugated factors; a factor is rebuilt
     only when an ascent moved its coordinate, and the path's atom is
     the conjugate of their product, the same bits as
-    :func:`response_atom`.
+    :func:`response_atom`.  The atom is written straight into the gain
+    fit's stack (:class:`_GainFit`), whose refit recomputes one Gram row
+    and one right-hand side, so after each full pass the gains and
+    residual are bit-equal to :func:`per_placement_lsq` on the final
+    atoms.
 
     Returns (params, gains, residuals), lists over the problems of L
     triples, (L, K_s) gains and (K_s, M, N, F) residuals.
@@ -771,11 +881,14 @@ def _cyclic_polish(plans, grid, params, data, steps, passes):
     p = np.array(params, dtype=float).reshape(batch.size, -1, 3)
     factors = [[batch.factor(c, p[:, j, c], comb) for c in range(3)]
                for j in range(p.shape[1])]
-    stack = np.stack([batch.atom(fac) for fac in factors])
-    gains, residual = per_placement_lsq(stack, batch.y)
+    fit = _GainFit(batch.y, len(factors))
+    for j, fac in enumerate(factors):
+        batch.atom(fac, out=fit.atom(j))
+        fit.update(j)
+    gains, residual = fit.solve()
     for _ in range(max(passes, 0)):
         for j, fac in enumerate(factors):
-            peeled = residual + stack[j] * gains[j][:, None, None, None]
+            peeled = residual + fit.atom(j) * gains[j][:, None, None, None]
             for coord in range(3):
                 if steps[coord] > 0:
                     score = _line_score(batch, comb, fac, coord, peeled)
@@ -783,8 +896,9 @@ def _cyclic_polish(plans, grid, params, data, steps, passes):
                     if np.any(x != p[:, j, coord]):
                         fac[coord] = batch.factor(coord, x, comb)
                     p[:, j, coord] = x
-            stack[j] = batch.atom(fac)
-            gains, residual = per_placement_lsq(stack, batch.y)
+            batch.atom(fac, out=fit.atom(j))
+            fit.update(j)
+            gains, residual = fit.solve()
     return batch.split(p, gains, residual)
 
 

@@ -44,6 +44,7 @@ from .estimation import (
     DictionaryGrid,
     Heatmap,
     _cyclic_polish,
+    _Subsets,
     assemble_rm,
     detect_paths_pdp,
     estimate_parity,
@@ -292,7 +293,7 @@ def subset_bearings(mset, result, cfg, fold_info=(None, 0.0)):
             v = image_from_polar(plan.rx_ref, p.aoa, draw) - sub.rx_ref
             seeds[-1].append([math.atan2(v[1], v[0]), p.aod, dsub])
     params, gains, _ = _cyclic_polish(subs, grid, seeds,
-                                      [mset.responses[idx] for idx in groups],
+                                      _Subsets(mset.responses, groups),
                                       steps, SUBSET_POLISH_PASSES)
     for sub, sub_params, sub_gains in zip(subs, params, gains):
         aoas = np.array([aoa for aoa, _, _ in sub_params])

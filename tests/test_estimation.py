@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,9 +42,9 @@ from nfchan.estimation import (
     response_atom,
     triangulate,
 )
-from nfchan.estimation import (_PolishBatch, _cyclic_polish, _line_score,
-                               _newton_ascent, _noise_energy, _phase_factor,
-                               _plane_delay, _repeats)
+from nfchan.estimation import (_GainFit, _PolishBatch, _cyclic_polish,
+                               _line_score, _newton_ascent, _noise_energy,
+                               _phase_factor, _plane_delay, _repeats)
 from nfchan.pipeline import (
     COARSE_AOA_STEP_DEG,
     COARSE_AOD_STEP_DEG,
@@ -487,14 +488,10 @@ class TestPerPlacementLsq:
     def random_complex(rng, shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(l=st.integers(1, 4), k=st.integers(1, 5),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_lstsq_per_placement(self, l, k, seed):
-        rng = np.random.default_rng(seed)
-        atoms = self.random_complex(rng, (l, k, 2, 3, 4))
-        data = self.random_complex(rng, (k, 2, 3, 4))
-        gains, residual = per_placement_lsq(atoms, data)
+    @staticmethod
+    def assert_lstsq_fit(atoms, data, gains, residual):
+        """(gains, residual) agree with one ``lstsq`` per placement."""
+        l, k = atoms.shape[:2]
         a, y = atoms.reshape(l, k, -1), data.reshape(k, -1)
         want = np.stack([np.linalg.lstsq(a[:, j].T, y[j], rcond=None)[0]
                          for j in range(k)], axis=1)
@@ -503,6 +500,91 @@ class TestPerPlacementLsq:
         assert np.linalg.norm(gains - want) <= 1e-10 * np.linalg.norm(want)
         assert (np.linalg.norm(residual - want_res)
                 <= 1e-10 * np.linalg.norm(want_res))
+
+    @staticmethod
+    def gain_fit(atoms, data):
+        """A :class:`_GainFit` of ``atoms`` built row by row in index
+        order, as ``per_placement_lsq`` builds it."""
+        fit = _GainFit(data, len(atoms))
+        for j, atom in enumerate(atoms):
+            fit.atom(j)[...] = atom
+            fit.update(j)
+        return fit
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(l=st.integers(1, 4), k=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_lstsq_per_placement(self, l, k, seed):
+        rng = np.random.default_rng(seed)
+        atoms = self.random_complex(rng, (l, k, 2, 3, 4))
+        data = self.random_complex(rng, (k, 2, 3, 4))
+        self.assert_lstsq_fit(atoms, data, *per_placement_lsq(atoms, data))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(l=st.integers(1, 4), k=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_in_order_updates_give_from_scratch_fit(self, l, k, seed):
+        # the polish's contract: from whatever atoms the fit holds, one
+        # update per atom in index order leaves the from-scratch bits
+        rng = np.random.default_rng(seed)
+        start = self.random_complex(rng, (l, k, 2, 3, 4))
+        atoms = self.random_complex(rng, (l, k, 2, 3, 4))
+        data = self.random_complex(rng, (k, 2, 3, 4))
+        fit = self.gain_fit(start, data)
+        for j in range(l):
+            fit.atom(j)[...] = atoms[j]
+            fit.update(j)
+        gains, residual = fit.solve()
+        want_gains, want_residual = per_placement_lsq(atoms, data)
+        assert np.array_equal(gains, want_gains)
+        assert np.array_equal(residual, want_residual)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(l=st.integers(1, 4), k=st.integers(1, 4), j=st.integers(0, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_single_update_matches_lstsq(self, l, k, j, seed):
+        rng = np.random.default_rng(seed)
+        atoms = self.random_complex(rng, (l, k, 2, 3, 4))
+        data = self.random_complex(rng, (k, 2, 3, 4))
+        fit = self.gain_fit(atoms, data)
+        j %= l
+        atoms[j] = self.random_complex(rng, atoms.shape[1:])
+        fit.atom(j)[...] = atoms[j]
+        fit.update(j)
+        self.assert_lstsq_fit(atoms, data, *fit.solve())
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(l=st.integers(2, 4), k=st.integers(1, 4), i=st.integers(0, 3),
+           shift=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_duplicating_update_falls_back_to_lstsq(self, l, k, i, shift,
+                                                    seed):
+        rng = np.random.default_rng(seed)
+        atoms = self.random_complex(rng, (l, k, 2, 3, 4))
+        data = self.random_complex(rng, (k, 2, 3, 4))
+        fit = self.gain_fit(atoms, data)
+        i, j = i % l, (i + shift) % l
+        j = j if j != i else (i + 1) % l
+        atoms[j] = atoms[i]
+        fit.atom(j)[...] = atoms[j]
+        fit.update(j)
+        with mock.patch.object(np.linalg, "lstsq",
+                               wraps=np.linalg.lstsq) as lstsq:
+            gains, residual = fit.solve()
+        assert lstsq.call_count == k
+        assert np.all(np.isfinite(gains))
+        assert np.array_equal(residual, data - model_sum(atoms, gains))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(l=st.integers(1, 4), k=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_model_sum_matches_einsum(self, l, k, seed):
+        rng = np.random.default_rng(seed)
+        atoms = self.random_complex(rng, (l, k, 2, 3, 4))
+        gains = self.random_complex(rng, (l, k))
+        want = np.einsum("lk...,lk->k...", atoms, gains)
+        got = model_sum(atoms, gains)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_singular_gram_falls_back_to_lstsq(self, monkeypatch):
         rng = np.random.default_rng(3)
