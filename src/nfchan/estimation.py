@@ -623,9 +623,9 @@ def _package(raw, gains, selections, history):
 @dataclass(eq=False)
 class _Subsets:
     """Per-problem polish data cut from one capture array: problem ``s``
-    is ``responses[groups[s]]``.  :class:`_PolishBatch` gathers each group
-    straight into its stacked array, so no subset is copied twice;
-    indexing gives one problem's captures as an array."""
+    is ``responses[groups[s]]``, cut only when :class:`_PolishBatch`
+    copies it into its stacked array, so at most one subset's copy is
+    alive at a time."""
 
     responses: np.ndarray
     groups: list
@@ -645,8 +645,7 @@ class _PolishBatch:
     receive array size.  Every problem is padded to ``kmax``, the
     largest K_s, with zero-data placements at the positions of its
     first placement, and the stacked data ``y`` is (S * kmax, M, N, F),
-    problem-major; ``data`` given as :class:`_Subsets` is gathered
-    straight into ``y``.  A zero-data placement's gains solve to exactly
+    problem-major.  A zero-data placement's gains solve to exactly
     zero and its residual is zero, so it adds nothing to any score or
     gain.
 
@@ -657,8 +656,7 @@ class _PolishBatch:
 
     def __init__(self, plans, data):
         self.size = len(plans)
-        gather = isinstance(data, _Subsets)
-        self.counts = [len(d) for d in (data.groups if gather else data)]
+        self.counts = [len(d) for d in data]
         self.kmax = max(self.counts)
         self.tx = (plans[0].tx_positions - plans[0].tx_ref)[None]  # (1, N, 2)
         rx = [p.rx_positions - p.rx_ref for p in plans]
@@ -668,15 +666,10 @@ class _PolishBatch:
         self.rx = np.stack([
             np.concatenate([d, np.repeat(d[:1], self.kmax - len(d), axis=0)])
             for d in rx])
-        tail = data.responses.shape[1:] if gather else data[0].shape[1:]
-        self.y = np.zeros((self.size * self.kmax,) + tail, dtype=complex)
+        self.y = np.zeros((self.size * self.kmax,) + data[0].shape[1:],
+                          dtype=complex)
         for s, k in enumerate(self.counts):
-            rows = self.y[s * self.kmax:s * self.kmax + k]
-            if gather:  # indices checked by the caller; "clip" is unbuffered
-                np.take(data.responses, data.groups[s], axis=0, out=rows,
-                        mode="clip")
-            else:
-                rows[...] = data[s]
+            self.y[s * self.kmax:s * self.kmax + k] = data[s]
 
     def delay(self, coord, x, idx):
         """Delays ``tau`` of one factor of problems ``idx`` at values
