@@ -620,61 +620,37 @@ def _package(raw, gains, selections, history):
                             delay_origin=float(origin))
 
 
-@dataclass(eq=False)
-class _Subsets:
-    """Per-problem polish data cut from one capture array: problem ``s``
-    is ``responses[groups[s]]``, cut only when :class:`_PolishBatch`
-    copies it into its stacked array, so at most one subset's copy is
-    alive at a time."""
-
-    responses: np.ndarray
-    groups: list
-
-    def __len__(self):
-        return len(self.groups)
-
-    def __getitem__(self, s):
-        return self.responses[self.groups[s]]
-
-
 class _PolishBatch:
     """S independent polish problems stacked on one placement axis.
 
-    Problem ``s`` is ``data[s]`` (K_s, M, N, F) measured on ``plans[s]``;
-    the plans share their transmit elements, transmit reference and
-    receive array size.  Every problem is padded to ``kmax``, the
-    largest K_s, with zero-data placements at the positions of its
-    first placement, and the stacked data ``y`` is (S * kmax, M, N, F),
-    problem-major.  A zero-data placement's gains solve to exactly
-    zero and its residual is zero, so it adds nothing to any score or
-    gain.
+    Problem ``s`` is measured on ``plans[s]``; the plans share their
+    transmit elements, transmit reference and receive array size, and
+    each holds the same number ``k`` of placements.  ``data`` is the
+    problems' (S * k, M, N, F) responses, problem-major, and serves as
+    the stacked data ``y`` as it is.
 
     A path's conjugated factors ``[r, t, e]`` are stacked the same way:
-    ``r`` (S * kmax, M, F), each placement against its own problem's
+    ``r`` (S * k, M, F), each placement against its own problem's
     receive reference, ``t`` (S, N, F) and ``e`` (S, F).
     """
 
     def __init__(self, plans, data):
         self.size = len(plans)
-        self.counts = [len(d) for d in data]
-        self.kmax = max(self.counts)
+        self.k = plans[0].n_placements
+        if (any(p.n_placements != self.k for p in plans)
+                or len(data) != self.size * self.k):
+            raise InvalidGeometry(
+                "polish problems need equal placement counts, got "
+                f"{[p.n_placements for p in plans]} for {len(data)} "
+                "placements of data")
         self.tx = (plans[0].tx_positions - plans[0].tx_ref)[None]  # (1, N, 2)
-        rx = [p.rx_positions - p.rx_ref for p in plans]
-        if self.size == 1:  # nothing to pad: the data is used as it is
-            self.rx, self.y = rx[0][None], np.asarray(data[0])
-            return
-        self.rx = np.stack([
-            np.concatenate([d, np.repeat(d[:1], self.kmax - len(d), axis=0)])
-            for d in rx])
-        self.y = np.zeros((self.size * self.kmax,) + data[0].shape[1:],
-                          dtype=complex)
-        for s, k in enumerate(self.counts):
-            self.y[s * self.kmax:s * self.kmax + k] = data[s]
+        self.rx = np.stack([p.rx_positions - p.rx_ref for p in plans])
+        self.y = data
 
     def delay(self, coord, x, idx):
         """Delays ``tau`` of one factor of problems ``idx`` at values
         ``x`` (n, X), row i against problem ``idx[i]``'s elements:
-        (n, X, kmax, M) for the receive factor, (n, X, N) for the
+        (n, X, k, M) for the receive factor, (n, X, N) for the
         transmit factor (:func:`_plane_delay`), ``x`` for the delay
         factor."""
         if coord == 2:
@@ -692,7 +668,7 @@ class _PolishBatch:
         return phi.reshape((-1,) + phi.shape[2:]) if coord == 0 else phi
 
     def atom(self, factors, out):
-        """Write the (S * kmax, M, N, F) atom of conjugated stacked
+        """Write the (S * k, M, N, F) atom of conjugated stacked
         factors into ``out``, the same bits as :func:`response_atom` on
         each problem's plan."""
         r, t, e = factors
@@ -702,13 +678,12 @@ class _PolishBatch:
         np.conjugate(atom.reshape(out.shape), out=out)
 
     def split(self, params, gains, residual):
-        """Per-problem (params, gains, residual) lists, pads dropped."""
-        residual = residual.reshape(
-            (self.size, self.kmax) + residual.shape[1:])
-        cuts = [(s * self.kmax, s * self.kmax + k)
-                for s, k in enumerate(self.counts)]
-        return (params.tolist(), [gains[:, a:b] for a, b in cuts],
-                [residual[s, :k] for s, k in enumerate(self.counts)])
+        """Per-problem (params, gains, residual) lists."""
+        return (params.tolist(),
+                list(gains.reshape(len(gains), self.size, self.k)
+                     .swapaxes(0, 1)),
+                list(residual.reshape((self.size, self.k)
+                                      + residual.shape[1:])))
 
 
 def _line_score(batch, comb, factors, coord, peeled):
@@ -738,18 +713,18 @@ def _line_score(batch, comb, factors, coord, peeled):
     kt, m, n, f = peeled.shape
     mnf = m * n * f
     r, t, e = factors
-    s, kmax = batch.size, batch.kmax
+    s, k = batch.size, batch.k
     if coord == 0:
         h = np.einsum("snf,skmnf->skmf", t * e[:, None],
-                      peeled.reshape(s, kmax, m, n, f))
+                      peeled.reshape(s, k, m, n, f))
     elif coord == 1:
-        re = r.reshape(s, kmax, m, f) * e[:, None, None]
+        re = r.reshape(s, k, m, f) * e[:, None, None]
         h = np.einsum("kmf,kmnf->knf", re.reshape(kt, m, f), peeled)
     else:
         h = np.einsum("snf,sknf->skf", t,
                       np.einsum("kmf,kmnf->knf", r, peeled)
-                      .reshape(s, kmax, n, f))
-    h = h.reshape(s, kmax, -1, f)  # (S, kmax, R, F)
+                      .reshape(s, k, n, f))
+    h = h.reshape(s, k, -1, f)  # (S, k, R, F)
     freqs = comb.tones()
     powers = np.stack([np.ones(f), freqs, freqs * freqs], axis=1).astype(complex)
 
@@ -764,7 +739,7 @@ def _line_score(batch, comb, factors, coord, peeled):
             if coord == 1:  # shared by the problem's placements
                 tau, dtau = tau[:, None], dtau[:, None]
         p = (_phase_factor(-tau, comb) * hx).reshape(-1, hx.shape[2], f)
-        q = (p @ powers).reshape(hx.shape[:3] + (3,))  # (n, kmax, R, 3)
+        q = (p @ powers).reshape(hx.shape[:3] + (3,))  # (n, k, R, 3)
         d1 = 2j * np.pi * dtau
         d2 = 0.0 if coord == 2 else -2j * np.pi * tau
         c0 = q[..., 0].sum(axis=-1)
@@ -841,12 +816,11 @@ def _cyclic_polish(plans, grid, params, data, steps, passes):
     residual, in S independent problems at once.
 
     Problem ``s`` fits ``params[s]``, a list of L [aoa, aod, raw_delay]
-    triples (L the same in every problem), to ``data[s]`` (K_s, M, N, F)
-    measured on ``plans[s]`` (``data`` a list, or :class:`_Subsets` of
-    one capture array); the plans share their transmit elements.
+    triples (L the same in every problem), to its K placements of
+    ``data`` (S * K, M, N, F), problem-major, measured on ``plans[s]``;
+    the plans share their transmit elements and each holds K placements.
     The problems run in lockstep on one stacked placement axis
-    (:class:`_PolishBatch`): problems of fewer placements are padded
-    with zero-data placements, which add nothing to any score or gain.
+    (:class:`_PolishBatch`).
     Each path in turn is peeled out of the running residual (``residual
     + atom_j * gains_j``), then each coordinate climbs its separable
     score (:func:`_line_score`) by safeguarded Newton ascents inside +-1
@@ -867,7 +841,7 @@ def _cyclic_polish(plans, grid, params, data, steps, passes):
     atoms.
 
     Returns (params, gains, residuals), lists over the problems of L
-    triples, (L, K_s) gains and (K_s, M, N, F) residuals.
+    triples, (L, K) gains and (K, M, N, F) residuals.
     """
     comb = grid.comb
     batch = _PolishBatch(plans, data)
@@ -970,7 +944,7 @@ def omp_extract(mset: MeasurementSet, dictionary: DictionaryGrid,
             break
         ([trial], [new_gains], [new_residual]) = _cyclic_polish(
             plans=[mset.plan], grid=mset.grid,
-            params=[params + [picked]], data=[data],
+            params=[params + [picked]], data=data,
             steps=steps, passes=polish_passes)
         new_energy = _energy(new_residual)
         if new_energy >= history[-1] * (1.0 - 1e-12):
@@ -1005,7 +979,7 @@ def refine_extraction(mset: MeasurementSet, result: ExtractionResult,
         return result
     ([params], [gains], [residual]) = _cyclic_polish(
         plans=[mset.plan], grid=mset.grid, params=[params],
-        data=[mset.responses],
+        data=mset.responses,
         steps=(aoa_step, aod_step, 1.0 / (2.0 * mset.grid.bandwidth)),
         passes=passes)
     history = [result.input_energy(x) for x in result.residual_history]

@@ -144,12 +144,14 @@ class ReflectionModelEstimator(_BaseEstimator):
     to populate the error table.  ``predict`` synthesizes noiseless
     coherent responses from the fitted mirrored-source paths for any
     measurement set's plan/grid, which transfers across apertures since
-    the fitted parameters are absolute.
+    the fitted parameters are absolute.  ``fit`` needs a plan with track
+    offsets, one bearing per offset, as :func:`~nfchan.scenario.build_plan`
+    and :func:`~nfchan.aperture.plan_linear_track` make; a dataset read
+    from disk carries none.
     """
 
     _fields = ("room_vertices", "reflective", "aoa_grid_deg", "aod_grid_deg",
-               "l_max", "stop_fraction", "refine_passes", "parity",
-               "min_bearings", "subsets")
+               "l_max", "stop_fraction", "refine_passes", "parity")
 
     def fit(self, X: MeasurementSet, y=None):
         report = run_estimate(X, self._config(), truth=y)

@@ -44,7 +44,6 @@ from .estimation import (
     DictionaryGrid,
     Heatmap,
     _cyclic_polish,
-    _Subsets,
     assemble_rm,
     detect_paths_pdp,
     estimate_parity,
@@ -232,29 +231,25 @@ def extract_paths(mset, cfg, room=None):
     return result, (axis, side), timing
 
 
-def subset_groups(plan, cfg):
-    """Placement index groups feeding one bearing each."""
-    spec = cfg.subsets
-    if isinstance(spec, str):
-        if spec != "by-offset":
-            raise InvalidGeometry(f"unknown subset rule {spec!r}")
-        if plan.offsets is None:
-            raise InvalidGeometry(
-                "plan carries no offset metadata; list subsets explicitly")
-        return [np.flatnonzero(plan.offsets == off)
-                for off in np.unique(plan.offsets)]
-    groups = [np.asarray(g, dtype=int) for g in spec]
-    seen = set()
-    for g in groups:
-        if g.size == 0 or g.min() < 0 or g.max() >= plan.n_placements:
-            raise InvalidGeometry("subset indices out of range")
-        if seen & set(g.tolist()):
-            raise InvalidGeometry("subsets overlap")
-        seen |= set(g.tolist())
-    return groups
+def subset_groups(plan):
+    """Placement index groups feeding one bearing each: one group per
+    track offset, in increasing offset order, all of the same size."""
+    if plan.offsets is None:
+        raise InvalidGeometry(
+            "plan carries no track offsets to group its placements by; a "
+            "plan from build_plan or plan_linear_track carries them, and "
+            "`nfchan estimate --scenario` rebinds them to a dataset read "
+            "from disk")
+    offsets, counts = np.unique(plan.offsets, return_counts=True)
+    if np.any(counts != counts[0]):
+        listed = ", ".join(f"{float(o)!r}: {int(c)}"
+                           for o, c in zip(offsets, counts))
+        raise InvalidGeometry(
+            f"track offsets need equal placement counts, got {listed}")
+    return [np.flatnonzero(plan.offsets == off) for off in offsets]
 
 
-def subset_bearings(mset, result, cfg, fold_info=(None, 0.0)):
+def subset_bearings(mset, result, fold_info=(None, 0.0)):
     """Stage 3: one bearing per global path per placement subset.
 
     Each subset polishes the global paths on its own data instead of
@@ -266,12 +261,11 @@ def subset_bearings(mset, result, cfg, fold_info=(None, 0.0)):
     degrees or +-:data:`SUBSET_PAD_HALFBINS` half-bins per pass, so
     polished path j is path j and no matching is needed.  All subsets
     polish in one lockstep call of
-    :func:`~nfchan.estimation._cyclic_polish`, one problem per subset,
-    each about its own centroid; explicit subsets of unequal size are
-    padded with zero-data placements, which change no subset's
-    result.  On a collinear track a bearing that turns away from the
-    room interior is dropped, as the sweep's fold would drop it.
-    Returns one list of bearings per global path.
+    :func:`~nfchan.estimation._cyclic_polish`, one problem per track
+    offset (:func:`subset_groups`), each about its own centroid, on one
+    gather of the subsets' responses.  On a collinear track a bearing
+    that turns away from the room interior is dropped, as the sweep's
+    fold would drop it.  Returns one list of bearings per global path.
     """
     plan, grid = mset.plan, mset.grid
     axis, side = fold_info
@@ -281,7 +275,7 @@ def subset_bearings(mset, result, cfg, fold_info=(None, 0.0)):
     bearings = [[] for _ in paths]
     if not paths:
         return bearings
-    groups = subset_groups(plan, cfg)
+    groups = subset_groups(plan)
     subs = [plan.subset(idx) for idx in groups]
     seeds = []
     for sub in subs:
@@ -293,7 +287,7 @@ def subset_bearings(mset, result, cfg, fold_info=(None, 0.0)):
             v = image_from_polar(plan.rx_ref, p.aoa, draw) - sub.rx_ref
             seeds[-1].append([math.atan2(v[1], v[0]), p.aod, dsub])
     params, gains, _ = _cyclic_polish(subs, grid, seeds,
-                                      _Subsets(mset.responses, groups),
+                                      mset.responses[np.concatenate(groups)],
                                       steps, SUBSET_POLISH_PASSES)
     for sub, sub_params, sub_gains in zip(subs, params, gains):
         aoas = np.array([aoa for aoa, _, _ in sub_params])
@@ -304,9 +298,11 @@ def subset_bearings(mset, result, cfg, fold_info=(None, 0.0)):
     return bearings
 
 
-def localize_paths(plan, result, bearings, cfg):
+def localize_paths(plan, result, bearings):
     """Stage 4: triangulate per path, anchor on the strongest clean one.
 
+    A path's triangulation is None when it has fewer than two bearings
+    or they do not intersect (:func:`~nfchan.estimation.triangulate`).
     Candidate anchors whose implied absolute delays turn nonpositive
     for some other path are skipped in favour of the next strongest.
     Returns (anchor_index, taus, image_points, triangulations); the
@@ -316,13 +312,10 @@ def localize_paths(plan, result, bearings, cfg):
     """
     tris = []
     for blist in bearings:
-        tri = None
-        if len(blist) >= cfg.min_bearings:
-            try:
-                tri = triangulate(blist)
-            except DegenerateTriangulation:
-                tri = None
-        tris.append(tri)
+        try:
+            tris.append(triangulate(blist))
+        except DegenerateTriangulation:
+            tris.append(None)
     for j, tri in enumerate(tris):  # paths are sorted strongest first
         if tri is None or tri.behind.any():
             continue
@@ -491,12 +484,11 @@ def run_estimate(mset, cfg: ScenarioConfig, truth=None) -> RunReport:
     result, fold_info, timing = extract_paths(mset, cfg, room=room)
 
     t1 = time.perf_counter()
-    bearings = subset_bearings(mset, result, cfg, fold_info)
+    bearings = subset_bearings(mset, result, fold_info)
     timing["subsets"] = time.perf_counter() - t1
 
     t1 = time.perf_counter()
-    anchor, taus, images, tris = localize_paths(mset.plan, result, bearings,
-                                                cfg)
+    anchor, taus, images, tris = localize_paths(mset.plan, result, bearings)
     timing["triangulate"] = time.perf_counter() - t1
 
     parities = ambiguous = rm_paths = None

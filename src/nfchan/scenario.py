@@ -33,7 +33,10 @@ class ScenarioConfig:
     recovery stack's settable values.  Its delay support is fixed: the
     delay-profile peaks within
     :data:`~nfchan.estimation.PDP_THRESHOLD_DB` of the strongest, padded
-    by :data:`~nfchan.pipeline.DELAY_PAD_BINS` bins.
+    by :data:`~nfchan.pipeline.DELAY_PAD_BINS` bins.  Its placement
+    groups are fixed too: each track offset's placements give one
+    bearing per path, so ``offsets`` must be distinct, and every
+    triangulation with two or more bearings is tried.
     """
 
     room_vertices: np.ndarray = None
@@ -60,8 +63,6 @@ class ScenarioConfig:
     stop_fraction: float = 0.005
     refine_passes: int = 2
     parity: bool = True
-    min_bearings: int = 2
-    subsets: object = "by-offset"
     heat_bounds: tuple = None
     heat_cell: float = 0.25
     heat_concentration: float = 400.0
@@ -243,9 +244,6 @@ _GRID = _Or(None, None, _List(_REAL, ok=lambda v: all(map(
 _BOUNDS = _Or(None, None, _List(_REAL, ok=lambda b: (
     len(b) == 4 and b[0] < b[1] and b[2] < b[3]),
     need="xmin xmax ymin ymax with min < max"))
-_SUBSETS = _Or("by-offset", "by-offset", _List(
-    _List(_INDEX), sep=";", ok=lambda g: len(g) >= 2,
-    need="at least two placement groups"))
 
 # One row per key, in file order: (section, key, ScenarioConfig field,
 # codec).
@@ -277,8 +275,6 @@ _KEYS = (
          _Number(float, ">= 0", "< 1")),
     _Key("estimation", "refine_passes", "refine_passes", _INDEX),
     _Key("estimation", "parity", "parity", _FLAG),
-    _Key("triangulation", "min_bearings", "min_bearings", _Number(int, ">= 2")),
-    _Key("triangulation", "subsets", "subsets", _SUBSETS),
     _Key("heatmap", "bounds", "heat_bounds", _BOUNDS),
     _Key("heatmap", "cell", "heat_cell", _SPACING),
     _Key("heatmap", "concentration", "heat_concentration", _POSITIVE),
@@ -368,7 +364,13 @@ def _validate_config(cfg, lines):
                        ("origin", cfg.ap_origin)):
         if not room.contains(point):
             fail(key, "point is outside the room")
-    k = len(cfg.offsets) * len(cfg.spacings)
+    # Each offset's placements give one bearing per path, grouped as
+    # pipeline.subset_groups groups them: a repeated offset would make
+    # its group larger than the others.
+    values, repeats = np.unique(cfg.offsets, return_counts=True)
+    if repeats.max() > 1:
+        fail("offsets", f"offset {float(values[repeats > 1][0])!r} is listed "
+             f"{repeats.max()} times; each offset must be distinct")
     counts = {"offsets": len(cfg.offsets), "spacings": len(cfg.spacings),
               "n_rx": cfg.n_rx, "layout": len(build_tx_array(cfg)),
               "n_tones": cfg.n_tones}
@@ -381,15 +383,6 @@ def _validate_config(cfg, lines):
         if steps > _MAX_TRACE_STEPS:
             fail("max_order", f"image search needs more than "
                  f"{_MAX_TRACE_STEPS} sequential back-trace steps")
-    seen = set()
-    for group in () if cfg.subsets == "by-offset" else cfg.subsets:
-        for i in group:
-            if i >= k:
-                fail("subsets", f"placement index {i} out of range "
-                                f"(campaign has {k})")
-            if i in seen:
-                fail("subsets", f"placement index {i} appears in two groups")
-            seen.add(i)
 
 
 def format_scenario(cfg: ScenarioConfig):

@@ -428,7 +428,7 @@ class TestPlaneDelay:
 def line_score(plan, comb, params, coord, data):
     """:func:`_line_score` of one problem at ``params``, as a scalar
     function returning the float triple (s, s', s'')."""
-    batch = _PolishBatch([plan], [data])
+    batch = _PolishBatch([plan], data)
     factors = [batch.factor(c, np.array([params[c]]), comb) for c in range(3)]
     score = _line_score(batch, comb, factors, coord, batch.y)
     return lambda x: tuple(float(v[0]) for v in score(np.array([x]), [0]))
@@ -640,7 +640,7 @@ class TestPolish:
         atoms = np.stack([response_atom(plan, grid, *q) for q in start])
         before = np.sum(np.abs(per_placement_lsq(atoms, m.responses)[1]) ** 2)
         [params], _, [residual] = _cyclic_polish(
-            [plan], grid, [[list(q) for q in start]], [m.responses], steps, 1)
+            [plan], grid, [[list(q) for q in start]], m.responses, steps, 1)
         assert np.sum(np.abs(residual) ** 2) <= before * (1 + 1e-12)
         for old, new in zip(start, params):
             for c in range(3):
@@ -659,7 +659,7 @@ class TestPolish:
         start = [[p.aoa + 0.4 * steps[0], p.aod - 0.3 * steps[1],
                   p.tau + 0.2 * steps[2]] for p in paths]
         [params], [gains], [residual] = _cyclic_polish(
-            [plan], grid, [[list(q) for q in start]], [m.responses], steps, 2)
+            [plan], grid, [[list(q) for q in start]], m.responses, steps, 2)
         assert all(new[c] != old[c] for old, new in zip(start, params)
                    for c in range(3))
         atoms = np.stack([response_atom(plan, grid, *q) for q in params])

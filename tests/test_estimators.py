@@ -45,10 +45,13 @@ class TestProtocol:
             est.set_params(bananas=1)
 
     def test_rm_estimator_params(self):
-        est = ReflectionModelEstimator(parity=False, min_bearings=3)
+        est = ReflectionModelEstimator(parity=False, l_max=3)
         params = clone(est).get_params()
         assert params["parity"] is False
-        assert params["min_bearings"] == 3
+        assert params["l_max"] == 3
+        assert "min_bearings" not in params and "subsets" not in params
+        with pytest.raises(TypeError, match="min_bearings"):
+            ReflectionModelEstimator(min_bearings=3)
 
     def test_repr_shows_params(self):
         assert "l_max=4" in repr(PathExtractor(l_max=4))

@@ -330,7 +330,7 @@ class TestCollinearFold:
             result = ExtractionResult(paths=[path], selections=[],
                                       residual_history=[1.0],
                                       delay_origin=ext.delay_origin)
-            got = subset_bearings(mset, result, quick_cfg, fold)
+            got = subset_bearings(mset, result, fold)
             assert len(got[0]) == want
 
     def test_polished_pick_unfolds_to_interior(self):
@@ -345,7 +345,7 @@ class TestCollinearFold:
         assert axis is not None and side != 0.0
         assert np.all(_facing(aoas, axis, side))
         assert np.any(np.abs(aoas - np.deg2rad(8.0)) < 1e-9)
-        assert all(len(b) >= cfg.min_bearings for b in rep.bearings)
+        assert all(len(b) >= 2 for b in rep.bearings)
 
 
 class TestDatasetRebind:
@@ -371,15 +371,19 @@ class TestDatasetRebind:
 
 class TestNoAnchor:
     def test_unreachable_min_bearings(self, quick_cfg):
-        rep = run_evaluate(replace(quick_cfg, min_bearings=7))
+        # a one-offset track gives one bearing per path, below the two
+        # that triangulation needs, so no path can anchor
+        cfg = replace(quick_cfg, offsets=quick_cfg.offsets[:1])
+        rep = run_evaluate(cfg)
+        assert rep.paths and all(len(b) == 1 for b in rep.bearings)
         assert rep.anchor_index is None
         assert rep.taus is None and rep.rm_paths is None
         assert rep.parities is None
         assert rep.los_image_error() == float("inf")
         with pytest.raises(DegenerateTriangulation):
-            run_heatmap(replace(quick_cfg, min_bearings=7), report=rep)
+            run_heatmap(cfg, report=rep)
 
-    def test_inconsistent_anchor_falls_back(self, quick_cfg):
+    def test_inconsistent_anchor_falls_back(self):
         # strongest path triangulates absurdly close, so anchoring on it
         # would drive the other path's absolute delay negative
         from nfchan.estimation import Bearing, ExtractionResult
@@ -402,8 +406,7 @@ class TestNoAnchor:
                     for p in ([0.0, 0.0], [0.0, 1.0])]
 
         bearings = [sights((1.0, 0.5)), sights((5.0, 2.0))]
-        anchor, taus, images, tris = localize_paths(plan, result, bearings,
-                                                    quick_cfg)
+        anchor, taus, images, tris = localize_paths(plan, result, bearings)
         assert anchor == 1
         assert np.all(taus > 0)
         assert np.allclose(images[1], (5.0, 2.0), atol=1e-6)
@@ -427,33 +430,29 @@ class TestExplicitGrids:
 class TestSubsetGroups:
     def test_by_offset(self, quick_synth, quick_cfg):
         mset, _ = quick_synth
-        groups = subset_groups(mset.plan, quick_cfg)
+        groups = subset_groups(mset.plan)
         assert len(groups) == 3
         assert sorted(i for g in groups for i in g) == list(range(6))
         for g in groups:
             offs = mset.plan.offsets[g]
             assert np.ptp(offs) == 0
 
-    def test_by_offset_needs_metadata(self, quick_synth, quick_cfg,
-                                      tmp_path):
+    def test_by_offset_needs_metadata(self, quick_synth, tmp_path):
         mset, _ = quick_synth
         p = tmp_path / "run.nfcm"
         write_dataset(mset, p)
         bare = read_dataset(p)
         with pytest.raises(InvalidGeometry, match="offset"):
-            subset_groups(bare.plan, quick_cfg)
+            subset_groups(bare.plan)
 
-    def test_explicit_groups_validated(self, quick_synth, quick_cfg):
+    def test_unequal_offset_counts_rejected(self, quick_synth):
+        # dropping one placement leaves offset 0 with one placement and
+        # the others with two; the message names each offset's count
         mset, _ = quick_synth
-        good = replace(quick_cfg, subsets=((0, 1), (2, 3), (4, 5)))
-        groups = subset_groups(mset.plan, good)
-        assert [g.tolist() for g in groups] == [[0, 1], [2, 3], [4, 5]]
-        with pytest.raises(InvalidGeometry, match="range"):
-            subset_groups(mset.plan, replace(quick_cfg, subsets=((0, 9),
-                                                                 (1, 2))))
-        with pytest.raises(InvalidGeometry, match="overlap"):
-            subset_groups(mset.plan, replace(quick_cfg, subsets=((0, 1),
-                                                                 (1, 2))))
+        plan = mset.plan.subset(np.arange(1, mset.plan.n_placements))
+        with pytest.raises(InvalidGeometry,
+                           match=r"0\.0: 1, 0\.3: 2, 0\.6: 2"):
+            subset_groups(plan)
 
 
 class TestBatchedSubsetPolish:
@@ -481,21 +480,20 @@ class TestBatchedSubsetPolish:
         [(args, _)] = self.polish_calls(mset, quick_cfg, monkeypatch)
         assert len(args[0]) == 3
 
-    @pytest.mark.parametrize("subsets",
-                             ["by-offset", ((0, 1), (2, 3, 4), (5,))])
     @pytest.mark.parametrize("snr_db", [None, 20.0])
-    def test_batch_matches_separate_calls(self, quick_cfg, snr_db, subsets,
+    def test_batch_matches_separate_calls(self, quick_cfg, snr_db,
                                           monkeypatch):
-        # unequal explicit subsets pad the smaller ones with zero-data
-        # placements, which must change no subset's result
-        cfg = replace(quick_cfg, snr_db=snr_db, subsets=subsets)
+        # data stacks the subsets problem-major, K placements each
+        cfg = replace(quick_cfg, snr_db=snr_db)
         mset, _ = run_synth(cfg)
         [(args, out)] = self.polish_calls(mset, cfg, monkeypatch)
         plans, grid, seeds, data, steps, passes = args
         assert len(plans) == 3
+        k = plans[0].n_placements
         for s, (params, gains, residual) in enumerate(zip(*out)):
             [want_params], [want_gains], [want_residual] = _cyclic_polish(
-                [plans[s]], grid, [seeds[s]], [data[s]], steps, passes)
+                [plans[s]], grid, [seeds[s]], data[s * k:(s + 1) * k], steps,
+                passes)
             assert np.all(np.abs(np.subtract(params, want_params))
                           <= _NEWTON_TOL * np.array(steps))
             np.testing.assert_allclose(gains, want_gains, rtol=1e-9)
@@ -513,7 +511,7 @@ class TestBatchedSubsetPolish:
         result, fold_info, _ = extract_paths(mset, cfg, room=build_room(cfg))
         tracemalloc.start()
         try:
-            subset_bearings(mset, result, cfg, fold_info)
+            subset_bearings(mset, result, fold_info)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -117,10 +117,6 @@ stop_fraction = 0.01
 refine_passes = 0
 parity = false
 
-[triangulation]
-min_bearings = 3
-subsets = 0 1; 2 3; 4 5
-
 [heatmap]
 bounds = 0 20 0 10
 cell = 0.5
@@ -151,7 +147,8 @@ class TestParsing:
         assert np.isclose(cfg.tx_spacing, cfg.wavelength() / 2)
         assert cfg.offsets == (0.0, 0.4)
         assert np.isclose(cfg.spacings[0], cfg.wavelength() / 2)
-        assert cfg.subsets == "by-offset"
+        assert not hasattr(cfg, "min_bearings")
+        assert not hasattr(cfg, "subsets")
 
     def test_empty_file_reports_line_one(self):
         with pytest.raises(ScenarioError) as err:
@@ -231,23 +228,6 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="model"):
             parse_scenario(MINIMAL + "\n[measurement]\nmodel = raytrace\n")
 
-    def test_explicit_subset_groups(self):
-        # MINIMAL has 2 offsets x 1 spacing = 2 placements.
-        cfg = parse_scenario(MINIMAL + "\n[triangulation]\nsubsets = 0; 1\n")
-        assert cfg.subsets == ((0,), (1,))
-
-    def test_subset_index_out_of_range(self):
-        with pytest.raises(ScenarioError, match="out of range"):
-            parse_scenario(MINIMAL + "\n[triangulation]\nsubsets = 0; 9\n")
-
-    def test_subset_overlap_rejected(self):
-        with pytest.raises(ScenarioError, match="two groups"):
-            parse_scenario(MINIMAL + "\n[triangulation]\nsubsets = 0 1; 1\n")
-
-    def test_single_subset_group_rejected(self):
-        with pytest.raises(ScenarioError, match="two placement groups"):
-            parse_scenario(MINIMAL + "\n[triangulation]\nsubsets = 0 1 2\n")
-
 
     @pytest.mark.parametrize("section, key, value", [
         ("room", "reflective", "9"),
@@ -261,6 +241,10 @@ class TestParsing:
         ("transmitter", "spacing", "nan"),
         ("aperture", "offsets", "nan"),
         ("aperture", "offsets", "0:1e-12:1"),
+        # each offset's placements are one bearing's group
+        ("aperture", "offsets", "0 0 0.4"),
+        ("aperture", "offsets", "0:0.2:0.4 0.4"),
+        ("aperture", "offsets", "0 0wl"),
         ("aperture", "spacings", "0"),
         ("aperture", "n_rx", "0"),
         ("measurement", "seed", "-1"),
@@ -284,15 +268,24 @@ class TestParsing:
 
     def test_refine_key_is_gone(self):
         # each removed estimation key fails by name: refine_passes = 0
-        # is how refinement is turned off, and the delay support's peak
-        # floor and pad are fixed constants
+        # is how refinement is turned off, the delay support's peak
+        # floor and pad are fixed constants, and so are the placement
+        # groups (one per track offset) and the two-bearing floor
         for key in ("refine", "detect_threshold_db", "min_separation_bins",
-                    "delay_pad_bins"):
+                    "delay_pad_bins", "min_bearings", "subsets"):
             text = MINIMAL + f"\n[estimation]\n{key} = 1\n"
             with pytest.raises(ScenarioError,
                                match=f"unknown key '{key}'") as err:
                 parse_scenario(text)
             assert err.value.line == text.splitlines().index(f"{key} = 1") + 1
+
+    def test_triangulation_section_is_gone(self):
+        # its keys are gone, so the section fails on its header line
+        text = MINIMAL + "\n[triangulation]\nsubsets = by-offset\n"
+        with pytest.raises(ScenarioError,
+                           match=r"unknown section \[triangulation\]") as err:
+            parse_scenario(text)
+        assert err.value.line == text.splitlines().index("[triangulation]") + 1
 
 
 class TestCampaignCap:
