@@ -17,10 +17,19 @@ from .channel import FrequencyGrid, synth_channel
 from .errors import EmptyChannel, InvalidGeometry
 from .validation import as_points, as_vec2, check_finite
 
+# Placements whose receive-array centroids agree within this many metres
+# in both coordinates stand at one track position; two layouts whose
+# element positions agree within it are the same layout.
+CENTROID_ATOL_M = 1e-9
+
 
 @dataclass(eq=False)
 class MeasurementPlan:
     """Element positions for every placement of a campaign.
+
+    A placement's track position is its receive elements' centroid;
+    :func:`~nfchan.pipeline.subset_groups` groups placements by it, so a
+    plan needs no other per-placement metadata.
 
     Attributes
     ----------
@@ -32,15 +41,12 @@ class MeasurementPlan:
         Reference points path parameters are defined against.  By
         default the centroids of the element positions, which keeps
         first-order models balanced across the whole track.
-    offsets : (K,) ndarray
-        Per-placement track offset metadata.
     """
 
     rx_positions: np.ndarray
     tx_positions: np.ndarray
     rx_ref: np.ndarray = None
     tx_ref: np.ndarray = None
-    offsets: np.ndarray = None
 
     def __post_init__(self):
         rx = np.asarray(self.rx_positions, dtype=float)
@@ -58,15 +64,6 @@ class MeasurementPlan:
             self.tx_ref = self.tx_positions.mean(axis=0)
         self.rx_ref = as_vec2(self.rx_ref, "rx_ref")
         self.tx_ref = as_vec2(self.tx_ref, "tx_ref")
-        if self.offsets is not None:
-            off = np.asarray(self.offsets, dtype=float)
-            if off.size != rx.shape[0]:
-                raise InvalidGeometry(
-                    f"offsets must hold one value per placement "
-                    f"({rx.shape[0]}), got {off.size}")
-            if not np.all(np.isfinite(off)):
-                raise InvalidGeometry("offsets must be finite")
-            self.offsets = off.reshape(rx.shape[0])
 
     @property
     def n_placements(self):
@@ -93,7 +90,6 @@ class MeasurementPlan:
             rx_positions=rx,
             tx_positions=self.tx_positions,
             tx_ref=self.tx_ref,
-            offsets=None if self.offsets is None else self.offsets[indices],
         )
 
 
@@ -132,19 +128,13 @@ def plan_linear_track(rx_ref, offsets, spacings, tx_positions, n_rx=2):
         raise InvalidGeometry("n_rx must be at least 1")
     centered = (np.arange(n_rx) - (n_rx - 1) / 2.0)
     rx = np.zeros((offsets.size * spacings.size, n_rx, 2))
-    off_meta = np.zeros(rx.shape[0])
     k = 0
     for o in offsets:
         for a in spacings:
             rx[k, :, 0] = origin[0] + o + centered * a
             rx[k, :, 1] = origin[1]
-            off_meta[k] = o
             k += 1
-    return MeasurementPlan(
-        rx_positions=rx,
-        tx_positions=tx_positions,
-        offsets=off_meta,
-    )
+    return MeasurementPlan(rx_positions=rx, tx_positions=tx_positions)
 
 
 @dataclass(eq=False)

@@ -20,13 +20,15 @@ import argparse
 import os
 import sys
 
-from .aperture import mean_pdp
+import numpy as np
+
+from .aperture import CENTROID_ATOL_M, mean_pdp
 from .dataio import (emit_heatmap_grid, emit_pdp_csv, emit_report,
                      emit_sweep_csv, read_dataset, write_dataset)
-from .errors import NfchanError
+from .errors import InvalidGeometry, NfchanError
 from .pipeline import (run_estimate, run_evaluate, run_heatmap, run_synth,
                        sweep_runs, sweep_values)
-from .scenario import available_presets, load_scenario_file
+from .scenario import available_presets, build_plan, load_scenario_file
 
 OUT_ENV = "NFCHAN_OUT"
 
@@ -76,9 +78,21 @@ def _cmd_synth(args):
         _wrote(args.pdp)
 
 
+def _check_layout(plan, cfg):
+    """The scenario that supplies a recorded dataset's estimation
+    settings must describe the element positions the dataset stores."""
+    want = build_plan(cfg)
+    for a, b in ((want.rx_positions, plan.rx_positions),
+                 (want.tx_positions, plan.tx_positions)):
+        if a.shape != b.shape or np.abs(a - b).max() > CENTROID_ATOL_M:
+            raise InvalidGeometry("scenario does not describe the dataset's "
+                                  "measurement layout")
+
+
 def _cmd_estimate(args):
     cfg = load_scenario_file(args.scenario)
     mset = read_dataset(args.data)
+    _check_layout(mset.plan, cfg)
     report = run_estimate(mset, cfg)
     out = _resolve_out(args.out,
                        _scenario_stem(args.scenario) + "-report.txt")

@@ -3,10 +3,11 @@
 The on-disk dataset is an "NFCM" container: a little-endian header
 carrying the tensor shape, array references, element positions, tone
 comb and capture conditions, followed by the raw response tensor as
-complex128 in (placement, rx, tx, tone) row-major order.  Track
-metadata that only a scenario knows (offsets, estimation settings) is
-deliberately not stored; callers that need it rebind the plan from the
-scenario file after checking the stored positions agree.
+complex128 in (placement, rx, tx, tone) row-major order.  The stored
+element positions are the whole plan: the placement groups follow from
+them (:func:`~nfchan.pipeline.subset_groups`), so a dataset read back
+estimates as it was written, with nothing to rebind.  Estimation
+settings are not stored; they come from a scenario.
 
 Emitters are data-only (CSV / structured text); rendering is left to
 external tooling.
@@ -77,8 +78,8 @@ class _Cursor:
 def read_dataset(path) -> MeasurementSet:
     """Parse an NFCM container back into a measurement set.
 
-    The returned plan has no offsets metadata (the container does not
-    store it); positions and references are exact.
+    Positions and references are exact, so the plan groups its
+    placements as the written one did and needs nothing rebound.
     """
     with open(path, "rb") as fh:
         blob = fh.read()

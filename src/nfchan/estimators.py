@@ -144,10 +144,9 @@ class ReflectionModelEstimator(_BaseEstimator):
     to populate the error table.  ``predict`` synthesizes noiseless
     coherent responses from the fitted mirrored-source paths for any
     measurement set's plan/grid, which transfers across apertures since
-    the fitted parameters are absolute.  ``fit`` needs a plan with track
-    offsets, one bearing per offset, as :func:`~nfchan.scenario.build_plan`
-    and :func:`~nfchan.aperture.plan_linear_track` make; a dataset read
-    from disk carries none.
+    the fitted parameters are absolute.  ``fit`` takes one bearing per
+    receive-array centroid (:func:`~nfchan.pipeline.subset_groups`), so
+    it fits a dataset read from disk as it fits the set that was written.
     """
 
     _fields = ("room_vertices", "reflective", "aoa_grid_deg", "aod_grid_deg",

@@ -7,8 +7,9 @@ The estimation side chains the lower-level stages:
    gains over a 3-degree arrival and 6-degree departure comb, polished
    off-grid as it goes and ended at the noise floor, then a final
    1-degree refinement;
-3. one bearing per path per single-offset placement subset, from a
-   polish of the global paths on the subset's data (no second sweep),
+3. one bearing per path per placement group, the placements that share
+   an array centroid (:func:`subset_groups`), from a polish of the
+   global paths on the group's data (no second sweep),
    then weighted triangulation of every path's mirrored source;
 4. the strongest triangulated path anchors the absolute time scale,
    restoring times of flight and image points for all paths;
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .aperture import mean_pdp, simulate_campaign
+from .aperture import CENTROID_ATOL_M, mean_pdp, simulate_campaign
 from .channel import SPEED_OF_LIGHT, RmPathParams, unit_vector, wrap_angle
 from .errors import (
     DegenerateTriangulation,
@@ -233,20 +234,33 @@ def extract_paths(mset, cfg, room=None):
 
 def subset_groups(plan):
     """Placement index groups feeding one bearing each: one group per
-    track offset, in increasing offset order, all of the same size."""
-    if plan.offsets is None:
+    receive-array centroid, ordered by centroid x then y, all of the
+    same size.
+
+    Two placements share a group when their centroids agree within
+    :data:`~nfchan.aperture.CENTROID_ATOL_M` in both coordinates.
+    :func:`~nfchan.aperture.plan_linear_track` centers each placement's
+    array on its track offset, so its groups are its offsets, in
+    increasing order.
+    """
+    cents = plan.rx_positions.mean(axis=1)
+    heads = []  # each group's first placement
+    label = np.empty(len(cents), dtype=int)
+    for k, c in enumerate(cents):
+        near = np.flatnonzero(np.all(np.abs(cents[heads] - c)
+                                     <= CENTROID_ATOL_M, axis=1))
+        if near.size == 0:
+            heads.append(k)
+        label[k] = near[0] if near.size else len(heads) - 1
+    order = np.lexsort((cents[heads, 1], cents[heads, 0]))
+    groups = [np.flatnonzero(label == g) for g in order]
+    if any(g.size != groups[0].size for g in groups):
+        listed = ", ".join(
+            f"({cents[heads[g], 0]:g}, {cents[heads[g], 1]:g}): {idx.size}"
+            for g, idx in zip(order, groups))
         raise InvalidGeometry(
-            "plan carries no track offsets to group its placements by; a "
-            "plan from build_plan or plan_linear_track carries them, and "
-            "`nfchan estimate --scenario` rebinds them to a dataset read "
-            "from disk")
-    offsets, counts = np.unique(plan.offsets, return_counts=True)
-    if np.any(counts != counts[0]):
-        listed = ", ".join(f"{float(o)!r}: {int(c)}"
-                           for o, c in zip(offsets, counts))
-        raise InvalidGeometry(
-            f"track offsets need equal placement counts, got {listed}")
-    return [np.flatnonzero(plan.offsets == off) for off in offsets]
+            f"array centroids need equal placement counts, got {listed}")
+    return groups
 
 
 def subset_bearings(mset, result, fold_info=(None, 0.0)):
@@ -261,8 +275,8 @@ def subset_bearings(mset, result, fold_info=(None, 0.0)):
     degrees or +-:data:`SUBSET_PAD_HALFBINS` half-bins per pass, so
     polished path j is path j and no matching is needed.  All subsets
     polish in one lockstep call of
-    :func:`~nfchan.estimation._cyclic_polish`, one problem per track
-    offset (:func:`subset_groups`), each about its own centroid, on one
+    :func:`~nfchan.estimation._cyclic_polish`, one problem per placement
+    group (:func:`subset_groups`), each about its own centroid, on one
     gather of the subsets' responses.  On a collinear track a bearing
     that turns away from the room interior is dropped, as the sweep's
     fold would drop it.  Returns one list of bearings per global path.
@@ -454,23 +468,6 @@ def run_synth(cfg: ScenarioConfig):
     return mset, truth
 
 
-def _rebind_plan(mset, cfg):
-    """Datasets store raw positions only; reattach the scenario's plan
-    (with offset metadata) after checking it describes the same layout."""
-    if mset.plan.offsets is not None or cfg.offsets is None:
-        return mset
-    plan = build_plan(cfg)
-    same = (plan.rx_positions.shape == mset.plan.rx_positions.shape
-            and np.allclose(plan.rx_positions, mset.plan.rx_positions,
-                            atol=1e-9)
-            and np.allclose(plan.tx_positions, mset.plan.tx_positions,
-                            atol=1e-9))
-    if not same:
-        raise InvalidGeometry("scenario does not describe the dataset's "
-                              "measurement layout")
-    return replace(mset, plan=plan)
-
-
 def run_estimate(mset, cfg: ScenarioConfig, truth=None) -> RunReport:
     """Full recovery pipeline on an existing measurement set.
 
@@ -479,7 +476,8 @@ def run_estimate(mset, cfg: ScenarioConfig, truth=None) -> RunReport:
     energies at that scale with its exponent.
     """
     t_all = time.perf_counter()
-    mset, e = _unit_scale(_rebind_plan(mset, cfg))
+    subset_groups(mset.plan)  # a plan that cannot give bearings fails here
+    mset, e = _unit_scale(mset)
     room = build_room(cfg) if cfg.room_vertices is not None else None
     result, fold_info, timing = extract_paths(mset, cfg, room=room)
 

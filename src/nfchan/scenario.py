@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aperture import plan_linear_track
+from .aperture import CENTROID_ATOL_M, plan_linear_track
 from .channel import SPEED_OF_LIGHT, FrequencyGrid, image_to_rm_params
 from .errors import InvalidGeometry, ScenarioError
 from .geometry import Room, feasible_images, search_costs
@@ -35,7 +35,8 @@ class ScenarioConfig:
     :data:`~nfchan.estimation.PDP_THRESHOLD_DB` of the strongest, padded
     by :data:`~nfchan.pipeline.DELAY_PAD_BINS` bins.  Its placement
     groups are fixed too: each track offset's placements give one
-    bearing per path, so ``offsets`` must be distinct, and every
+    bearing per path, so ``offsets`` must lie more than
+    :data:`~nfchan.aperture.CENTROID_ATOL_M` apart, and every
     triangulation with two or more bearings is tried.
     """
 
@@ -364,13 +365,15 @@ def _validate_config(cfg, lines):
                        ("origin", cfg.ap_origin)):
         if not room.contains(point):
             fail(key, "point is outside the room")
-    # Each offset's placements give one bearing per path, grouped as
-    # pipeline.subset_groups groups them: a repeated offset would make
-    # its group larger than the others.
-    values, repeats = np.unique(cfg.offsets, return_counts=True)
-    if repeats.max() > 1:
-        fail("offsets", f"offset {float(values[repeats > 1][0])!r} is listed "
-             f"{repeats.max()} times; each offset must be distinct")
+    # Each offset's placements give one bearing per path, grouped by
+    # array centroid as pipeline.subset_groups groups them: offsets within
+    # its tolerance would merge into one group larger than the others.
+    values = np.sort(cfg.offsets)
+    close = np.flatnonzero(np.diff(values) <= CENTROID_ATOL_M)
+    if close.size:
+        a, b = values[close[0]:close[0] + 2]
+        fail("offsets", f"offsets {float(a)!r} and {float(b)!r} are within "
+             f"{CENTROID_ATOL_M:g} m; each offset must be distinct")
     counts = {"offsets": len(cfg.offsets), "spacings": len(cfg.spacings),
               "n_rx": cfg.n_rx, "layout": len(build_tx_array(cfg)),
               "n_tones": cfg.n_tones}

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nfchan.aperture import (
-    MeasurementPlan,
     MeasurementSet,
     compute_pdp,
     mean_pdp,
@@ -16,6 +15,7 @@ from nfchan.channel import (
     synth_channel,
 )
 from nfchan.errors import EmptyChannel, InvalidGeometry
+from nfchan.pipeline import subset_groups
 
 TX3 = np.array([[12.0, 7.5], [11.985, 7.5], [12.0, 7.515]])
 
@@ -42,8 +42,9 @@ class TestPlanLinearTrack:
         assert plan.n_placements == 9
         assert plan.n_rx == 2
         assert plan.n_tx == 3
-        # Offsets-major: first three placements share offset 0.
-        assert np.allclose(plan.offsets[:3], 0.0)
+        # Offsets-major: each offset's three placements form one group.
+        assert [g.tolist() for g in subset_groups(plan)] == [
+            [0, 1, 2], [3, 4, 5], [6, 7, 8]]
         # Elements straddle the placement center by half a spacing.
         assert np.allclose(plan.rx_positions[0], [[0.9925, 1.0], [1.0075, 1.0]])
         assert np.allclose(plan.rx_positions[5], [[1.37, 1.0], [1.43, 1.0]])
@@ -62,7 +63,7 @@ class TestPlanLinearTrack:
         sub = plan.subset([0, 1])
         assert sub.n_placements == 2
         assert np.allclose(sub.rx_ref, [1.0, 1.0])
-        assert np.allclose(sub.offsets, 0.0)
+        assert [g.tolist() for g in subset_groups(sub)] == [[0, 1]]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidGeometry):
@@ -71,20 +72,6 @@ class TestPlanLinearTrack:
             plan_linear_track([0, 0], [0.0], [-0.01], TX3)
         with pytest.raises(InvalidGeometry):
             plan_linear_track([0, 0], [0.0], [0.01], TX3, n_rx=0)
-
-
-class TestMeasurementPlan:
-    @pytest.mark.parametrize("offsets", [
-        [0.0, 0.4],              # one short
-        [0.0, 0.4, 0.8, 1.2],    # one long
-        [0.0, np.nan, 0.8],
-        [0.0, 0.4, np.inf],
-    ])
-    def test_bad_offsets_name_offsets(self, offsets):
-        rx = np.zeros((3, 2, 2)) + np.arange(3.0)[:, None, None]
-        with pytest.raises(InvalidGeometry, match="offsets"):
-            MeasurementPlan(rx_positions=rx, tx_positions=TX3,
-                            offsets=offsets)
 
 
 class TestSimulateCampaign:

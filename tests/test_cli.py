@@ -144,6 +144,27 @@ class TestErrorLines:
                         "--scenario", scenario_file)
         assert line.startswith("error[dataset-format]:")
 
+    @pytest.mark.parametrize("old, new", [
+        ("origin = 1,1", "origin = 1.5,1"),
+        ("origin = 1,1", "origin = 1.000001,1"),  # 1 um, no relative slack
+        ("layout = triangle", "layout = pair"),   # another transmit count
+    ])
+    def test_estimate_wrong_layout(self, capsys, quick_text, scenario_file,
+                                   tmp_path, old, new):
+        # the scenario must describe the element positions the dataset
+        # stores, else the estimate is refused
+        moved = tmp_path / "moved.cfg"
+        moved.write_text(quick_text.replace(old, new))
+        ds, rep = tmp_path / "run.nfcm", tmp_path / "report.txt"
+        run_ok(capsys, "synth", "--scenario", scenario_file, "--out", str(ds))
+        assert main(["estimate", "--data", str(ds), "--scenario", str(moved),
+                     "--out", str(rep)]) == 2
+        line = capsys.readouterr().err.strip()
+        assert ERROR_LINE.match(line)
+        assert line.startswith("error[invalid-geometry]: ")
+        assert "layout" in line
+        assert not rep.exists()
+
     def test_unreadable_input_is_io_error(self, capsys, scenario_file,
                                           tmp_path):
         line = run_fail(capsys, "estimate",

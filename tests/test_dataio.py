@@ -16,6 +16,7 @@ from nfchan.dataio import (FORMAT_VERSION, MAGIC, emit_heatmap_grid,
                            read_dataset, read_heatmap_grid, write_dataset)
 from nfchan.errors import DatasetFormatError
 from nfchan.estimation import Bearing, Heatmap, localization_heatmap
+from nfchan.pipeline import subset_groups
 
 
 class TestDatasetRoundTrip:
@@ -52,10 +53,14 @@ class TestDatasetRoundTrip:
         assert read_dataset(p).snr_db is None
 
     def test_offsets_not_stored(self, quick_synth, tmp_path):
+        # the container stores no track offsets: the placement groups
+        # come back from the stored element positions alone
         mset, _ = quick_synth
         p = tmp_path / "run.nfcm"
         write_dataset(mset, p)
-        assert read_dataset(p).plan.offsets is None
+        back = read_dataset(p).plan
+        assert ([g.tolist() for g in subset_groups(back)]
+                == [[0, 1], [2, 3], [4, 5]])
 
 
 class TestDatasetErrors:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfchan.aperture import MeasurementSet
+from nfchan.dataio import read_dataset, write_dataset
 from nfchan.estimators import (NotFittedError, PathExtractor,
                                ReflectionModelEstimator)
 
@@ -128,6 +129,21 @@ class TestReflectionModelEstimator:
         assert est.score(mset) > 0.95
         assert est.score(rotated(mset)) == pytest.approx(est.score(mset),
                                                          abs=1e-9)
+
+    def test_fit_read_back_matches_memory(self, quick_synth, quick_cfg,
+                                          tmp_path):
+        # the placement groups come from the stored positions, so a
+        # dataset read from disk fits as the set that was written
+        mset, _ = quick_synth
+        p = tmp_path / "run.nfcm"
+        write_dataset(mset, p)
+        mem = quick_rm_estimator(quick_cfg).fit(mset)
+        disk = quick_rm_estimator(quick_cfg).fit(read_dataset(p))
+        assert disk.anchor_index_ is not None
+        assert (disk.report_.extraction.selections
+                == mem.report_.extraction.selections)
+        assert disk.parities_ == mem.parities_
+        assert disk.image_points_.tobytes() == mem.image_points_.tobytes()
 
     def test_parity_disabled_blocks_predict(self, quick_synth, quick_cfg):
         mset, _ = quick_synth

@@ -360,13 +360,20 @@ class TestDatasetRebind:
             assert a.aoa == pytest.approx(b.aoa, abs=1e-12)
             assert a.delta == pytest.approx(b.delta, abs=1e-15)
 
-    def test_wrong_scenario_rejected(self, quick_synth, quick_cfg, tmp_path):
+    def test_unequal_groups_fail_before_sweep(self, quick_synth, quick_cfg,
+                                              monkeypatch):
+        # dropping placement 0 leaves offset 0 with one placement; the
+        # groups are formed before the sweep, so nothing is extracted
         mset, _ = quick_synth
-        p = tmp_path / "run.nfcm"
-        write_dataset(mset, p)
-        moved = replace(quick_cfg, ap_origin=np.array([1.5, 1.0]))
-        with pytest.raises(InvalidGeometry, match="layout"):
-            run_estimate(read_dataset(p), moved)
+        keep = np.arange(1, mset.plan.n_placements)
+        short = replace(mset, responses=mset.responses[keep],
+                        plan=mset.plan.subset(keep))
+        calls = []
+        monkeypatch.setattr(pipeline, "omp_extract",
+                            lambda *args, **kw: calls.append(args))
+        with pytest.raises(InvalidGeometry, match="equal placement counts"):
+            run_estimate(short, quick_cfg)
+        assert calls == []
 
 
 class TestNoAnchor:
@@ -431,28 +438,53 @@ class TestSubsetGroups:
     def test_by_offset(self, quick_synth, quick_cfg):
         mset, _ = quick_synth
         groups = subset_groups(mset.plan)
-        assert len(groups) == 3
-        assert sorted(i for g in groups for i in g) == list(range(6))
-        for g in groups:
-            offs = mset.plan.offsets[g]
-            assert np.ptp(offs) == 0
+        assert [g.tolist() for g in groups] == [[0, 1], [2, 3], [4, 5]]
+        for g, off in zip(groups, quick_cfg.offsets):
+            cents = mset.plan.rx_positions[g].mean(axis=1)
+            assert np.allclose(cents[:, 0], quick_cfg.ap_origin[0] + off,
+                               rtol=0.0, atol=1e-12)
 
-    def test_by_offset_needs_metadata(self, quick_synth, tmp_path):
+    def test_read_back_groups_match_memory(self, quick_synth, tmp_path):
         mset, _ = quick_synth
         p = tmp_path / "run.nfcm"
         write_dataset(mset, p)
-        bare = read_dataset(p)
-        with pytest.raises(InvalidGeometry, match="offset"):
-            subset_groups(bare.plan)
+        back = subset_groups(read_dataset(p).plan)
+        assert ([g.tolist() for g in back]
+                == [g.tolist() for g in subset_groups(mset.plan)])
 
     def test_unequal_offset_counts_rejected(self, quick_synth):
         # dropping one placement leaves offset 0 with one placement and
-        # the others with two; the message names each offset's count
+        # the others with two; the message names each group's centroid
+        # and count
         mset, _ = quick_synth
         plan = mset.plan.subset(np.arange(1, mset.plan.n_placements))
-        with pytest.raises(InvalidGeometry,
-                           match=r"0\.0: 1, 0\.3: 2, 0\.6: 2"):
+        with pytest.raises(InvalidGeometry, match=(
+                r"\(1, 1\): 1, \(1\.3, 1\): 2, \(1\.6, 1\): 2")):
             subset_groups(plan)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_rx=st.integers(1, 3),
+           steps=st.lists(st.integers(-40, 40), min_size=1, max_size=4,
+                          unique=True),
+           spacings=st.lists(st.sampled_from([0.005, 0.015, 0.03, 0.06]),
+                             min_size=1, max_size=3),
+           origin=st.tuples(st.floats(-100.0, 100.0),
+                            st.floats(-100.0, 100.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_groups_are_track_offsets(self, n_rx, steps, spacings, origin,
+                                      seed):
+        # distinct offsets in random order; placements are offsets-major,
+        # so placement k sits at offset k // len(spacings), and the
+        # groups run in increasing offset order
+        offsets = 0.05 * np.array(steps)
+        plan = plan_linear_track(origin, offsets, spacings, TX3, n_rx=n_rx)
+        at = np.arange(plan.n_placements) // len(spacings)
+        want = [np.flatnonzero(at == i).tolist() for i in np.argsort(offsets)]
+        assert [g.tolist() for g in subset_groups(plan)] == want
+        # placement i of the permuted plan is placement perm[i]
+        perm = np.random.default_rng(seed).permutation(plan.n_placements)
+        moved = subset_groups(plan.subset(perm))
+        assert [sorted(perm[g].tolist()) for g in moved] == want
 
 
 class TestBatchedSubsetPolish:

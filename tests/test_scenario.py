@@ -241,8 +241,10 @@ class TestParsing:
         ("transmitter", "spacing", "nan"),
         ("aperture", "offsets", "nan"),
         ("aperture", "offsets", "0:1e-12:1"),
-        # each offset's placements are one bearing's group
+        # each offset's placements are one bearing's group, so
+        # offsets within the grouping tolerance would merge
         ("aperture", "offsets", "0 0 0.4"),
+        ("aperture", "offsets", "0 1e-12 0.6"),
         ("aperture", "offsets", "0:0.2:0.4 0.4"),
         ("aperture", "offsets", "0 0wl"),
         ("aperture", "spacings", "0"),
