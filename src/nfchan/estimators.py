@@ -98,8 +98,8 @@ class PathExtractor(_BaseEstimator):
     campaign geometry.  ``score`` is the captured energy fraction.
 
     Parameters mirror the estimation section of a scenario file; angles
-    are degree triples ``(start, step, stop)`` or None for the automatic
-    full-circle sweep.  ``room`` (a :class:`~nfchan.geometry.Room`)
+    are strictly increasing degree lists, swept as given, or None for the
+    automatic full-circle sweep.  ``room`` (a :class:`~nfchan.geometry.Room`)
     enables the mirror-ambiguity fold for collinear tracks.
     """
 
@@ -144,9 +144,12 @@ class ReflectionModelEstimator(_BaseEstimator):
     to populate the error table.  ``predict`` synthesizes noiseless
     coherent responses from the fitted mirrored-source paths for any
     measurement set's plan/grid, which transfers across apertures since
-    the fitted parameters are absolute.  ``fit`` takes one bearing per
-    receive-array centroid (:func:`~nfchan.pipeline.subset_groups`), so
-    it fits a dataset read from disk as it fits the set that was written.
+    the fitted parameters are absolute.  ``aoa_grid_deg`` and
+    ``aod_grid_deg`` are strictly increasing degree lists, swept as
+    given, or None for the full-circle sweep.  ``fit`` takes one bearing
+    per receive-array centroid (:func:`~nfchan.pipeline.subset_groups`),
+    so it fits a dataset read from disk as it fits the set that was
+    written.
     """
 
     _fields = ("room_vertices", "reflective", "aoa_grid_deg", "aod_grid_deg",

@@ -29,7 +29,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .aperture import CENTROID_ATOL_M, mean_pdp, simulate_campaign
 from .channel import SPEED_OF_LIGHT, RmPathParams, unit_vector, wrap_angle
@@ -150,13 +149,6 @@ def _pdp_delay_support(mset):
     return np.array(qs, dtype=float) / (2.0 * mset.grid.bandwidth)
 
 
-def _grid_from_range(rng_deg):
-    start, step, stop = rng_deg
-    vals = np.arange(float(start), float(stop) + 1e-9 * max(1.0, abs(step)),
-                     float(step))
-    return np.deg2rad(vals)
-
-
 def _ldexp(z, e):
     """Complex ``z * 2**e``; exact while the result stays a normal number."""
     a = np.ascontiguousarray(z, dtype=complex)
@@ -194,24 +186,25 @@ def _to_input_units(result, e):
 def extract_paths(mset, cfg, room=None):
     """Stages 1-2: delay support, sweep, polish, final refinement.
 
-    Explicit ``aoa_grid``/``aod_grid`` ranges in the scenario are swept
-    literally; an axis without one sweeps the full circle in 3-degree
-    (arrival) or 6-degree (departure) steps.  The sweep polishes every
-    pick off the grid, so no finer grid follows; the refinement then
-    polishes all paths jointly within one degree.  On a collinear track
-    a path whose arrival angle ended up facing away from the room is
-    reflected to its mirror (:func:`_unfold`).  The stages run on
-    responses scaled by a power of two (:func:`_unit_scale`); gains come
-    back in input units, energies at that scale with its exponent
-    (:meth:`ExtractionResult.input_energy` converts them).
+    Explicit ``aoa_grid_deg``/``aod_grid_deg`` degree lists in the
+    scenario are swept as given; an axis without one sweeps the full
+    circle in 3-degree (arrival) or 6-degree (departure) steps.  The
+    sweep polishes every pick off the grid, so no finer grid follows;
+    the refinement then polishes all paths jointly within one degree.
+    On a collinear track a path whose arrival angle ended up facing away
+    from the room is reflected to its mirror (:func:`_unfold`).  The
+    stages run on responses scaled by a power of two
+    (:func:`_unit_scale`); gains come back in input units, energies at
+    that scale with its exponent (:meth:`ExtractionResult.input_energy`
+    converts them).
     """
     mset, e = _unit_scale(mset)
     axis, side = _fold_setup(mset.plan, room)
     delays = _pdp_delay_support(mset)
-    aoas = (_grid_from_range(cfg.aoa_grid_deg)
+    aoas = (np.deg2rad(cfg.aoa_grid_deg)
             if cfg.aoa_grid_deg is not None else
             _fold(_angle_comb(COARSE_AOA_STEP_DEG), axis, side))
-    aods = (_grid_from_range(cfg.aod_grid_deg)
+    aods = (np.deg2rad(cfg.aod_grid_deg)
             if cfg.aod_grid_deg is not None else
             _angle_comb(COARSE_AOD_STEP_DEG))
     t0 = time.perf_counter()
@@ -409,6 +402,65 @@ def _wrapped_deg(a, b):
     return math.degrees(abs(math.remainder(a - b, 2 * math.pi)))
 
 
+def _assign(cost):
+    """Minimum-cost assignment of rows to columns of a finite (n, m)
+    cost: (rows, cols), min(n, m) pairs with rows ascending.
+
+    Rectangular shortest augmenting paths (Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016), the method of
+    ``scipy.optimize.linear_sum_assignment``, with its column order and
+    tie rule: one Dijkstra search over reduced costs per row, O(n^2 m)
+    for n <= m.  A tall cost is solved transposed.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if not np.all(np.isfinite(cost)):
+        raise InvalidGeometry("assignment costs must be finite")
+    tall = cost.shape[0] > cost.shape[1]
+    c = cost.T if tall else cost
+    n, m = c.shape
+    u, v = np.zeros(n), np.zeros(m)  # dual potentials
+    col4row, row4col, path = np.full(n, -1), np.full(m, -1), np.full(m, -1)
+    for cur in range(n):
+        spc = np.full(m, np.inf)  # shortest path cost to each column
+        rem = np.arange(m)[::-1]  # columns not yet reached
+        seen_r, seen_c = np.zeros(n, dtype=bool), np.zeros(m, dtype=bool)
+        low, i, sink = 0.0, cur, -1
+        while sink < 0:
+            seen_r[i] = True
+            r = low + c[i, rem] - u[i] - v[rem]
+            shorter = r < spc[rem]
+            path[rem[shorter]] = i
+            s = spc[rem] = np.where(shorter, r, spc[rem])
+            low = s.min()
+            # the first cheapest column, or the last cheapest free one
+            ties = np.flatnonzero(s == low)
+            free = ties[row4col[rem[ties]] < 0]
+            k = free[-1] if free.size else ties[0]
+            j = rem[k]
+            seen_c[j] = True
+            rem[k] = rem[-1]
+            rem = rem[:-1]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+        seen_r[cur] = False  # the other rows the search went through
+        u[cur] += low
+        u[seen_r] += low - spc[col4row[seen_r]]
+        v[seen_c] -= low - spc[seen_c]
+        j = sink
+        while True:  # flip the path's edges
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if tall:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(n), col4row
+
+
 def _match_truth(result, taus, truth):
     """One-to-one assignment of estimates to true paths on (aoa, delay)."""
     if not result.paths or not truth:
@@ -420,7 +472,7 @@ def _match_truth(result, taus, truth):
         for j, tp in enumerate(truth):
             cost[i, j] = (_wrapped_deg(p.aoa, tp.aoa) ** 2
                           + ((draw - tp.tau) * SPEED_OF_LIGHT) ** 2)
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _assign(cost)
     matches = [None] * len(result.paths)
     for r, c in zip(rows, cols):
         if cost[r, c] <= 10.0 ** 2 + 3.0 ** 2:

@@ -2,8 +2,14 @@
 solves in well under a second, reused wherever a test needs a real
 end-to-end run without paying for the full-resolution presets."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import nfchan
 from nfchan.pipeline import run_evaluate, run_synth
 from nfchan.scenario import parse_scenario
 
@@ -56,3 +62,18 @@ def quick_synth(quick_cfg):
 @pytest.fixture(scope="session")
 def quick_report(quick_cfg):
     return run_evaluate(quick_cfg)
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Runs ``python -c code *args`` in a new interpreter that imports
+    nfchan from this source tree; returns the completed process."""
+    src = str(Path(nfchan.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def run(code, *args):
+        return subprocess.run([sys.executable, "-c", code, *args],
+                              capture_output=True, text=True, env=env)
+    return run

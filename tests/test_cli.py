@@ -1,16 +1,13 @@
 """Command-line driver: subcommands, output routing, error lines."""
 
-import os
 import re
 import shutil
 import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import nfchan
 from nfchan.cli import main
 from nfchan.dataio import read_dataset, read_heatmap_grid
 
@@ -190,19 +187,13 @@ def console_script_target(name="nfchan"):
 
 
 class TestConsoleScript:
-    def test_entry_point_runs(self):
+    def test_entry_point_runs(self, fresh_python):
         # Run the declared target in a fresh interpreter the way the
         # generated console script does, so no install is needed.
         mod, func = console_script_target().split(":")
-        src = str(Path(nfchan.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             f"import sys; from {mod} import {func}; sys.exit({func}())",
-             "list"],
-            capture_output=True, text=True, env=env)
+        proc = fresh_python(
+            f"import sys; from {mod} import {func}; sys.exit({func}())",
+            "list")
         assert proc.returncode == 0, proc.stderr
         assert "room-20x10" in proc.stdout
 

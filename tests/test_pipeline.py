@@ -9,23 +9,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from nfchan import pipeline
 from nfchan.aperture import plan_linear_track, simulate_campaign
 from nfchan.channel import SPEED_OF_LIGHT as C
 from nfchan.channel import FrequencyGrid, RmPathParams
 from nfchan.dataio import read_dataset, write_dataset
-from nfchan.errors import (DegenerateTriangulation, InvalidGeometry,
-                           ScenarioError)
+from nfchan.errors import (DegenerateTriangulation, EmptyChannel,
+                           InvalidGeometry, ScenarioError)
 from nfchan.estimation import (DictionaryGrid, ExtractionResult,
                                ScoreEngine, fft_delay_bins, omp_extract)
 from nfchan.estimation import _NEWTON_TOL, _cyclic_polish
 from nfchan.geometry import wrap_angle
-from nfchan.pipeline import (_facing, _fold_setup, collinear_axis,
+from nfchan.pipeline import (_assign, _facing, _fold_setup, collinear_axis,
                              extract_paths, run_estimate, run_evaluate,
                              run_heatmap, run_synth, subset_bearings,
                              subset_groups, sweep_runs, sweep_values)
-from nfchan.scenario import build_plan, build_room, load_preset
+from nfchan.scenario import (build_plan, build_room, load_preset,
+                             parse_scenario)
 
 WL = C / 10e9
 TX3 = WL / 2 * np.array(
@@ -425,13 +427,36 @@ class TestExplicitGrids:
         mset, truth = quick_synth
         los = min(truth, key=lambda p: p.tau)
         cfg = replace(quick_cfg, l_max=1, stop_fraction=0.0,
-                      aoa_grid_deg=(25.0, 1.0, 40.0),
-                      aod_grid_deg=(-155.0, 1.0, -140.0))
+                      aoa_grid_deg=tuple(np.arange(25.0, 41.0)),
+                      aod_grid_deg=tuple(np.arange(-155.0, -139.0)))
         result, _, timing = extract_paths(mset, cfg)
         assert "sweep" in timing and "coarse_sweep" not in timing
         assert len(result.paths) == 1
         assert abs(wrap_angle(result.paths[0].aoa - los.aoa)) < np.deg2rad(1.1)
         assert abs(wrap_angle(result.paths[0].aod - los.aod)) < np.deg2rad(1.1)
+
+    @pytest.mark.parametrize("key, text, axis, degrees", [
+        ("aoa_deg", "10:5:20", "aoas", [10.0, 15.0, 20.0]),
+        ("aod_deg", "-180 -90 0 90", "aods", [-180.0, -90.0, 0.0, 90.0]),
+    ])
+    def test_parsed_list_swept_as_given(self, quick_synth, quick_text,
+                                        monkeypatch, key, text, axis,
+                                        degrees):
+        # the parser expands a range to its list of degrees, and the sweep
+        # takes that list as it is, not as a (start, step, stop) triple
+        mset, _ = quick_synth
+        cfg = parse_scenario(quick_text.replace(
+            "[estimation]\n", f"[estimation]\n{key} = {text}\n"))
+        swept = []
+
+        def record(mset, dictionary, **kw):
+            swept.append(getattr(dictionary, axis))
+            raise EmptyChannel("recorded")
+
+        monkeypatch.setattr(pipeline, "omp_extract", record)
+        with pytest.raises(EmptyChannel, match="recorded"):
+            extract_paths(mset, cfg)
+        assert np.array_equal(swept[0], np.deg2rad(degrees))
 
 
 class TestSubsetGroups:
@@ -485,6 +510,52 @@ class TestSubsetGroups:
         perm = np.random.default_rng(seed).permutation(plan.n_placements)
         moved = subset_groups(plan.subset(perm))
         assert [sorted(perm[g].tolist()) for g in moved] == want
+
+
+def _scipy_assign(cost):
+    # the oracle: the test session may load scipy.optimize, nfchan must not
+    from scipy.optimize import linear_sum_assignment
+    return linear_sum_assignment(cost)
+
+
+COST_SHAPES = array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=7)
+
+
+class TestAssign:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(float, COST_SHAPES,
+                  elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    def test_float_costs_match_scipy(self, cost):
+        rows, cols = _assign(cost)
+        want_rows, want_cols = _scipy_assign(cost)
+        assert rows.tolist() == want_rows.tolist()
+        assert cols.tolist() == want_cols.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.int64, COST_SHAPES, elements=st.integers(0, 3)))
+    def test_tied_integer_costs_match_scipy_total(self, cost):
+        rows, cols = _assign(cost)
+        want_rows, want_cols = _scipy_assign(cost)
+        assert len(rows) == len(cols) == min(cost.shape)
+        assert np.all(np.diff(rows) > 0)
+        assert len(set(cols.tolist())) == len(cols)
+        assert cost[rows, cols].sum() == cost[want_rows, want_cols].sum()
+
+    @pytest.mark.parametrize("shape", [(6, 52), (52, 6)])
+    def test_six_wall_campaign_size(self, shape):
+        # the six-wall campaign's path count: far past a permutation search
+        cost = np.random.default_rng(52).random(shape)
+        rows, cols = _assign(cost)
+        want_rows, want_cols = _scipy_assign(cost)
+        assert rows.tolist() == want_rows.tolist()
+        assert cols.tolist() == want_cols.tolist()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        cost = np.arange(12.0).reshape(3, 4)
+        cost[1, 2] = bad
+        with pytest.raises(InvalidGeometry, match="finite"):
+            _assign(cost)
 
 
 class TestBatchedSubsetPolish:
