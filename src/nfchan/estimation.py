@@ -107,6 +107,9 @@ _QUARTER_TURN = np.array([0.0, np.pi / 2])
 # Delay-profile peaks more than this far (power) below the strongest are
 # not path candidates.
 PDP_THRESHOLD_DB = 30.0
+# Sharpness of the localization heatmap: the weight of a cell's summed
+# squared bearing gaps in its log score.
+HEATMAP_CONCENTRATION = 400.0
 
 
 @dataclass(eq=False)
@@ -1110,7 +1113,8 @@ class Heatmap:
         return self.origin[1] + (np.arange(self.scores.shape[0]) + 0.5) * self.cell
 
 
-def localization_heatmap(bearings, region, cell, concentration=200.0):
+def localization_heatmap(bearings, region, cell,
+                         concentration=HEATMAP_CONCENTRATION):
     """Bearing-consistency likelihood image over a rectangle.
 
     Cell value ``exp(-concentration * sum_j w_j * angdiff_j^2)`` where

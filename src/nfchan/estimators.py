@@ -97,24 +97,21 @@ class PathExtractor(_BaseEstimator):
     so it works on phase-rotated or re-noised recordings of the same
     campaign geometry.  ``score`` is the captured energy fraction.
 
-    Parameters mirror the estimation section of a scenario file; angles
-    are strictly increasing degree lists, swept as given, or None for the
-    automatic full-circle sweep.  ``room`` (a :class:`~nfchan.geometry.Room`)
-    enables the mirror-ambiguity fold for collinear tracks.
+    Parameters mirror the estimation section of a scenario file; the
+    sweep always covers the full circle.  ``room`` (a
+    :class:`~nfchan.geometry.Room`) enables the mirror-ambiguity fold
+    for collinear tracks.
     """
 
-    _fields = ("l_max", "stop_fraction", "refine_passes", "aoa_grid_deg",
-               "aod_grid_deg")
+    _fields = ("l_max", "stop_fraction", "refine_passes")
     _extra = {"room": None}
 
     def fit(self, X: MeasurementSet, y=None):
-        result, fold, timing = extract_paths(X, self._config(),
-                                             room=self.room)
+        result, timing = extract_paths(X, self._config(), room=self.room)
         self.extraction_ = result
         self.paths_ = result.paths
         self.n_paths_ = len(result.paths)
         self.residual_fraction_ = result.residual_fraction()
-        self.fold_ = fold
         self.timing_ = timing
         return self
 
@@ -144,16 +141,15 @@ class ReflectionModelEstimator(_BaseEstimator):
     to populate the error table.  ``predict`` synthesizes noiseless
     coherent responses from the fitted mirrored-source paths for any
     measurement set's plan/grid, which transfers across apertures since
-    the fitted parameters are absolute.  ``aoa_grid_deg`` and
-    ``aod_grid_deg`` are strictly increasing degree lists, swept as
-    given, or None for the full-circle sweep.  ``fit`` takes one bearing
-    per receive-array centroid (:func:`~nfchan.pipeline.subset_groups`),
-    so it fits a dataset read from disk as it fits the set that was
-    written.
+    the fitted parameters are absolute.  ``room_vertices`` serves only
+    the mirror-ambiguity fold of a collinear track, which reads the
+    room's vertex centroid.  ``fit`` takes one bearing per receive-array centroid
+    (:func:`~nfchan.pipeline.subset_groups`), so it fits a dataset read
+    from disk as it fits the set that was written.
     """
 
-    _fields = ("room_vertices", "reflective", "aoa_grid_deg", "aod_grid_deg",
-               "l_max", "stop_fraction", "refine_passes", "parity")
+    _fields = ("room_vertices", "l_max", "stop_fraction", "refine_passes",
+               "parity")
 
     def fit(self, X: MeasurementSet, y=None):
         report = run_estimate(X, self._config(), truth=y)

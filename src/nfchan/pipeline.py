@@ -19,7 +19,7 @@ The estimation side chains the lower-level stages:
 A linear track cannot tell an arrival from its mirror across the track
 line, so when every element is collinear the sweep and the subset
 bearings keep only bearings on the side of the track that faces the room
-interior.   Arrivals from
+interior.  Arrivals from
 sources mirrored to the far side are physically indistinguishable with
 such an aperture.
 """
@@ -70,6 +70,8 @@ DELAY_PAD_BINS = 4
 # passes moved quick and track-experiment away from the truth; three
 # settle every preset.
 SUBSET_POLISH_PASSES = 3
+# Edge of a localization heatmap cell, in meters.
+HEATMAP_CELL_M = 0.25
 
 
 def _cross2(a, b):
@@ -186,27 +188,24 @@ def _to_input_units(result, e):
 def extract_paths(mset, cfg, room=None):
     """Stages 1-2: delay support, sweep, polish, final refinement.
 
-    Explicit ``aoa_grid_deg``/``aod_grid_deg`` degree lists in the
-    scenario are swept as given; an axis without one sweeps the full
-    circle in 3-degree (arrival) or 6-degree (departure) steps.  The
-    sweep polishes every pick off the grid, so no finer grid follows;
-    the refinement then polishes all paths jointly within one degree.
-    On a collinear track a path whose arrival angle ended up facing away
-    from the room is reflected to its mirror (:func:`_unfold`).  The
-    stages run on responses scaled by a power of two
-    (:func:`_unit_scale`); gains come back in input units, energies at
-    that scale with its exponent (:meth:`ExtractionResult.input_energy`
-    converts them).
+    The sweep covers the full circle in :data:`COARSE_AOA_STEP_DEG`
+    (arrival) and :data:`COARSE_AOD_STEP_DEG` (departure) steps.  On a
+    collinear track inside ``room`` it keeps only the arrival angles
+    that face the room (:func:`_fold_setup`), and a path whose arrival
+    angle ended up facing away is reflected to its mirror
+    (:func:`_unfold`).  The sweep polishes every pick off the grid, so
+    no finer grid follows; the refinement then polishes all paths
+    jointly within one degree.  The stages run on responses scaled by a
+    power of two (:func:`_unit_scale`); gains come back in input units,
+    energies at that scale with its exponent
+    (:meth:`ExtractionResult.input_energy` converts them).  Returns
+    (result, timing).
     """
     mset, e = _unit_scale(mset)
     axis, side = _fold_setup(mset.plan, room)
     delays = _pdp_delay_support(mset)
-    aoas = (np.deg2rad(cfg.aoa_grid_deg)
-            if cfg.aoa_grid_deg is not None else
-            _fold(_angle_comb(COARSE_AOA_STEP_DEG), axis, side))
-    aods = (np.deg2rad(cfg.aod_grid_deg)
-            if cfg.aod_grid_deg is not None else
-            _angle_comb(COARSE_AOD_STEP_DEG))
+    aoas = _fold(_angle_comb(COARSE_AOA_STEP_DEG), axis, side)
+    aods = _angle_comb(COARSE_AOD_STEP_DEG)
     t0 = time.perf_counter()
     result = omp_extract(mset, DictionaryGrid(aoas=aoas, aods=aods,
                                               delays=delays),
@@ -222,7 +221,7 @@ def extract_paths(mset, cfg, room=None):
         timing["refine"] = time.perf_counter() - t0
     _unfold(result, axis, side)
     _to_input_units(result, e)
-    return result, (axis, side), timing
+    return result, timing
 
 
 def subset_groups(plan):
@@ -256,7 +255,7 @@ def subset_groups(plan):
     return groups
 
 
-def subset_bearings(mset, result, fold_info=(None, 0.0)):
+def subset_bearings(mset, result, room=None):
     """Stage 3: one bearing per global path per placement subset.
 
     Each subset polishes the global paths on its own data instead of
@@ -270,12 +269,13 @@ def subset_bearings(mset, result, fold_info=(None, 0.0)):
     polish in one lockstep call of
     :func:`~nfchan.estimation._cyclic_polish`, one problem per placement
     group (:func:`subset_groups`), each about its own centroid, on one
-    gather of the subsets' responses.  On a collinear track a bearing
-    that turns away from the room interior is dropped, as the sweep's
-    fold would drop it.  Returns one list of bearings per global path.
+    gather of the subsets' responses.  On a collinear track inside
+    ``room`` a bearing that turns away from the room interior is
+    dropped, as the sweep's fold would drop it.  Returns one list of
+    bearings per global path.
     """
     plan, grid = mset.plan, mset.grid
-    axis, side = fold_info
+    axis, side = _fold_setup(plan, room)
     steps = (np.deg2rad(SUBSET_WINDOW_DEG), np.deg2rad(SUBSET_WINDOW_DEG),
              SUBSET_PAD_HALFBINS / (2.0 * grid.bandwidth))
     paths = result.paths
@@ -515,8 +515,7 @@ def run_synth(cfg: ScenarioConfig):
     grid = build_grid(cfg)
     truth = true_paths(cfg, plan)
     mset = simulate_campaign(truth, plan, grid, snr_db=cfg.snr_db,
-                             coherent=cfg.coherent, seed=cfg.seed,
-                             model=cfg.model)
+                             coherent=cfg.coherent, seed=cfg.seed)
     return mset, truth
 
 
@@ -531,10 +530,10 @@ def run_estimate(mset, cfg: ScenarioConfig, truth=None) -> RunReport:
     subset_groups(mset.plan)  # a plan that cannot give bearings fails here
     mset, e = _unit_scale(mset)
     room = build_room(cfg) if cfg.room_vertices is not None else None
-    result, fold_info, timing = extract_paths(mset, cfg, room=room)
+    result, timing = extract_paths(mset, cfg, room=room)
 
     t1 = time.perf_counter()
-    bearings = subset_bearings(mset, result, fold_info)
+    bearings = subset_bearings(mset, result, room)
     timing["subsets"] = time.perf_counter() - t1
 
     t1 = time.perf_counter()
@@ -577,23 +576,25 @@ def run_evaluate(cfg: ScenarioConfig) -> RunReport:
 
 
 def run_heatmap(cfg: ScenarioConfig, report=None):
-    """Localization heatmap for the anchor path's bearings."""
+    """Localization heatmap for the anchor path's bearings over the
+    room's bounding box, in :data:`HEATMAP_CELL_M` cells at the
+    library's :data:`~nfchan.estimation.HEATMAP_CONCENTRATION`; the
+    region comes from ``cfg``'s room, so a ``cfg`` without one fails
+    before ``report`` is evaluated."""
+    if cfg.room_vertices is None:
+        raise InvalidGeometry("heatmap needs the scenario's room "
+                              "vertices to bound its region")
+    verts = np.asarray(cfg.room_vertices, dtype=float)
+    (xmin, ymin), (xmax, ymax) = verts.min(axis=0), verts.max(axis=0)
     if report is None:
         report = run_evaluate(cfg)
     anchor = report.anchor_index
     if anchor is None:
         raise DegenerateTriangulation(
             "no path triangulated; nothing to map")
-    if cfg.heat_bounds is not None:
-        xmin, xmax, ymin, ymax = cfg.heat_bounds
-    else:
-        verts = np.asarray(cfg.room_vertices, dtype=float)
-        xmin, ymin = verts.min(axis=0)
-        xmax, ymax = verts.max(axis=0)
     hm = localization_heatmap(report.bearings[anchor],
                               region=(xmin, xmax, ymin, ymax),
-                              cell=cfg.heat_cell,
-                              concentration=cfg.heat_concentration)
+                              cell=HEATMAP_CELL_M)
     return report, hm
 
 

@@ -27,17 +27,22 @@ from .geometry import Room, feasible_images, search_costs
 
 @dataclass(eq=False)
 class ScenarioConfig:
-    """Parsed scenario.  Distances in meters, angles in degrees where named.
+    """Parsed scenario.  Distances in meters.
 
-    The estimation fields, ``aoa_grid_deg`` through ``parity``, are the
-    recovery stack's settable values.  Its delay support is fixed: the
-    delay-profile peaks within
+    The estimation fields, ``l_max`` through ``parity``, are the
+    recovery stack's settable values.  Its sweep combs are fixed: the
+    full circle in :data:`~nfchan.pipeline.COARSE_AOA_STEP_DEG` (arrival,
+    folded to the room side on a collinear track) and
+    :data:`~nfchan.pipeline.COARSE_AOD_STEP_DEG` (departure) steps.  Its
+    delay support is fixed: the delay-profile peaks within
     :data:`~nfchan.estimation.PDP_THRESHOLD_DB` of the strongest, padded
     by :data:`~nfchan.pipeline.DELAY_PAD_BINS` bins.  Its placement
     groups are fixed too: each track offset's placements give one
     bearing per path, so ``offsets`` must lie more than
     :data:`~nfchan.aperture.CENTROID_ATOL_M` apart, and every
-    triangulation with two or more bearings is tried.
+    triangulation with two or more bearings is tried.  Synthesis uses
+    the exact reflection model, and the heatmap covers the room's
+    bounding box (:func:`~nfchan.pipeline.run_heatmap`).
     """
 
     room_vertices: np.ndarray = None
@@ -57,16 +62,10 @@ class ScenarioConfig:
     seed: int = 0
     max_order: int = 1
     bounce_loss: float = 0.7
-    model: str = "rm"
-    aoa_grid_deg: tuple = None
-    aod_grid_deg: tuple = None
     l_max: int = 6
     stop_fraction: float = 0.005
     refine_passes: int = 2
     parity: bool = True
-    heat_bounds: tuple = None
-    heat_cell: float = 0.25
-    heat_concentration: float = 400.0
 
     def wavelength(self):
         return SPEED_OF_LIGHT / self.carrier_hz
@@ -149,10 +148,10 @@ class _Number:
 
 class _List:
     """Items split at ``sep`` (whitespace when None), each a value or a
-    range of ``item``; ``ok`` checks the whole list against ``need``."""
+    range of ``item``."""
 
-    def __init__(self, item, sep=None, ok=None, need=None):
-        self.item, self.sep, self.ok, self.need = item, sep, ok, need
+    def __init__(self, item, sep=None):
+        self.item, self.sep = item, sep
 
     def parse(self, text, wl=None):
         out = []
@@ -160,8 +159,8 @@ class _List:
             out += self.item.values(tok.strip(), wl)
             if len(out) > _MAX_VALUES:
                 raise ValueError(f"more than {_MAX_VALUES} values")
-        if not out or (self.ok and not self.ok(out)):
-            raise ValueError(f"expected {self.need or 'a value'}, got {text!r}")
+        if not out:
+            raise ValueError(f"expected a value, got {text!r}")
         return tuple(out)
 
     def values(self, tok, wl=None):
@@ -240,11 +239,6 @@ _SPACING = _Number("length", "> 0")
 _INDEX = _Number(int, ">= 0")
 _COUNT = _Number(int, ">= 1")
 _FLAG = _Words(("true", "false"), (True, False))
-_GRID = _Or(None, None, _List(_REAL, ok=lambda v: all(map(
-    lt, v, v[1:])), need="strictly increasing values"))
-_BOUNDS = _Or(None, None, _List(_REAL, ok=lambda b: (
-    len(b) == 4 and b[0] < b[1] and b[2] < b[3]),
-    need="xmin xmax ymin ymax with min < max"))
 
 # One row per key, in file order: (section, key, ScenarioConfig field,
 # codec).
@@ -268,17 +262,11 @@ _KEYS = (
     _Key("measurement", "max_order", "max_order", _INDEX),
     _Key("measurement", "bounce_loss", "bounce_loss",
          _Number(float, "> 0", "<= 1")),
-    _Key("measurement", "model", "model", _Words(("rm", "pwa"))),
-    _Key("estimation", "aoa_deg", "aoa_grid_deg", _GRID),
-    _Key("estimation", "aod_deg", "aod_grid_deg", _GRID),
     _Key("estimation", "l_max", "l_max", _COUNT),
     _Key("estimation", "stop_fraction", "stop_fraction",
          _Number(float, ">= 0", "< 1")),
     _Key("estimation", "refine_passes", "refine_passes", _INDEX),
     _Key("estimation", "parity", "parity", _FLAG),
-    _Key("heatmap", "bounds", "heat_bounds", _BOUNDS),
-    _Key("heatmap", "cell", "heat_cell", _SPACING),
-    _Key("heatmap", "concentration", "heat_concentration", _POSITIVE),
 )
 _ROWS = {row.key: row for row in _KEYS}
 _SECTIONS = {section: {row.key for row in _KEYS if row.section == section}

@@ -54,6 +54,16 @@ class TestProtocol:
         with pytest.raises(TypeError, match="min_bearings"):
             ReflectionModelEstimator(min_bearings=3)
 
+    @pytest.mark.parametrize("cls", [PathExtractor, ReflectionModelEstimator])
+    @pytest.mark.parametrize("name", ["reflective", "aoa_grid_deg",
+                                      "aod_grid_deg"])
+    def test_removed_params_rejected(self, cls, name):
+        # the sweep always covers the full circle, and the fold reads
+        # only the room's vertex centroid, not its wall flags
+        with pytest.raises(TypeError,
+                           match=f"unexpected keyword argument '{name}'"):
+            cls(**{name: None})
+
     def test_repr_shows_params(self):
         assert "l_max=4" in repr(PathExtractor(l_max=4))
 
@@ -103,7 +113,6 @@ class TestPathExtractor:
 def quick_rm_estimator(quick_cfg):
     return ReflectionModelEstimator(
         room_vertices=quick_cfg.room_vertices,
-        reflective=quick_cfg.reflective,
         l_max=quick_cfg.l_max, stop_fraction=quick_cfg.stop_fraction,
         refine_passes=quick_cfg.refine_passes)
 
@@ -148,8 +157,7 @@ class TestReflectionModelEstimator:
     def test_parity_disabled_blocks_predict(self, quick_synth, quick_cfg):
         mset, _ = quick_synth
         est = ReflectionModelEstimator(
-            room_vertices=quick_cfg.room_vertices,
-            reflective=quick_cfg.reflective, parity=False,
+            room_vertices=quick_cfg.room_vertices, parity=False,
             l_max=quick_cfg.l_max, stop_fraction=quick_cfg.stop_fraction,
             refine_passes=quick_cfg.refine_passes).fit(mset)
         assert est.rm_paths_ is None

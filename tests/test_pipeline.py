@@ -16,18 +16,18 @@ from nfchan.aperture import plan_linear_track, simulate_campaign
 from nfchan.channel import SPEED_OF_LIGHT as C
 from nfchan.channel import FrequencyGrid, RmPathParams
 from nfchan.dataio import read_dataset, write_dataset
-from nfchan.errors import (DegenerateTriangulation, EmptyChannel,
-                           InvalidGeometry, ScenarioError)
+from nfchan.errors import (DegenerateTriangulation, InvalidGeometry,
+                           ScenarioError)
 from nfchan.estimation import (DictionaryGrid, ExtractionResult,
-                               ScoreEngine, fft_delay_bins, omp_extract)
+                               ScoreEngine, fft_delay_bins,
+                               localization_heatmap, omp_extract)
 from nfchan.estimation import _NEWTON_TOL, _cyclic_polish
 from nfchan.geometry import wrap_angle
 from nfchan.pipeline import (_assign, _facing, _fold_setup, collinear_axis,
                              extract_paths, run_estimate, run_evaluate,
                              run_heatmap, run_synth, subset_bearings,
                              subset_groups, sweep_runs, sweep_values)
-from nfchan.scenario import (build_plan, build_room, load_preset,
-                             parse_scenario)
+from nfchan.scenario import build_plan, build_room, load_preset
 
 WL = C / 10e9
 TX3 = WL / 2 * np.array(
@@ -208,8 +208,8 @@ class TestInvariance:
         assert rep.extraction.selections == quick_report.extraction.selections
         assert abs(rep.los_image_error()
                    - quick_report.los_image_error()) <= 1e-5
-        result, _, _ = extract_paths(scaled, quick_cfg)
-        base, _, _ = extract_paths(mset, quick_cfg)
+        result, _ = extract_paths(scaled, quick_cfg)
+        base, _ = extract_paths(mset, quick_cfg)
         assert len(result.paths) == len(base.paths)
         for a, b in zip(result.paths, base.paths):
             assert abs(wrap_angle(a.aoa - b.aoa)) < 1e-7
@@ -222,9 +222,9 @@ class TestInvariance:
         # The sweep must pick the same row of a pair whatever rounding a
         # non-power-of-two scale brings.
         mset, _ = quick_synth
-        base, _, _ = extract_paths(mset, quick_cfg)
+        base, _ = extract_paths(mset, quick_cfg)
         for factor in (3.0, 0.3, 1e-300, 1e200):
-            result, _, _ = extract_paths(_rescaled(mset, factor), quick_cfg)
+            result, _ = extract_paths(_rescaled(mset, factor), quick_cfg)
             assert result.selections == base.selections, factor
 
     @pytest.mark.parametrize("factor", [3.0, 0.3, 1.0 + 1e-7])
@@ -244,8 +244,8 @@ class TestInvariance:
                                              factor):
         # the energies of these inputs leave the float range
         mset, _ = quick_synth
-        base, _, _ = extract_paths(mset, quick_cfg)
-        result, _, _ = extract_paths(_rescaled(mset, factor), quick_cfg)
+        base, _ = extract_paths(mset, quick_cfg)
+        result, _ = extract_paths(_rescaled(mset, factor), quick_cfg)
         assert base.residual_fraction() > 0
         assert result.residual_fraction() == pytest.approx(
             base.residual_fraction(), rel=1e-9)
@@ -294,7 +294,7 @@ class TestModelOrder:
         # off the raw data instead of the residual ends the sweep early
         cfg = replace(load_preset("room-20x10"), n_tones=n_tones)
         mset, truth = run_synth(cfg)
-        result, _, _ = extract_paths(mset, cfg)
+        result, _ = extract_paths(mset, cfg)
         assert len(truth) == 4
         assert len(result.paths) == 4
 
@@ -327,12 +327,12 @@ class TestCollinearFold:
         ext = quick_report.extraction
         los = ext.paths[0]
         mirrored = replace(los, aoa=-los.aoa)
-        fold = _fold_setup(mset.plan, build_room(quick_cfg))
+        room = build_room(quick_cfg)
         for path, want in ((los, 3), (mirrored, 0)):
             result = ExtractionResult(paths=[path], selections=[],
                                       residual_history=[1.0],
                                       delay_origin=ext.delay_origin)
-            got = subset_bearings(mset, result, fold)
+            got = subset_bearings(mset, result, room)
             assert len(got[0]) == want
 
     def test_polished_pick_unfolds_to_interior(self):
@@ -420,43 +420,6 @@ class TestNoAnchor:
         assert np.all(taus > 0)
         assert np.allclose(images[1], (5.0, 2.0), atol=1e-6)
         assert tris[0] is not None
-
-
-class TestExplicitGrids:
-    def test_literal_sweep_windows(self, quick_synth, quick_cfg):
-        mset, truth = quick_synth
-        los = min(truth, key=lambda p: p.tau)
-        cfg = replace(quick_cfg, l_max=1, stop_fraction=0.0,
-                      aoa_grid_deg=tuple(np.arange(25.0, 41.0)),
-                      aod_grid_deg=tuple(np.arange(-155.0, -139.0)))
-        result, _, timing = extract_paths(mset, cfg)
-        assert "sweep" in timing and "coarse_sweep" not in timing
-        assert len(result.paths) == 1
-        assert abs(wrap_angle(result.paths[0].aoa - los.aoa)) < np.deg2rad(1.1)
-        assert abs(wrap_angle(result.paths[0].aod - los.aod)) < np.deg2rad(1.1)
-
-    @pytest.mark.parametrize("key, text, axis, degrees", [
-        ("aoa_deg", "10:5:20", "aoas", [10.0, 15.0, 20.0]),
-        ("aod_deg", "-180 -90 0 90", "aods", [-180.0, -90.0, 0.0, 90.0]),
-    ])
-    def test_parsed_list_swept_as_given(self, quick_synth, quick_text,
-                                        monkeypatch, key, text, axis,
-                                        degrees):
-        # the parser expands a range to its list of degrees, and the sweep
-        # takes that list as it is, not as a (start, step, stop) triple
-        mset, _ = quick_synth
-        cfg = parse_scenario(quick_text.replace(
-            "[estimation]\n", f"[estimation]\n{key} = {text}\n"))
-        swept = []
-
-        def record(mset, dictionary, **kw):
-            swept.append(getattr(dictionary, axis))
-            raise EmptyChannel("recorded")
-
-        monkeypatch.setattr(pipeline, "omp_extract", record)
-        with pytest.raises(EmptyChannel, match="recorded"):
-            extract_paths(mset, cfg)
-        assert np.array_equal(swept[0], np.deg2rad(degrees))
 
 
 class TestSubsetGroups:
@@ -611,10 +574,11 @@ class TestBatchedSubsetPolish:
         # peaked at 6.96 MiB.
         cfg = replace(load_preset("room-20x10"), snr_db=20.0, seed=1)
         mset, _ = run_synth(cfg)
-        result, fold_info, _ = extract_paths(mset, cfg, room=build_room(cfg))
+        room = build_room(cfg)
+        result, _ = extract_paths(mset, cfg, room=room)
         tracemalloc.start()
         try:
-            subset_bearings(mset, result, fold_info)
+            subset_bearings(mset, result, room)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -709,6 +673,26 @@ class TestHeatmapRun:
         b = rep.bearings[rep.anchor_index][0]
         ray = math.atan2(cy - b.position[1], cx - b.position[0])
         assert abs(wrap_angle(ray - b.angle)) < np.deg2rad(1.0)
+
+    def test_preset_spans_room_bounding_box(self):
+        # 20 m x 10 m in 0.25 m cells at the library's concentration
+        cfg = load_preset("room-20x10")
+        rep, hm = run_heatmap(cfg)
+        assert np.array_equal(hm.origin, [0.0, 0.0])
+        assert hm.cell == 0.25 and hm.scores.shape == (40, 80)
+        want = localization_heatmap(rep.bearings[rep.anchor_index],
+                                    region=(0.0, 20.0, 0.0, 10.0),
+                                    cell=0.25, concentration=400.0)
+        assert np.array_equal(hm.scores, want.scores)
+
+    def test_missing_room_fails_before_evaluate(self, quick_cfg,
+                                                monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("evaluated without a region")
+
+        monkeypatch.setattr(pipeline, "run_evaluate", no_run)
+        with pytest.raises(InvalidGeometry, match="room"):
+            run_heatmap(replace(quick_cfg, room_vertices=None))
 
 
 class TestApertureResolutionLadder:

@@ -107,20 +107,12 @@ coherent = true
 seed = 7
 max_order = 2
 bounce_loss = 0.5
-model = pwa
 
 [estimation]
-aoa_deg = 0:5:180
-aod_deg = -180 -90 0 90
 l_max = 4
 stop_fraction = 0.01
 refine_passes = 0
 parity = false
-
-[heatmap]
-bounds = 0 20 0 10
-cell = 0.5
-concentration = 100
 """
 
 
@@ -255,11 +247,6 @@ class TestParsing:
         ("estimation", "refine_passes", "-1"),
         ("estimation", "aoa_deg", "10 5"),
         ("estimation", "aod_deg", "0 0"),
-        ("heatmap", "cell", "nan"),
-        ("heatmap", "concentration", "nan"),
-        ("heatmap", "concentration", "0"),
-        ("heatmap", "bounds", "nan 20 0 10"),
-        ("heatmap", "bounds", "20 0 0 10"),
     ])
     def test_bad_value_names_key_and_line(self, section, key, value):
         text, line = with_line(MINIMAL, section, key, value)
@@ -269,13 +256,20 @@ class TestParsing:
 
 
     def test_refine_key_is_gone(self):
-        # each removed estimation key fails by name: refine_passes = 0
-        # is how refinement is turned off, the delay support's peak
-        # floor and pad are fixed constants, and so are the placement
-        # groups (one per track offset) and the two-bearing floor
-        for key in ("refine", "detect_threshold_db", "min_separation_bins",
-                    "delay_pad_bins", "min_bearings", "subsets"):
-            text = MINIMAL + f"\n[estimation]\n{key} = 1\n"
+        # each removed key fails by name: refine_passes = 0 is how
+        # refinement is turned off, the delay support's peak floor and
+        # pad are fixed constants, and so are the placement groups (one
+        # per track offset), the two-bearing floor, the sweep's angle
+        # combs and the exact synthesis model
+        for section, key in (
+                ("estimation", "refine"),
+                ("estimation", "detect_threshold_db"),
+                ("estimation", "min_separation_bins"),
+                ("estimation", "delay_pad_bins"),
+                ("estimation", "min_bearings"), ("estimation", "subsets"),
+                ("estimation", "aoa_deg"), ("estimation", "aod_deg"),
+                ("measurement", "model")):
+            text = MINIMAL + f"\n[{section}]\n{key} = 1\n"
             with pytest.raises(ScenarioError,
                                match=f"unknown key '{key}'") as err:
                 parse_scenario(text)
@@ -288,6 +282,14 @@ class TestParsing:
                            match=r"unknown section \[triangulation\]") as err:
             parse_scenario(text)
         assert err.value.line == text.splitlines().index("[triangulation]") + 1
+
+    def test_heatmap_section_is_gone(self):
+        # the heatmap always covers the room's bounding box
+        text = MINIMAL + "\n[heatmap]\ncell = 0.25\n"
+        with pytest.raises(ScenarioError,
+                           match=r"unknown section \[heatmap\]") as err:
+            parse_scenario(text)
+        assert err.value.line == text.splitlines().index("[heatmap]") + 1
 
 
 class TestCampaignCap:
