@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -79,9 +80,9 @@ def abs_delays(result):
     return [p.delta + result.delay_origin for p in result.paths]
 
 
-def room_coarse_sweep():
+def room_coarse_sweep(n_tones=512):
     """room-20x10's plan, grid, true paths and folded coarse dictionary."""
-    cfg = load_preset("room-20x10")
+    cfg = replace(load_preset("room-20x10"), n_tones=n_tones)
     plan, grid = build_plan(cfg), build_grid(cfg)
     truth = true_paths(cfg, plan)
     delays = _pdp_delay_support(simulate_campaign(truth, plan, grid))
@@ -353,6 +354,31 @@ class TestScoreEngine:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 2 ** 20
+
+    def test_best_peak_memory_fft(self):
+        # The same round at 128 tones and 0 dB over all 256 half-bins:
+        # the FFT path, transformed in place in the engine's buffer.  The
+        # row bounds set best()'s peak, so one block of every aod row is
+        # measured as well: a copy of its (2F, B, K) rows would add
+        # 2.1 MiB to the 0.3 MiB it takes.
+        plan, grid, truth, dic = room_coarse_sweep(n_tones=128)
+        dic = DictionaryGrid(aoas=dic.aoas, aods=dic.aods,
+                             delays=fft_delay_bins(grid))
+        residual = simulate_campaign(truth, plan, grid, snr_db=0,
+                                     seed=3).responses
+        engine = ScoreEngine(plan, grid, dic)
+        assert engine._use_fft
+        tracemalloc.start()
+        try:
+            engine.best(residual)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            engine._score_rows(residual, 0, np.arange(dic.aods.size))
+            block_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
+        assert block_peak <= 2 ** 20
 
     def test_dictionary_validation(self):
         with pytest.raises(InvalidGeometry):

@@ -214,11 +214,11 @@ class TestParsing:
             parse_scenario(MINIMAL.replace("origin = 1,1",
                                            "origin = -1,1"))
 
-    def test_unknown_layout_and_model(self):
+    def test_unknown_layout_and_coherent(self):
         with pytest.raises(ScenarioError, match="layout"):
             parse_scenario(MINIMAL + "\n[transmitter]\nlayout = ring\n")
-        with pytest.raises(ScenarioError, match="model"):
-            parse_scenario(MINIMAL + "\n[measurement]\nmodel = raytrace\n")
+        with pytest.raises(ScenarioError, match="coherent"):
+            parse_scenario(MINIMAL + "\n[measurement]\ncoherent = sometimes\n")
 
 
     @pytest.mark.parametrize("section, key, value", [
@@ -245,8 +245,8 @@ class TestParsing:
         ("estimation", "stop_fraction", "nan"),
         ("estimation", "stop_fraction", "1"),
         ("estimation", "refine_passes", "-1"),
-        ("estimation", "aoa_deg", "10 5"),
-        ("estimation", "aod_deg", "0 0"),
+        ("estimation", "l_max", "0"),
+        ("estimation", "parity", "maybe"),
     ])
     def test_bad_value_names_key_and_line(self, section, key, value):
         text, line = with_line(MINIMAL, section, key, value)
