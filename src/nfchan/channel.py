@@ -366,6 +366,15 @@ def _comb_factors(x, k, comb: ToneComb):
             inner.reshape(kx.shape[:-1] + (mid_f.size * fine_f.size,)))
 
 
+def _comb_product(coarse, inner, n):
+    """The phasors of :func:`_comb_factors`' ``coarse`` and ``inner``:
+    their outer product over the last axis, flattened to tone order and
+    truncated to the comb's ``n`` tones (a view when the split pads)."""
+    out = coarse[..., :, None] * inner[..., None, :]
+    size = coarse.shape[-1] * inner.shape[-1]
+    return out.reshape(out.shape[:-2] + (size,))[..., :n]
+
+
 def comb_phasors(x, k, comb: ToneComb):
     """``exp(k * x * f_i)`` of every ``x`` at every tone of ``comb``.
 
@@ -384,10 +393,7 @@ def comb_phasors(x, k, comb: ToneComb):
     Returns an array of shape ``x.shape + (n,)``, which may be a view
     into a slightly longer comb.
     """
-    coarse, inner = _comb_factors(x, k, comb)
-    out = coarse[..., :, None] * inner[..., None, :]
-    size = coarse.shape[-1] * inner.shape[-1]
-    return out.reshape(out.shape[:-2] + (size,))[..., :comb.n]
+    return _comb_product(*_comb_factors(x, k, comb), comb.n)
 
 
 def tone_phasors(lengths, grid: FrequencyGrid):
@@ -452,11 +458,10 @@ def synth_channel(paths, tx_positions, rx_positions, grid: FrequencyGrid,
                                   grid.comb)
     coarse *= np.array([p.gain for p in paths]).reshape(-1, 1, 1, 1)
     chunk = max(1, _SUM_CHUNK // (coarse[0].size * inner.shape[-1]))
-    size = coarse.shape[-1] * inner.shape[-1]
     out = None
     for lo in range(0, len(paths), chunk):
-        terms = coarse[lo:lo + chunk, ..., :, None] * inner[lo:lo + chunk, ..., None, :]
-        terms = terms.reshape(terms.shape[:-2] + (size,))[..., :grid.num_tones]
+        terms = _comb_product(coarse[lo:lo + chunk], inner[lo:lo + chunk],
+                              grid.num_tones)
         if out is not None:
             terms[0] += out
         out = terms.sum(axis=0)

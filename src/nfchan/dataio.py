@@ -14,6 +14,7 @@ external tooling.
 """
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -32,80 +33,104 @@ _COND = struct.Struct("<BdBQ")             # snr flag, snr_db, coherent, seed
 
 
 def write_dataset(mset: MeasurementSet, path):
-    """Serialize a measurement set; round-trips bit-exactly."""
+    """Serialize a measurement set; round-trips bit-exactly.
+
+    The header is packed before the file is opened, so a set that cannot
+    be stored leaves no file behind; the payload is then written straight
+    from the little-endian, C-contiguous response array, with no copy of
+    its bytes.
+    """
     plan, grid = mset.plan, mset.grid
     k, m, n = plan.n_placements, plan.n_rx, plan.n_tx
     f = grid.num_tones
     snr = mset.snr_db
-    blob = b"".join([
+    parts = [
         _HEAD.pack(MAGIC, FORMAT_VERSION, k, m, n, f),
-        np.asarray(plan.rx_ref, dtype="<f8").tobytes(),
-        np.asarray(plan.tx_ref, dtype="<f8").tobytes(),
-        np.ascontiguousarray(plan.rx_positions, dtype="<f8").tobytes(),
-        np.ascontiguousarray(plan.tx_positions, dtype="<f8").tobytes(),
+        np.ascontiguousarray(plan.rx_ref, dtype="<f8"),
+        np.ascontiguousarray(plan.tx_ref, dtype="<f8"),
+        np.ascontiguousarray(plan.rx_positions, dtype="<f8"),
+        np.ascontiguousarray(plan.tx_positions, dtype="<f8"),
         _GRID.pack(grid.center, grid.bandwidth),
         _COND.pack(snr is not None, 0.0 if snr is None else float(snr),
                    bool(mset.coherent), int(mset.seed) & (2 ** 64 - 1)),
-        np.ascontiguousarray(mset.responses, dtype="<c16").tobytes(),
-    ])
+        np.ascontiguousarray(mset.responses, dtype="<c16"),
+    ]
     with open(path, "wb") as fh:
-        fh.write(blob)
+        for part in parts:
+            fh.write(part)
 
 
 class _Cursor:
-    """Sequential reader that reports truncation with byte counts."""
+    """Sequential reader of an open file of ``size`` bytes that reports
+    truncation with byte counts before it reads or allocates."""
 
-    def __init__(self, blob):
-        self.blob = blob
+    def __init__(self, fh, size):
+        self.fh = fh
+        self.size = size
         self.pos = 0
 
-    def take(self, nbytes, what):
+    def _claim(self, nbytes, what):
         end = self.pos + nbytes
-        if end > len(self.blob):
+        if end > self.size:
             raise DatasetFormatError(
                 f"truncated {what}: expected {end} bytes, file has "
-                f"{len(self.blob)}")
-        out = self.blob[self.pos:end]
+                f"{self.size}")
         self.pos = end
-        return out
+
+    def _fill(self, buf, what):
+        if self.fh.readinto(buf) != memoryview(buf).nbytes:
+            raise DatasetFormatError(
+                f"truncated {what}: the file shrank while it was read")
+        return buf
+
+    def take(self, nbytes, what):
+        self._claim(nbytes, what)
+        return self._fill(bytearray(nbytes), what)
 
     def array(self, count, what, dtype="<f8"):
-        raw = self.take(count * np.dtype(dtype).itemsize, what)
-        return np.frombuffer(raw, dtype=dtype).astype(
-            np.complex128 if np.dtype(dtype).kind == "c" else np.float64)
+        """``count`` values read into a new array, then widened to
+        complex128 or float64 (no copy when they already are)."""
+        self._claim(count * np.dtype(dtype).itemsize, what)
+        out = self._fill(np.empty(count, dtype=dtype), what)
+        return out.astype(np.complex128 if out.dtype.kind == "c"
+                          else np.float64, copy=False)
 
 
 def read_dataset(path) -> MeasurementSet:
     """Parse an NFCM container back into a measurement set.
 
-    Positions and references are exact, so the plan groups its
-    placements as the written one did and needs nothing rebound.
+    The file size comes from the open file, so every section is checked
+    against it before it is read, and the payload is read straight into
+    the response array.  Positions and references are exact, so the plan
+    groups its placements as the written one did and needs nothing
+    rebound.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    cur = _Cursor(blob)
-    magic, version, k, m, n, f = _HEAD.unpack(cur.take(_HEAD.size, "header"))
-    if magic != MAGIC:
-        raise DatasetFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
+        cur = _Cursor(fh, os.fstat(fh.fileno()).st_size)
+        magic, version, k, m, n, f = _HEAD.unpack(
+            cur.take(_HEAD.size, "header"))
+        if magic != MAGIC:
+            raise DatasetFormatError(
+                f"bad magic {magic!r}, expected {MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise DatasetFormatError(
+                f"format version {version} not supported (expected "
+                f"{FORMAT_VERSION})")
+        if min(k, m, n) < 1 or f < 2:
+            raise DatasetFormatError(
+                f"bad dimensions K={k} M={m} N={n} F={f}")
+        rx_ref = cur.array(2, "rx_ref")
+        tx_ref = cur.array(2, "tx_ref")
+        rx_pos = cur.array(k * m * 2, "rx positions").reshape(k, m, 2)
+        tx_pos = cur.array(n * 2, "tx positions").reshape(n, 2)
+        center, bandwidth = _GRID.unpack(cur.take(_GRID.size, "grid"))
+        snr_flag, snr_db, coherent, seed = _COND.unpack(
+            cur.take(_COND.size, "capture conditions"))
+        responses = cur.array(k * m * n * f, "payload",
+                              dtype="<c16").reshape(k, m, n, f)
+    if cur.pos != cur.size:
         raise DatasetFormatError(
-            f"format version {version} not supported (expected "
-            f"{FORMAT_VERSION})")
-    if min(k, m, n) < 1 or f < 2:
-        raise DatasetFormatError(
-            f"bad dimensions K={k} M={m} N={n} F={f}")
-    rx_ref = cur.array(2, "rx_ref")
-    tx_ref = cur.array(2, "tx_ref")
-    rx_pos = cur.array(k * m * 2, "rx positions").reshape(k, m, 2)
-    tx_pos = cur.array(n * 2, "tx positions").reshape(n, 2)
-    center, bandwidth = _GRID.unpack(cur.take(_GRID.size, "grid"))
-    snr_flag, snr_db, coherent, seed = _COND.unpack(
-        cur.take(_COND.size, "capture conditions"))
-    responses = cur.array(k * m * n * f, "payload",
-                          dtype="<c16").reshape(k, m, n, f)
-    if cur.pos != len(blob):
-        raise DatasetFormatError(
-            f"{len(blob) - cur.pos} trailing bytes after payload")
+            f"{cur.size - cur.pos} trailing bytes after payload")
     try:
         plan = MeasurementPlan(rx_positions=rx_pos, tx_positions=tx_pos,
                                rx_ref=rx_ref, tx_ref=tx_ref)

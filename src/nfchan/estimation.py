@@ -35,7 +35,11 @@ on every bin before the dictionary's bins are picked out.  The package
 needs numpy alone: no path loads scipy.  Every factor is built by the
 three-level tone split that synthesis uses
 (:func:`~nfchan.channel.comb_phasors`), so a delay costs ``A + M + B``
-exponentials instead of ``F``.
+exponentials instead of ``F``.  The sweep keeps its receive filters as
+the split's two factors, a coarse level and the inner levels multiplied
+out, and multiplies them out only for the arrival angle or tone block
+at hand: every receive phasor is a product of the two, so no bank of
+(aoa, placement, element, tone) phasors is held.
 
 The off-grid polish moves one coordinate of one path at a time.  Each
 path keeps its three factors, and a factor is built again only when its
@@ -82,6 +86,8 @@ from .channel import (
     FrequencyGrid,
     PwaPathParams,
     RmPathParams,
+    _comb_factors,
+    _comb_product,
     alpha_from_bearings,
     comb_phasors,
     path_lengths,
@@ -277,6 +283,15 @@ class ScoreEngine:
     Precomputes the conjugated receive, transmit and delay factors of a
     dictionary, then scores blocks of candidates one arrival angle at a
     time so the full score tensor never has to be materialized.  The
+    receive factors are held as their two comb factors
+    (:func:`~nfchan.channel._comb_factors`, ``C + L`` phasors per delay
+    instead of ``F``) and as the products of those factors over every
+    receive-element pair; :meth:`_receive` multiplies out one arrival
+    angle's filters, bit for bit as :func:`_phase_factor` would, and
+    :meth:`_row_bounds` one block of tones of the pair products.  On
+    room-20x10's coarse dictionary at 512 tones the engine holds 3.6
+    MiB, where the multiplied-out receive bank alone would take 8.6
+    MiB.  The
     delay axis is a GEMM against the dictionary's own delays, or, when
     every delay sits on the half-bin comb and :func:`_fft_beats_gemm`
     says so, a zero-padded inverse FFT over all ``2F`` bins
@@ -317,9 +332,22 @@ class ScoreEngine:
                              (plan.rx_positions - plan.rx_ref)[None])[0]
         tau_t = _plane_delay(dictionary.aods[None],
                              (plan.tx_positions - plan.tx_ref)[None])[0]
-        self._wr = np.ascontiguousarray(_phase_factor(-tau_r, comb))
-        self._wt = np.ascontiguousarray(
-            _phase_factor(-tau_t, comb).transpose(2, 0, 1))
+        # Receive filters as the two comb factors of _phase_factor,
+        # coarse (A, K, M, C) and inner (A, K, M, L), multiplied out one
+        # arrival angle at a time: the (A, K, M, F) bank they make would
+        # be the engine's largest array.  _row_bounds reads the factors'
+        # products conj(m) * m' over the receive pairs m < m', grouped
+        # by m.
+        self._rc, self._ri = _comb_factors(-tau_r, -2j * np.pi, comb)
+        m0, m1 = np.triu_indices(plan.n_rx, 1)
+        self._pc = self._rc[:, :, m0].conj() * self._rc[:, :, m1]
+        self._pi = self._ri[:, :, m0].conj() * self._ri[:, :, m1]
+        # Transmit filters tone-major, (F, B, N): the products of
+        # _phase_factor written in that order, with no transposed copy.
+        coarse, inner = _comb_factors(-tau_t, -2j * np.pi, comb)
+        self._wt = np.multiply(np.moveaxis(coarse, -1, 0)[:, None],
+                               np.moveaxis(inner, -1, 0)[None], order="C")
+        self._wt = self._wt.reshape((-1,) + tau_t.shape)[:grid.num_tones]
         # Rows whose factor repeats a lower row's (mirror arrival angles
         # on an unfolded collinear track, every aod row with one
         # transmit element): the same atoms, which best() never scores.
@@ -355,8 +383,10 @@ class ScoreEngine:
 
     def _receive(self, residual, ia):
         """Residual contracted with the receive factor of arrival angle
-        ``ia``: (K, N, F)."""
-        return np.einsum("kmf,kmnf->knf", self._wr[ia], residual)
+        ``ia``, multiplied out of its comb factors as
+        :func:`_phase_factor` does: (K, N, F)."""
+        wr = _comb_product(self._rc[ia], self._ri[ia], residual.shape[-1])
+        return np.einsum("kmf,kmnf->knf", wr, residual)
 
     def _delay_scores(self, w, r):
         """(R, D) scores of the aod rows whose transmit filters are ``w``
@@ -396,32 +426,46 @@ class ScoreEngine:
         W[a,k,m,m',f] V[b,k,m,m',f]`` with ``D = sum |h|^2``, ``W =
         wr_m conj(wr_m')`` and ``V = h_m conj(h_m')``: the cross term is
         one real GEMM of the float views of ``conj(W)`` and ``V``.  Tones
-        go a block at a time, about 1 MB of ``h`` per block.
+        go a block at a time, about 1 MB of ``h`` per block.  A block's
+        ``conj(W)`` is written straight from the receive pairs' comb
+        factors, one coarse tone level at a time: tone ``i = c L + j`` of
+        a pair is ``pc[c] * pi[j]``, with ``L`` the inner level's length.
         """
         k, m, n, f = residual.shape
-        a, b = self._wr.shape[0], self._wt.shape[1]
+        a, b = self._rc.shape[0], self._wt.shape[1]
+        p, lev = self._pc.shape[2], self._pi.shape[-1]
         r = np.ascontiguousarray(residual.reshape(k * m, n, f).T)  # (F, N, KM)
         out = np.zeros((a, b))
-        step = max(1, (1 << 20) // (16 * b * k * m))
+        step = min(f, max(1, (1 << 20) // (16 * b * k * m)))
+        # Every block's h, V and conj(W) go to three buffers made once
+        # per call.  Made and freed block by block, they would return
+        # about 2 MB to the top of the heap each time, which glibc trims
+        # once the top passes its trim threshold (twice the largest
+        # block it has unmapped: about 3.4 MiB in a preset estimate),
+        # and the next block faults in again.
+        sizes = (b * k * m, b * k * p, a * k * p)  # per tone
+        bufs = [np.empty(step * x, dtype=complex) for x in sizes]
         for lo in range(0, f, step):
-            h = np.matmul(self._wt[lo:lo + step], r[lo:lo + step])
-            fb = h.shape[0]
+            fb = min(step, f - lo)
+            h, v, w = (buf[:fb * x] for buf, x in zip(bufs, sizes))
+            h = np.matmul(self._wt[lo:lo + fb], r[lo:lo + fb],
+                          out=h.reshape(fb, b, k * m))
+            v, w = v.reshape(b, k, p, fb), w.reshape(a, k, p, fb)
             hv = h.view(float).reshape(fb, b, -1)
             out += np.einsum("fbx,fbx->b", hv, hv)
             h = h.reshape(fb, b, k, m).transpose(1, 2, 3, 0)  # (B, K, M, Fb)
-            wr = self._wr[..., lo:lo + step]
             # The P pairs m < m', grouped by m, in V and conj(W) alike.
-            p = m * (m - 1) // 2
-            v = np.empty((b, k, p, fb), dtype=complex)
-            w = np.empty((a, k, p, fb), dtype=complex)
             j = 0
             for i in range(m - 1):
-                pairs = slice(j, j + m - 1 - i)
-                np.multiply(h[:, :, i:i + 1], h[:, :, i + 1:].conj(),
-                            out=v[:, :, pairs])
-                np.multiply(wr[:, :, i:i + 1].conj(), wr[:, :, i + 1:],
-                            out=w[:, :, pairs])
-                j = pairs.stop
+                pairs = v[:, :, j:j + m - 1 - i]
+                np.conjugate(h[:, :, i + 1:], out=pairs)
+                np.multiply(h[:, :, i:i + 1], pairs, out=pairs)
+                j += m - 1 - i
+            for c in range(lo // lev, (lo + fb - 1) // lev + 1):
+                i0, i1 = max(lo, c * lev), min(lo + fb, (c + 1) * lev)
+                np.multiply(self._pc[..., c:c + 1],
+                            self._pi[..., i0 - c * lev:i1 - c * lev],
+                            out=w[..., i0 - lo:i1 - lo])
             out += 2.0 * (w.reshape(a, -1).view(float)
                           @ v.reshape(b, -1).view(float).T)
         return out / (m * n)

@@ -1,6 +1,7 @@
 """NFCM dataset container and the CSV/text emitters."""
 
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +52,33 @@ class TestDatasetRoundTrip:
         p = tmp_path / "clean.nfcm"
         write_dataset(mset, p)
         assert read_dataset(p).snr_db is None
+
+    def test_payload_is_not_copied(self, tmp_path):
+        # The payload goes to disk from the response array itself and
+        # comes back read straight into the one array returned: a copy
+        # of its bytes on either side would add a payload to the peak.
+        k, m, n, f = 32, 2, 2, 512  # a 2 MiB payload
+        rng = np.random.default_rng(7)
+        plan = MeasurementPlan(rx_positions=rng.uniform(0, 5, (k, m, 2)),
+                               tx_positions=[[12.0, 7.5], [12.0, 7.52]])
+        grid = FrequencyGrid(center=10e9, bandwidth=500e6, num_tones=f)
+        mset = MeasurementSet(
+            responses=rng.normal(size=(k, m, n, f, 2)) @ [1.0, 1j],
+            plan=plan, grid=grid, seed=2)
+        payload = mset.responses.nbytes
+        p = tmp_path / "big.nfcm"
+        tracemalloc.start()
+        try:
+            write_dataset(mset, p)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = read_dataset(p)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.responses, mset.responses)
+        assert write_peak <= 0.25 * payload
+        assert read_peak <= 1.25 * payload
 
     def test_offsets_not_stored(self, quick_synth, tmp_path):
         # the container stores no track offsets: the placement groups

@@ -380,6 +380,50 @@ class TestScoreEngine:
         assert peak <= 4 * 2 ** 20
         assert block_peak <= 2 ** 20
 
+    def test_engine_memory(self):
+        # The receive filters are held as comb factors: the (61, 9, 2,
+        # 512) bank multiplied out would alone take 8.6 MiB.
+        plan, grid, _, dic = room_coarse_sweep()
+        tracemalloc.start()
+        try:
+            engine = ScoreEngine(plan, grid, dic)  # alive while measured
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del engine
+        assert held <= 4 * 2 ** 20
+        assert peak <= 6 * 2 ** 20
+
+    def test_padded_comb(self):
+        # 97 tones split 4 * 5 * 5 = 100, so the filters' comb factors
+        # cover 3 tones past the grid.  The row bounds' tone blocks (60
+        # tones here) end inside a 25-tone inner level, and the last
+        # level is the padded one.
+        plan, grid, truth, dic = room_coarse_sweep(n_tones=97)
+        residual = simulate_campaign(truth, plan, grid, snr_db=20,
+                                     seed=4).responses
+        engine = ScoreEngine(plan, grid, dic)
+        tau_r = _plane_delay(dic.aoas[None],
+                             (plan.rx_positions - plan.rx_ref)[None])[0]
+        wr = _phase_factor(-tau_r, grid.comb)
+        for ia in range(dic.shape[0]):
+            assert np.array_equal(
+                engine._receive(residual, ia),
+                np.einsum("kmf,kmnf->knf", wr[ia], residual))
+        scores = engine.scores(residual)
+        bound = engine._row_bounds(residual)
+        assert np.all(scores.max(axis=2) <= bound * (1.0 + 1e-9))
+        energy = np.stack([
+            np.sum(np.abs(np.matmul(engine._wt,
+                                    engine._receive(residual, ia).T)) ** 2,
+                   axis=(0, 2))
+            for ia in range(dic.shape[0])])
+        np.testing.assert_allclose(
+            bound, energy / (plan.n_rx * plan.n_tx), rtol=1e-12)
+        idx, val = engine.best(residual)
+        assert idx == np.unravel_index(int(np.argmax(scores)), scores.shape)
+        assert val == pytest.approx(scores.max(), rel=1e-12)
+
     def test_dictionary_validation(self):
         with pytest.raises(InvalidGeometry):
             DictionaryGrid(aoas=[0.2, 0.1], aods=[0.0], delays=[1e-9])
