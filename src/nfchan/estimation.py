@@ -37,8 +37,8 @@ three-level tone split that synthesis uses
 (:func:`~nfchan.channel.comb_phasors`), so a delay costs ``A + M + B``
 exponentials instead of ``F``.  The sweep keeps its receive filters as
 the split's two factors, a coarse level and the inner levels multiplied
-out, and multiplies them out only for the arrival angle or tone block
-at hand: every receive phasor is a product of the two, so no bank of
+out, and multiplies them out only for the arrival angle at hand:
+every receive phasor is a product of the two, so no bank of
 (aoa, placement, element, tone) phasors is held.
 
 The off-grid polish moves one coordinate of one path at a time.  Each
@@ -64,12 +64,13 @@ gains and residual are bit-equal to the fit built from scratch.
 The sweep's argmax is an exact branch and bound over (aoa, aod) rows.
 Delay factors have unit modulus, so by Cauchy-Schwarz no score in a row
 exceeds ``F`` times the row's energy after the receive and transmit
-contractions.  Receive phasors have unit modulus as well, so that energy
-is the transmit-contracted residual's energy plus a cross term over
-receive-element pairs, and one real GEMM per block of tones gives the
-cross term of every row.  Arrival angles are visited
-by descending best-row bound, and only rows whose bound (widened by a
-relative ``1e-9`` for rounding) still reaches the best score so far are
+contractions.  That energy is a sum over element pairs whose phasors
+turn by a fraction of a radian across a block of tones, so moments of
+the residual's pair products over a few such blocks, expanded to first
+order about each block's centre, bound it from above with a small
+remainder, for every row at once (:mod:`nfchan.rowbounds`).  Arrival
+angles are visited by descending best-row bound, and only rows whose
+bound (widened for rounding) still reaches the best score so far are
 scored, so the winner, with ties going to the lowest (aoa, aod, delay)
 index triple, is the full scan's.  Rows that repeat a lower row's
 receive or transmit factor are the same atoms and are never scored, so
@@ -100,6 +101,7 @@ from .errors import (
     InconsistentAnchor,
     InvalidGeometry,
 )
+from .rowbounds import RowBounds
 from .validation import as_vec2, check_positive, check_strictly_increasing
 
 _PARALLEL_TOL = 1e-6
@@ -285,11 +287,9 @@ class ScoreEngine:
     time so the full score tensor never has to be materialized.  The
     receive factors are held as their two comb factors
     (:func:`~nfchan.channel._comb_factors`, ``C + L`` phasors per delay
-    instead of ``F``) and as the products of those factors over every
-    receive-element pair; :meth:`_receive` multiplies out one arrival
-    angle's filters, bit for bit as :func:`_phase_factor` would, and
-    :meth:`_row_bounds` one block of tones of the pair products.  On
-    room-20x10's coarse dictionary at 512 tones the engine holds 3.6
+    instead of ``F``), and :meth:`_receive` multiplies out one arrival
+    angle's filters, bit for bit as :func:`_phase_factor` would.  On
+    room-20x10's coarse dictionary at 512 tones the engine holds 3.3
     MiB, where the multiplied-out receive bank alone would take 8.6
     MiB.  The
     delay axis is a GEMM against the dictionary's own delays, or, when
@@ -311,13 +311,14 @@ class ScoreEngine:
     when it holds fewer than ``2F`` delays.
 
     :meth:`best` only scores the (aoa, aod) rows whose upper bound
-    (:meth:`_row_bounds`) can still reach the best score found so far,
-    and never a row whose receive or transmit factor repeats a lower
-    row's; ``rows_scored`` counts the rows it has scored over the
-    engine's life.  The bounds of all rows take one batched transmit
-    contraction and one real GEMM per block of tones, which pairs the
-    receive elements of every arrival angle with those of every
-    departure row; nothing in them runs per angle.
+    (``_row_bounds``, a :class:`~nfchan.rowbounds.RowBounds`) can still
+    reach the best score found so far, and never a row whose receive or
+    transmit factor repeats a lower row's; ``rows_scored`` counts the
+    rows it has scored over the engine's life.  A row's bound is its
+    Cauchy-Schwarz bound, the energy of the residual contracted with the
+    row's receive and transmit filters, plus a small remainder, read off
+    moments of the residual's element-pair products over a few blocks of
+    tones.
     """
 
     def __init__(self, plan: MeasurementPlan, grid: FrequencyGrid,
@@ -335,19 +336,15 @@ class ScoreEngine:
         # Receive filters as the two comb factors of _phase_factor,
         # coarse (A, K, M, C) and inner (A, K, M, L), multiplied out one
         # arrival angle at a time: the (A, K, M, F) bank they make would
-        # be the engine's largest array.  _row_bounds reads the factors'
-        # products conj(m) * m' over the receive pairs m < m', grouped
-        # by m.
+        # be the engine's largest array.
         self._rc, self._ri = _comb_factors(-tau_r, -2j * np.pi, comb)
-        m0, m1 = np.triu_indices(plan.n_rx, 1)
-        self._pc = self._rc[:, :, m0].conj() * self._rc[:, :, m1]
-        self._pi = self._ri[:, :, m0].conj() * self._ri[:, :, m1]
         # Transmit filters tone-major, (F, B, N): the products of
         # _phase_factor written in that order, with no transposed copy.
         coarse, inner = _comb_factors(-tau_t, -2j * np.pi, comb)
         self._wt = np.multiply(np.moveaxis(coarse, -1, 0)[:, None],
                                np.moveaxis(inner, -1, 0)[None], order="C")
         self._wt = self._wt.reshape((-1,) + tau_t.shape)[:grid.num_tones]
+        self._row_bounds = RowBounds(tau_r, tau_t, comb)
         # Rows whose factor repeats a lower row's (mirror arrival angles
         # on an unfolded collinear track, every aod row with one
         # transmit element): the same atoms, which best() never scores.
@@ -414,62 +411,6 @@ class ScoreEngine:
             e = e[self._q_idx]
         return e.T / self.mnf
 
-    def _row_bounds(self, residual):
-        """(A, B) upper bounds on every score of each (aoa, aod) row.
-
-        Every delay factor has unit modulus, so by Cauchy-Schwarz over
-        tones a row's scores are at most ``sum_{f,k} |t[f,b,k]|^2 /
-        (M N)``, with ``t = sum_m wr[a,k,m,f] h[f,b,k,m]`` and ``h =
-        sum_n wt[f,b,n] res[k,m,n,f]`` the transmit side contracted
-        first (one batched matmul).  The receive phasors have unit
-        modulus too, so ``sum_{k,f} |t|^2 = D[b] + 2 Re sum_{k,m<m',f}
-        W[a,k,m,m',f] V[b,k,m,m',f]`` with ``D = sum |h|^2``, ``W =
-        wr_m conj(wr_m')`` and ``V = h_m conj(h_m')``: the cross term is
-        one real GEMM of the float views of ``conj(W)`` and ``V``.  Tones
-        go a block at a time, about 1 MB of ``h`` per block.  A block's
-        ``conj(W)`` is written straight from the receive pairs' comb
-        factors, one coarse tone level at a time: tone ``i = c L + j`` of
-        a pair is ``pc[c] * pi[j]``, with ``L`` the inner level's length.
-        """
-        k, m, n, f = residual.shape
-        a, b = self._rc.shape[0], self._wt.shape[1]
-        p, lev = self._pc.shape[2], self._pi.shape[-1]
-        r = np.ascontiguousarray(residual.reshape(k * m, n, f).T)  # (F, N, KM)
-        out = np.zeros((a, b))
-        step = min(f, max(1, (1 << 20) // (16 * b * k * m)))
-        # Every block's h, V and conj(W) go to three buffers made once
-        # per call.  Made and freed block by block, they would return
-        # about 2 MB to the top of the heap each time, which glibc trims
-        # once the top passes its trim threshold (twice the largest
-        # block it has unmapped: about 3.4 MiB in a preset estimate),
-        # and the next block faults in again.
-        sizes = (b * k * m, b * k * p, a * k * p)  # per tone
-        bufs = [np.empty(step * x, dtype=complex) for x in sizes]
-        for lo in range(0, f, step):
-            fb = min(step, f - lo)
-            h, v, w = (buf[:fb * x] for buf, x in zip(bufs, sizes))
-            h = np.matmul(self._wt[lo:lo + fb], r[lo:lo + fb],
-                          out=h.reshape(fb, b, k * m))
-            v, w = v.reshape(b, k, p, fb), w.reshape(a, k, p, fb)
-            hv = h.view(float).reshape(fb, b, -1)
-            out += np.einsum("fbx,fbx->b", hv, hv)
-            h = h.reshape(fb, b, k, m).transpose(1, 2, 3, 0)  # (B, K, M, Fb)
-            # The P pairs m < m', grouped by m, in V and conj(W) alike.
-            j = 0
-            for i in range(m - 1):
-                pairs = v[:, :, j:j + m - 1 - i]
-                np.conjugate(h[:, :, i + 1:], out=pairs)
-                np.multiply(h[:, :, i:i + 1], pairs, out=pairs)
-                j += m - 1 - i
-            for c in range(lo // lev, (lo + fb - 1) // lev + 1):
-                i0, i1 = max(lo, c * lev), min(lo + fb, (c + 1) * lev)
-                np.multiply(self._pc[..., c:c + 1],
-                            self._pi[..., i0 - c * lev:i1 - c * lev],
-                            out=w[..., i0 - lo:i1 - lo])
-            out += 2.0 * (w.reshape(a, -1).view(float)
-                          @ v.reshape(b, -1).view(float).T)
-        return out / (m * n)
-
     def scores(self, residual):
         """Full (A, B, D) score tensor, the scan :meth:`best` must agree
         with.  Meant for small dictionaries."""
@@ -484,10 +425,14 @@ class ScoreEngine:
         """Argmax over the whole dictionary without materializing it.
 
         Exact branch and bound over (aoa, aod) rows.  Every row gets an
-        upper bound (:meth:`_row_bounds`), widened by a relative margin
-        of ``1e-9`` for rounding.  The row with the highest bound is
-        scored first to seed the best score; arrival angles are then
-        visited by descending best-row bound, each scoring only the rows
+        upper bound (:class:`~nfchan.rowbounds.RowBounds`), widened for
+        rounding twice: by a relative ``1e-9``, which covers rounding
+        relative to the row's own energy (the scores'), and by the
+        bounds' ``margin`` times the residual's energy, which covers the
+        bound's rounding however far below that energy it lies (about
+        ``3e-13`` of the energy on room-20x10).  The row with the highest
+        bound is scored first to seed the best score; arrival angles are
+        then visited by descending best-row bound, each scoring only the rows
         whose bound still reaches the best score so far (the seed row is
         not scored again), until the next angle's bound falls below it.
         Ties between equal scores resolve to the lowest (aoa, aod,
@@ -497,7 +442,9 @@ class ScoreEngine:
         never scored and the lower row wins its tie whatever block
         either would be scored in.
         """
-        bound = self._row_bounds(residual) * (1.0 + 1e-9)
+        energy = np.vdot(residual, residual).real
+        bound = (self._row_bounds(residual) * (1.0 + 1e-9)
+                 + self._row_bounds.margin * energy)
         bound[self._repeat_aoa] = -np.inf
         bound[:, self._repeat_aod] = -np.inf
         top = bound.max(axis=1)

@@ -111,6 +111,94 @@ def naive_scores(plan, grid, dictionary, residual):
     return out
 
 
+def cs_energy(engine, residual):
+    """(A, B) Cauchy-Schwarz bounds of every row times M N: the energy of
+    scores()'s own contraction over tones and placements."""
+    return np.stack([
+        np.sum(np.abs(np.matmul(engine._wt,
+                                engine._receive(residual, ia).T)) ** 2,
+               axis=(0, 2))
+        for ia in range(engine.dictionary.shape[0])])
+
+
+def assert_bound_bracket(engine, residual):
+    """The row bounds lie between the Cauchy-Schwarz bound and that bound
+    plus twice the remainder term of nfchan.rowbounds: ``4 pi^2
+    sum_{k,e,e'} dtau^2 Q_e / (M N)``, with ``dtau`` the delay difference
+    of element pairs e = (m, n) and e' = (m', n') and ``Q_e = sum_f o^2
+    |x_e|^2``, ``o`` a tone's offset from the centre of its tone block.
+    Returns the bounds."""
+    plan, grid, dic = engine.plan, engine.grid, engine.dictionary
+    mn = plan.n_rx * plan.n_tx
+    tau_r = _plane_delay(dic.aoas[None],
+                         (plan.rx_positions - plan.rx_ref)[None])[0]
+    tau_t = _plane_delay(dic.aods[None],
+                         (plan.tx_positions - plan.tx_ref)[None])[0]
+    dr = tau_r[:, :, :, None] - tau_r[:, :, None, :]  # (A, K, M, M')
+    dt = tau_t[:, :, None] - tau_t[:, None, :]  # (B, N, N')
+    dtau = (dr[:, None, :, :, None, :, None]
+            + dt[None, :, None, None, :, None, :])  # (A, B, K, M, N, M', N')
+    lb = engine._row_bounds.blocks[1]
+    tone = np.arange(grid.num_tones)
+    o = (tone % lb - (lb - 1) / 2) * grid.spacing
+    q = np.sum(o ** 2 * np.abs(residual) ** 2, axis=-1)  # (K, M, N)
+    slack = 4 * np.pi ** 2 * np.einsum("abkmnpq,kmn->ab", dtau ** 2, q) / mn
+    exact = cs_energy(engine, residual) / mn
+    bound = engine._row_bounds(residual)
+    assert np.all(bound >= exact * (1.0 - 1e-12))
+    assert np.all(bound <= exact + slack + 1e-12 * exact.max())
+    return bound
+
+
+# Whole-degree angles, and arrival angles from either side of a track
+# along x, where +-theta are the same atom.
+DEGREES = st.lists(st.integers(1, 179), min_size=1, max_size=5,
+                   unique=True).map(lambda d: np.deg2rad(sorted(d)))
+SIDES = st.lists(
+    st.tuples(st.integers(1, 179), st.sampled_from([(1,), (-1,), (-1, 1)])),
+    min_size=1, max_size=4, unique_by=lambda p: p[0]).map(
+        lambda ds: np.deg2rad(sorted(s * d for d, ss in ds for s in ss)))
+
+
+def draw_residual(draw, plan, grid, dic):
+    """A residual of noise, of one off-grid path, or of one first-order
+    path on a dictionary node (which meets its bound)."""
+    kind = draw(st.sampled_from(["noise", "path", "node"]))
+    if kind == "noise":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        shape = (plan.n_placements, plan.n_rx, plan.n_tx, grid.num_tones)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "path":
+        path = rm_from_alpha(1.0, draw(st.floats(39e-9, 45e-9)),
+                             draw(st.floats(0.1, 3.0)),
+                             draw(st.floats(-np.pi, np.pi)),
+                             draw(st.sampled_from([1, -1])))
+        return simulate_campaign([path], plan, grid).responses
+    path = RmPathParams(1.0, draw(st.sampled_from(list(dic.delays))),
+                        draw(st.sampled_from(list(dic.aoas))),
+                        draw(st.sampled_from(list(dic.aods))))
+    return simulate_campaign([path], plan, grid, model="pwa").responses
+
+
+def assert_best_is_full_scan(engine, residual):
+    """Every row's scores stay under its bound, which brackets the
+    Cauchy-Schwarz bound, and best() returns the flat argmax of scores()
+    with ties going to the lowest index triple."""
+    scores = engine.scores(residual)
+    bound = assert_bound_bracket(engine, residual)
+    assert np.all(scores.max(axis=2) <= bound * (1.0 + 1e-9))
+    idx, val = engine.best(residual)
+    want = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    if engine.plan.n_tx == 1:
+        # Every aod row is the same atom: best() scores only the
+        # first, while within scores()' blocks the rows tie but for
+        # rounding that depends on where in the block a row sits.
+        assert idx[1] == 0
+        idx, want = idx[::2], want[::2]
+    assert idx == want
+    assert val == pytest.approx(scores.max(), rel=1e-12)
+
+
 class TestResponseAtom:
     def test_zero_displacement_is_pure_delay(self):
         # one element at each reference: the atom is the delay factor alone
@@ -204,14 +292,6 @@ class TestScoreEngine:
         # (0, 180): a two-element transmitter lies along x too.
         draw = data.draw
         grid = FrequencyGrid(center=10e9, bandwidth=500e6, num_tones=128)
-        degrees = st.lists(st.integers(1, 179), min_size=1, max_size=5,
-                           unique=True).map(lambda d: np.deg2rad(sorted(d)))
-        sides = st.lists(
-            st.tuples(st.integers(1, 179),
-                      st.sampled_from([(1,), (-1,), (-1, 1)])),
-            min_size=1, max_size=4, unique_by=lambda p: p[0]).map(
-                lambda ds: np.deg2rad(sorted(s * d for d, ss in ds
-                                             for s in ss)))
         plan = plan_linear_track(
             [1.0, 1.0],
             draw(st.lists(st.sampled_from([0.0, 0.2, 0.4, 0.8]),
@@ -223,51 +303,36 @@ class TestScoreEngine:
         span, use_fft = draw(st.sampled_from([((38e-9, 46e-9), False),
                                               ((20e-9, 219e-9), True),
                                               ((0.0, None), True)]))
-        dic = DictionaryGrid(aoas=draw(sides), aods=draw(degrees),
+        dic = DictionaryGrid(aoas=draw(SIDES), aods=draw(DEGREES),
                              delays=fft_delay_bins(grid, *span))
-        kind = draw(st.sampled_from(["noise", "path", "node"]))
-        if kind == "noise":
-            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-            shape = (plan.n_placements, plan.n_rx, plan.n_tx, grid.num_tones)
-            residual = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        elif kind == "path":
-            path = rm_from_alpha(1.0, draw(st.floats(39e-9, 45e-9)),
-                                 draw(st.floats(0.1, 3.0)),
-                                 draw(st.floats(-np.pi, np.pi)),
-                                 draw(st.sampled_from([1, -1])))
-            residual = simulate_campaign([path], plan, grid).responses
-        else:
-            # A first-order path on a dictionary node meets its bound.
-            path = RmPathParams(1.0, draw(st.sampled_from(list(dic.delays))),
-                                draw(st.sampled_from(list(dic.aoas))),
-                                draw(st.sampled_from(list(dic.aods))))
-            residual = simulate_campaign([path], plan, grid,
-                                         model="pwa").responses
+        residual = draw_residual(draw, plan, grid, dic)
         engine = ScoreEngine(plan, grid, dic)
         assert engine._use_fft == use_fft
-        scores = engine.scores(residual)
-        bound = engine._row_bounds(residual)
-        assert np.all(scores.max(axis=2) <= bound * (1.0 + 1e-9))
-        # The bound is the Cauchy-Schwarz bound itself, no looser: the
-        # energy of scores()'s own contraction over tones and placements
-        # (with one receive element it has no cross term).
-        energy = np.stack([
-            np.sum(np.abs(np.matmul(engine._wt,
-                                    engine._receive(residual, ia).T)) ** 2,
-                   axis=(0, 2))
-            for ia in range(dic.shape[0])])
-        np.testing.assert_allclose(
-            bound, energy / (plan.n_rx * plan.n_tx), rtol=1e-12)
-        idx, val = engine.best(residual)
-        want = np.unravel_index(int(np.argmax(scores)), scores.shape)
-        if plan.n_tx == 1:
-            # Every aod row is the same atom: best() scores only the
-            # first, while within scores()' blocks the rows tie but for
-            # rounding that depends on where in the block a row sits.
-            assert idx[1] == 0
-            idx, want = idx[::2], want[::2]
-        assert idx == want
-        assert val == pytest.approx(scores.max(), rel=1e-12)
+        assert_best_is_full_scan(engine, residual)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_wide_apertures_keep_bound_and_argmax(self, data):
+        # Receive spacings up to 16 wavelengths: the element-pair delay
+        # differences grow sixteenfold and the row bounds' tone blocks
+        # shrink toward single tones.  Track offsets up to 3.2 m give
+        # the filters phases of hundreds of radians, and 97 tones pad
+        # the last block.
+        draw = data.draw
+        grid = FrequencyGrid(center=10e9, bandwidth=500e6,
+                             num_tones=draw(st.sampled_from([97, 128])))
+        plan = plan_linear_track(
+            [1.0, 1.0],
+            draw(st.lists(st.sampled_from([0.0, 0.4, 1.6, 3.2]),
+                          min_size=1, max_size=3, unique=True)),
+            draw(st.lists(st.sampled_from([WL / 2, 4 * WL, 16 * WL]),
+                          min_size=1, max_size=2, unique=True)),
+            TX3[:draw(st.integers(1, 3))],
+            n_rx=draw(st.integers(1, 3)))
+        dic = DictionaryGrid(aoas=draw(SIDES), aods=draw(DEGREES),
+                             delays=fft_delay_bins(grid, 38e-9, 46e-9))
+        residual = draw_residual(draw, plan, grid, dic)
+        assert_best_is_full_scan(ScoreEngine(plan, grid, dic), residual)
 
     def test_repeats_compare_values(self):
         # -0.0 and 0.0 are one value; the first of equal rows is kept
@@ -341,8 +406,10 @@ class TestScoreEngine:
 
     def test_best_peak_memory(self):
         # One sweep round on room-20x10's coarse dictionary at 20 dB.  The
-        # row bounds work through the tones a block at a time: unblocked,
-        # their transmit-contracted residual alone would take 8.8 MB.
+        # row bounds take 0.6 MiB, a conjugated copy of the residual and
+        # its tone-block moments: nothing in them runs per tone and row,
+        # where a transmit-contracted residual alone would take 8.8 MB.
+        # The blocks of rows scored set the peak.
         plan, grid, truth, dic = room_coarse_sweep()
         residual = simulate_campaign(truth, plan, grid, snr_db=20,
                                      seed=1).responses
@@ -357,10 +424,11 @@ class TestScoreEngine:
 
     def test_best_peak_memory_fft(self):
         # The same round at 128 tones and 0 dB over all 256 half-bins:
-        # the FFT path, transformed in place in the engine's buffer.  The
-        # row bounds set best()'s peak, so one block of every aod row is
-        # measured as well: a copy of its (2F, B, K) rows would add
-        # 2.1 MiB to the 0.3 MiB it takes.
+        # the FFT path, transformed in place in the engine's buffer.  A
+        # block of rows sets best()'s peak of 0.3 MiB, the row bounds
+        # taking 0.25 MiB, so one block of every aod row is measured as
+        # well: a copy of its (2F, B, K) rows would add 2.1 MiB to the
+        # 0.3 MiB it takes.
         plan, grid, truth, dic = room_coarse_sweep(n_tones=128)
         dic = DictionaryGrid(aoas=dic.aoas, aods=dic.aods,
                              delays=fft_delay_bins(grid))
@@ -382,7 +450,9 @@ class TestScoreEngine:
 
     def test_engine_memory(self):
         # The receive filters are held as comb factors: the (61, 9, 2,
-        # 512) bank multiplied out would alone take 8.6 MiB.
+        # 512) bank multiplied out would alone take 8.6 MiB.  The row
+        # bounds keep element-pair phasors per tone block, not per tone
+        # (0.3 MiB over 4 blocks).
         plan, grid, _, dic = room_coarse_sweep()
         tracemalloc.start()
         try:
@@ -396,13 +466,13 @@ class TestScoreEngine:
 
     def test_padded_comb(self):
         # 97 tones split 4 * 5 * 5 = 100, so the filters' comb factors
-        # cover 3 tones past the grid.  The row bounds' tone blocks (60
-        # tones here) end inside a 25-tone inner level, and the last
-        # level is the padded one.
+        # cover 3 tones past the grid.  The row bounds cut the tones into
+        # 4 blocks of 25, so their last block is zero-padded by 3 tones.
         plan, grid, truth, dic = room_coarse_sweep(n_tones=97)
         residual = simulate_campaign(truth, plan, grid, snr_db=20,
                                      seed=4).responses
         engine = ScoreEngine(plan, grid, dic)
+        assert engine._row_bounds.blocks == (4, 25)
         tau_r = _plane_delay(dic.aoas[None],
                              (plan.rx_positions - plan.rx_ref)[None])[0]
         wr = _phase_factor(-tau_r, grid.comb)
@@ -411,18 +481,34 @@ class TestScoreEngine:
                 engine._receive(residual, ia),
                 np.einsum("kmf,kmnf->knf", wr[ia], residual))
         scores = engine.scores(residual)
-        bound = engine._row_bounds(residual)
+        bound = assert_bound_bracket(engine, residual)
         assert np.all(scores.max(axis=2) <= bound * (1.0 + 1e-9))
-        energy = np.stack([
-            np.sum(np.abs(np.matmul(engine._wt,
-                                    engine._receive(residual, ia).T)) ** 2,
-                   axis=(0, 2))
-            for ia in range(dic.shape[0])])
-        np.testing.assert_allclose(
-            bound, energy / (plan.n_rx * plan.n_tx), rtol=1e-12)
         idx, val = engine.best(residual)
         assert idx == np.unravel_index(int(np.argmax(scores)), scores.shape)
         assert val == pytest.approx(scores.max(), rel=1e-12)
+
+    @pytest.mark.parametrize("n_tones, snr_db, seed, use_fft", [
+        (512, 20, 1, False),
+        (128, 0, 3, True),
+    ])
+    def test_pruning_matches_exact_bounds(self, n_tones, snr_db, seed,
+                                          use_fft):
+        # The moment bounds sit a few parts in 10^4 above the exact
+        # Cauchy-Schwarz ones, so best() scores at most 1% more rows than
+        # those whose exact bound reaches the score it returns.
+        plan, grid, truth, dic = room_coarse_sweep(n_tones=n_tones)
+        if use_fft:
+            dic = DictionaryGrid(aoas=dic.aoas, aods=dic.aods,
+                                 delays=fft_delay_bins(grid))
+        residual = simulate_campaign(truth, plan, grid, snr_db=snr_db,
+                                     seed=seed).responses
+        engine = ScoreEngine(plan, grid, dic)
+        assert engine._use_fft == use_fft
+        _, val = engine.best(residual)
+        exact = cs_energy(engine, residual) / (plan.n_rx * plan.n_tx)
+        exact[engine._repeat_aoa] = -np.inf
+        exact[:, engine._repeat_aod] = -np.inf
+        assert engine.rows_scored <= 1.01 * np.count_nonzero(exact >= val)
 
     def test_dictionary_validation(self):
         with pytest.raises(InvalidGeometry):
