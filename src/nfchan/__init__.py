@@ -109,6 +109,5 @@ from .dataio import (
     read_heatmap_grid,
     write_dataset,
 )
-from .estimators import NotFittedError, PathExtractor, ReflectionModelEstimator
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Input validation helpers shared by the functional API and the estimators."""
+"""Input validation helpers shared by the functional API."""
 
 from __future__ import annotations
 

@@ -171,6 +171,8 @@ class TestPinnedOutputs:
         assert rep.extraction.selections == [
             (10, 4, 41), (51, 4, 50), (16, 51, 52), (4, 27, 91)]
         assert len(rep.paths) == 4
+        assert rep.anchor_index is not None
+        assert rep.parities is None and rep.rm_paths is None
         assert all(use_fft for use_fft, _ in rounds)
         assert rounds[-1][1] >= 61 * 60
 
@@ -361,6 +363,10 @@ class TestDatasetRebind:
         for a, b in zip(rep.paths, quick_report.paths):
             assert a.aoa == pytest.approx(b.aoa, abs=1e-12)
             assert a.delta == pytest.approx(b.delta, abs=1e-15)
+        assert rep.anchor_index is not None
+        assert rep.anchor_index == quick_report.anchor_index
+        assert rep.parities == quick_report.parities
+        assert rep.image_points.tobytes() == quick_report.image_points.tobytes()
 
     def test_unequal_groups_fail_before_sweep(self, quick_synth, quick_cfg,
                                               monkeypatch):
@@ -379,7 +385,7 @@ class TestDatasetRebind:
 
 
 class TestNoAnchor:
-    def test_unreachable_min_bearings(self, quick_cfg):
+    def test_one_offset_gives_no_anchor(self, quick_cfg):
         # a one-offset track gives one bearing per path, below the two
         # that triangulation needs, so no path can anchor
         cfg = replace(quick_cfg, offsets=quick_cfg.offsets[:1])
