@@ -166,9 +166,6 @@ class MeasurementSet:
         if self.snr_db is not None:
             check_finite(float(self.snr_db), "snr_db")
 
-    def energy(self):
-        return float(np.sum(np.abs(self.responses) ** 2))
-
 
 def simulate_campaign(paths, plan, grid, snr_db=None, coherent=False,
                       seed=0, model="rm"):
@@ -227,12 +224,6 @@ class Pdp:
 
     delay_bins: np.ndarray
     magnitudes: np.ndarray
-
-    def peak_bin(self):
-        return int(np.argmax(self.magnitudes))
-
-    def peak_delay(self):
-        return float(self.delay_bins[self.peak_bin()])
 
 
 def _window(name, n):

@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import EmptyChannel, InvalidGeometry, SingularGeometry
 from .geometry import ImagePath, OrthoMap2, wrap_angle
-from .validation import as_vec2, check_finite, check_parity, check_positive
+from .validation import (as_points, as_vec2, check_finite, check_parity,
+                         check_positive)
 
 SPEED_OF_LIGHT = 299_792_458.0
 """Propagation speed used throughout, in meters per second."""
@@ -304,11 +305,6 @@ class FrequencyGrid:
         return ToneComb(self.center - self.bandwidth / 2.0, self.spacing,
                         self.num_tones)
 
-    @property
-    def wavelength(self):
-        """Carrier wavelength in meters."""
-        return SPEED_OF_LIGHT / self.center
-
     def tones(self):
         """All tone frequencies in Hz, shape ``(num_tones,)``."""
         return self.comb.tones()
@@ -444,8 +440,6 @@ def synth_channel(paths, tx_positions, rx_positions, grid: FrequencyGrid,
     whether it is synthesized alone or with others, and so does the sum,
     while no (L, M, N, F) array is ever built.
     """
-    from .validation import as_points
-
     paths = list(paths)
     if not paths:
         raise EmptyChannel("cannot synthesize a channel with no paths")
@@ -466,17 +460,3 @@ def synth_channel(paths, tx_positions, rx_positions, grid: FrequencyGrid,
             terms[0] += out
         out = terms.sum(axis=0)
     return out
-
-
-def rayleigh_distance(aperture, wavelength):
-    """Far-field onset ``2 * aperture**2 / wavelength`` for a given array span.
-
-    Beyond this range the plane-wave approximation of the phase front is
-    conventionally considered safe; well inside it the curvature terms
-    the mirrored-source model keeps become significant.
-    """
-    aperture = float(aperture)
-    if aperture < 0:
-        raise InvalidGeometry("aperture must be nonnegative")
-    check_positive(wavelength, "wavelength")
-    return 2.0 * aperture * aperture / float(wavelength)

@@ -89,7 +89,6 @@ from .channel import (
     RmPathParams,
     _comb_factors,
     _comb_product,
-    alpha_from_bearings,
     comb_phasors,
     path_lengths,
     tone_phasors,
@@ -513,8 +512,8 @@ def per_placement_lsq(atoms, data):
     """Joint least-squares gains per placement and the residual they leave.
 
     atoms: (L, K, M, N, F), data: (K, M, N, F) -> (gains (L, K),
-    residual ``data - model_sum(atoms, gains)``).  This is the one gain
-    fit, :class:`_GainFit`, built from scratch: each atom is written
+    residual ``data`` minus the gain-weighted atom sum).  This is the one
+    gain fit, :class:`_GainFit`, built from scratch: each atom is written
     into the placement-major stack and its Gram row formed, in index
     order, then the normal equations of all placements are solved in
     one batch; should any Gram be singular, every placement falls back
@@ -527,13 +526,6 @@ def per_placement_lsq(atoms, data):
         fit.atom(j)[...] = atom
         fit.update(j)
     return fit.solve()
-
-
-def model_sum(atoms, gains):
-    """Model responses (K, M, N, F) of atoms (L, K, M, N, F) under gains (L, K)."""
-    l, k = atoms.shape[0], atoms.shape[1]
-    stack = atoms.reshape(l, k, -1).transpose(1, 0, 2)  # (K, L, P)
-    return _model(stack, gains).reshape(atoms.shape[1:])
 
 
 def _model(stack, gains):
@@ -582,7 +574,7 @@ class _GainFit:
         self.rhs[:, j] = (aj @ self.y)[:, 0]
 
     def solve(self):
-        """(gains (L, K), residual ``data - model_sum``) of the atoms held:
+        """(gains (L, K), residual ``data - _model``) of the atoms held:
         every placement's normal equations in one batched ``solve``, or
         ``lstsq`` per placement should any Gram be singular to working
         precision.  That is, a Cholesky pivot ``|a_j|^2 sin^2`` (the angle
@@ -1180,11 +1172,6 @@ class ParityDecision:
     aoa: float
     aod: float
     margin: float
-
-    @property
-    def alpha(self):
-        """Reflection-map phase implied by the winning hypothesis."""
-        return alpha_from_bearings(self.aoa, self.aod, self.parity)
 
 
 def estimate_parity(mset: MeasurementSet, path: PwaPathParams, tau,

@@ -22,9 +22,8 @@ Both run as array computations.  The image tree grows one order at a
 time: every image of an order is mirrored across every reflective wall
 except its last one in a single step.  The feasibility test back-traces
 and occlusion-tests a block of candidates at once.
-:func:`enumerate_images`, :func:`validate_path`,
-:func:`unfolded_polyline` and :func:`feasible_images` are views of
-these two kernels.
+:func:`enumerate_images`, :func:`validate_path` and
+:func:`feasible_images` are views of these two kernels.
 """
 
 from __future__ import annotations
@@ -36,23 +35,6 @@ import numpy as np
 
 from .errors import InvalidGeometry, SingularGeometry
 from .validation import as_vec2, as_points
-
-__all__ = [
-    "Wall",
-    "Room",
-    "OrthoMap2",
-    "ImagePath",
-    "wrap_angle",
-    "reflect_point",
-    "reflection_linear_part",
-    "compose",
-    "enumerate_images",
-    "feasible_images",
-    "search_costs",
-    "validate_path",
-    "unfolded_polyline",
-    "point_in_polygon",
-]
 
 
 def wrap_angle(theta):
@@ -190,16 +172,6 @@ class OrthoMap2:
         # Q^-1 = diag(1, s) R(-alpha) = R(-s*alpha) diag(1, s)
         return OrthoMap2(alpha=-self.parity * self.alpha, parity=self.parity)
 
-    @classmethod
-    def from_matrix(cls, m) -> "OrthoMap2":
-        m = np.asarray(m, dtype=float)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(abs(det) - 1.0) > 1e-9:
-            raise InvalidGeometry(f"matrix is not orthogonal (det={det})")
-        parity = +1 if det > 0 else -1
-        # first column is (cos alpha, sin alpha) for either parity
-        return cls(alpha=float(np.arctan2(m[1, 0], m[0, 0])), parity=parity)
-
 
 @dataclass(eq=False)
 class ImagePath:
@@ -220,11 +192,6 @@ class ImagePath:
     @property
     def order(self) -> int:
         return len(self.wall_sequence)
-
-
-def reflect_point(point, wall: Wall) -> np.ndarray:
-    """Mirror ``point`` across the infinite line carrying ``wall``."""
-    return _mirror(as_vec2(point), wall.a, wall.direction)
 
 
 def _mirror(p, a, t):
@@ -541,21 +508,6 @@ def validate_path(room: Room, wall_sequence, tx, rx):
     if not _unblocked(room, live, poly).size:
         return False, None
     return True, poly[0]
-
-
-def unfolded_polyline(room: Room, wall_sequence, tx, rx) -> np.ndarray:
-    """The folded bounce polyline [tx, s_1, ..., s_n, rx] for a feasible path.
-
-    Raises InvalidGeometry when the specular chain is infeasible; occlusion
-    is not rechecked here (use :func:`validate_path` first when in doubt).
-    """
-    seq = [_wall_index(w, "wall_sequence", len(room.walls))
-           for w in wall_sequence]
-    live, poly = _backtrace(room, _chain(room, as_vec2(tx, "tx"), seq), [0],
-                            as_vec2(rx, "rx"))
-    if not live.size:
-        raise InvalidGeometry("specular chain is infeasible for this tx/rx pair")
-    return poly[0]
 
 
 def point_in_polygon(point, vertices) -> bool:

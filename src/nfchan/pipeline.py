@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .aperture import CENTROID_ATOL_M, mean_pdp, simulate_campaign
-from .channel import SPEED_OF_LIGHT, RmPathParams, unit_vector, wrap_angle
+from .channel import SPEED_OF_LIGHT, unit_vector, wrap_angle
 from .errors import (
     DegenerateTriangulation,
     EmptyChannel,
@@ -42,7 +42,6 @@ from .errors import (
 from .estimation import (
     Bearing,
     DictionaryGrid,
-    Heatmap,
     _cyclic_polish,
     assemble_rm,
     detect_paths_pdp,
@@ -615,7 +614,7 @@ def sweep_values(spec):
                                                          name.strip())
     if name not in _SWEEP_FIELDS:
         known = ", ".join(sorted(_SWEEP_FIELDS))
-        raise InvalidGeometry(f"cannot vary {name!r}; knowns: {known}")
+        raise InvalidGeometry(f"cannot vary {name!r}; known: {known}")
     try:
         return name, parse_values(_SWEEP_FIELDS[name], rng.strip())
     except ScenarioError as err:

@@ -120,3 +120,36 @@ def test_fft_run_without_scipy(fresh_json):
     assert any(got["fft_path"])
     assert 1 <= got["n_paths"] <= got["l_max"]
     assert got["scipy"] == []
+
+
+# The front end, by defining module: the only names the package
+# namespace exports besides its submodules and ``__version__``.
+FRONT_END = {
+    "errors": ["NfchanError", "InvalidGeometry", "SingularGeometry",
+               "EmptyChannel", "DegenerateTriangulation",
+               "InconsistentAnchor", "DatasetFormatError", "ScenarioError"],
+    "scenario": ["ScenarioConfig", "available_presets", "load_preset",
+                 "load_scenario_file", "parse_scenario"],
+    "pipeline": ["RunReport", "run_synth", "run_estimate", "run_evaluate",
+                 "run_heatmap", "sweep_runs"],
+    "dataio": ["read_dataset", "write_dataset", "emit_report",
+               "read_heatmap_grid"],
+}
+
+
+def test_namespace_is_the_front_end(fresh_json):
+    # each public name maps to [defining module, is it that module's object]
+    got = fresh_json("""
+        import json, sys, types
+        import nfchan
+        out = {}
+        for name, obj in vars(nfchan).items():
+            if name.startswith("_") or isinstance(obj, types.ModuleType):
+                continue
+            module = getattr(obj, "__module__", None)
+            out[name] = [module,
+                         getattr(sys.modules.get(module), name, None) is obj]
+        print(json.dumps(out))
+        """)
+    assert got == {name: [f"nfchan.{module}", True]
+                   for module, names in FRONT_END.items() for name in names}

@@ -23,9 +23,7 @@ from nfchan.geometry import (
     enumerate_images,
     feasible_images,
     point_in_polygon,
-    reflect_point,
     reflection_linear_part,
-    unfolded_polyline,
     validate_path,
     wrap_angle,
 )
@@ -159,28 +157,6 @@ class TestWrapAngle:
 
 
 class TestReflection:
-    def test_reflect_point_matches_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            a, b, p = rng.uniform(-10, 10, (3, 2))
-            if np.linalg.norm(b - a) < 1e-3:
-                continue
-            wall = Wall(a, b)
-            assert np.allclose(reflect_point(p, wall), oracle_mirror(p, a, b), atol=1e-12)
-
-    def test_reflect_is_involution(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            a, b, p = rng.uniform(-10, 10, (3, 2))
-            if np.linalg.norm(b - a) < 1e-3:
-                continue
-            wall = Wall(a, b)
-            assert np.allclose(reflect_point(reflect_point(p, wall), wall), p, atol=1e-10)
-
-    def test_ceiling_example(self):
-        wall = Wall((0, 10), (20, 10))
-        assert np.allclose(reflect_point((5, 3), wall), (5, 17))
-
     def test_linear_part_frozen_matrices(self):
         m_v = reflection_linear_part(Wall((0, -1), (0, 1)))  # vertical line x=0
         assert np.allclose(m_v.matrix(), [[-1, 0], [0, 1]], atol=1e-12)
@@ -234,18 +210,6 @@ class TestOrthoMap2:
         for _ in range(100):
             q = OrthoMap2(rng.uniform(-np.pi, np.pi), int(rng.choice([1, -1])))
             assert np.allclose(q.inverse().matrix(), np.linalg.inv(q.matrix()), atol=1e-12)
-
-    def test_from_matrix_round_trip(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            q = OrthoMap2(rng.uniform(-np.pi, np.pi), int(rng.choice([1, -1])))
-            q2 = OrthoMap2.from_matrix(q.matrix())
-            assert q2.parity == q.parity
-            assert abs(wrap_angle(q2.alpha - q.alpha)) < 1e-12
-
-    def test_from_matrix_rejects_non_orthogonal(self):
-        with pytest.raises(InvalidGeometry):
-            OrthoMap2.from_matrix([[2, 0], [0, 1]])
 
 
 class TestEnumerateImages:
@@ -385,15 +349,11 @@ class TestValidatePath:
         match = f"wall indices, got {seq[-1]!r}"
         with pytest.raises(InvalidGeometry, match=match):
             validate_path(rect_room(), seq, (5, 3), (15, 4))
-        with pytest.raises(InvalidGeometry, match=match):
-            unfolded_polyline(rect_room(), seq, (5, 3), (15, 4))
 
     def test_returns_specular_polyline(self):
         room = rect_room()
         ok, poly = validate_path(room, [2], (5, 3), (15, 4))
         assert ok
-        np.testing.assert_allclose(
-            poly, unfolded_polyline(room, [2], (5, 3), (15, 4)))
         assert poly[0] == pytest.approx([5, 3])
         assert poly[-1] == pytest.approx([15, 4])
         assert poly[1][1] == pytest.approx(10.0)  # bounce on the ceiling
@@ -422,23 +382,13 @@ class TestUnfoldedPolyline:
         for p in enumerate_images(room, tx, max_order=2):
             for _ in range(5):
                 rx = rng.uniform((1, 1), (19, 9))
-                if not validate_path(room, p.wall_sequence, tx, rx)[0]:
+                ok, poly = validate_path(room, p.wall_sequence, tx, rx)
+                if not ok:
                     continue
-                poly = unfolded_polyline(room, p.wall_sequence, tx, rx)
                 length = np.sum(np.linalg.norm(np.diff(poly, axis=0), axis=1))
                 assert length == pytest.approx(np.linalg.norm(p.image_point - rx), abs=1e-9)
                 count += 1
         assert count > 10
-
-    def test_infeasible_raises(self):
-        verts = [(0, 0), (12, 0), (12, 9), (2, 9), (2, 10), (0, 10)]
-        room = Room.from_polygon(verts, interior=(1.0, 5.0))
-        top = next(
-            k for k, w in enumerate(room.walls)
-            if np.allclose(sorted([w.a[1], w.b[1]]), [10, 10])
-        )
-        with pytest.raises(InvalidGeometry):
-            unfolded_polyline(room, [top], (8, 3), (9, 4))
 
 
 def star_room(rng, concave):
@@ -496,11 +446,6 @@ class TestBatchedKernel:
                 feasible.append(image_record(p))
             else:
                 assert got_poly is None
-            if poly is None:
-                with pytest.raises(InvalidGeometry):
-                    unfolded_polyline(room, p.wall_sequence, tx, rx)
-            else:
-                assert unfolded_polyline(room, p.wall_sequence, tx, rx).tobytes() == poly.tobytes()
 
         # a small block splits every order past the LOS into several blocks
         with mock.patch.object(geometry, "_BLOCK", block):
