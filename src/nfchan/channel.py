@@ -117,11 +117,6 @@ class RmPathParams:
         """Orthogonal map from transmit displacements to image displacements."""
         return OrthoMap2(alpha=self.alpha, parity=self.parity)
 
-    def image_point(self, rx_ref):
-        """Mirrored-transmitter location implied by ``(tau, aoa)``."""
-        rx_ref = as_vec2(rx_ref, "rx_ref")
-        return rx_ref + SPEED_OF_LIGHT * self.tau * unit_vector(self.aoa)
-
 
 def rm_from_alpha(gain, tau, aoa, alpha, parity):
     """Build :class:`RmPathParams` from the map phase instead of the aod."""

@@ -221,6 +221,19 @@ def _fmt_point(p):
     return f"({p[0]:.4f}, {p[1]:.4f})"
 
 
+def _rm_table(name, paths, alpha=False):
+    """Report section of mirrored-source paths, with each path's map
+    phase when ``alpha``."""
+    lines = ["", f"{name}:", "    idx  |gain|      tau_ns     aoa_deg    "
+             "aod_deg  parity" + ("  alpha_deg" if alpha else "")]
+    for i, p in enumerate(paths):
+        lines.append(f"    {i:3d}  {abs(p.gain):.4e}  {p.tau * 1e9:9.4f}"
+                     f"  {_deg(p.aoa):9.3f}  {_deg(p.aod):9.3f}"
+                     f"  {p.parity:+6d}"
+                     + (f"  {_deg(p.alpha):9.3f}" if alpha else ""))
+    return lines
+
+
 def emit_report(report, path):
     """Human-facing run summary, one section per report field.
 
@@ -282,23 +295,10 @@ def _format_report(report):
             f"{s:+d}{'?' if a else ''}" for s, a in
             zip(report.parities, amb))]
     if report.rm_paths is not None:
-        lines += ["", "rm_paths:",
-                  "    idx  |gain|      tau_ns     aoa_deg    aod_deg  "
-                  "parity  alpha_deg"]
-        for i, p in enumerate(report.rm_paths):
-            lines.append(
-                f"    {i:3d}  {abs(p.gain):.4e}  {p.tau * 1e9:9.4f}"
-                f"  {_deg(p.aoa):9.3f}  {_deg(p.aod):9.3f}  {p.parity:+6d}"
-                f"  {_deg(p.alpha):9.3f}")
+        lines += _rm_table("rm_paths", report.rm_paths, alpha=True)
 
     if report.truth is not None:
-        lines += ["", "truth:",
-                  "    idx  |gain|      tau_ns     aoa_deg    aod_deg  "
-                  "parity"]
-        for i, p in enumerate(report.truth):
-            lines.append(
-                f"    {i:3d}  {abs(p.gain):.4e}  {p.tau * 1e9:9.4f}"
-                f"  {_deg(p.aoa):9.3f}  {_deg(p.aod):9.3f}  {p.parity:+6d}")
+        lines += _rm_table("truth", report.truth)
         lines += ["", "matches (estimated -> true): " + "  ".join(
             f"{i}->{t if t is not None else '-'}"
             for i, t in enumerate(report.matches))]

@@ -100,6 +100,7 @@ from .errors import (
     InconsistentAnchor,
     InvalidGeometry,
 )
+from .geometry import wrap_angle
 from .rowbounds import RowBounds
 from .validation import as_vec2, check_positive, check_strictly_increasing
 
@@ -116,6 +117,10 @@ PDP_THRESHOLD_DB = 30.0
 # Sharpness of the localization heatmap: the weight of a cell's summed
 # squared bearing gaps in its log score.
 HEATMAP_CONCENTRATION = 400.0
+
+
+def _median_step(axis):
+    return float(np.median(np.diff(axis))) if axis.size > 1 else 0.0
 
 
 @dataclass(eq=False)
@@ -145,10 +150,10 @@ class DictionaryGrid:
         return (self.aoas.size, self.aods.size, self.delays.size)
 
     def aoa_step(self):
-        return float(np.median(np.diff(self.aoas))) if self.aoas.size > 1 else 0.0
+        return _median_step(self.aoas)
 
     def aod_step(self):
-        return float(np.median(np.diff(self.aods))) if self.aods.size > 1 else 0.0
+        return _median_step(self.aods)
 
     def delay_step(self):
         """Smallest delay increment, the natural polish radius for unions
@@ -748,22 +753,22 @@ def _newton_ascent(score, center, step):
     """Safeguarded Newton ascents of independent problems in lockstep,
     each of its ``score`` inside its ``center +- step``.
 
-    ``score(x, idx)`` gives ``(s, s', s'')`` of the problems listed in
-    ``idx`` at the points ``x``, arrays or scalars that broadcast to
-    ``x``; ``center`` and ``step`` broadcast to the problems' shape,
-    which the result takes (a scalar center is one problem).  The
-    control runs per problem on Python floats, and only the scoring is
-    batched.  Each problem on its own: from its current point, a Newton
-    step on ``(s, s', s'')`` when ``s'' < 0``, else a step to its
-    window's edge in the direction of ``s'``; the target is clamped to
-    the window and the step halved until the score is not worse.
-    Starting at ``center`` and moving only uphill, it never returns a
-    point scoring below ``center``.  A problem stops once its step would
-    move less than ``_NEWTON_TOL * step`` and is scored no further, so
-    each returns exactly what it would alone.
+    ``score(x, idx)`` gives the arrays ``(s, s', s'')`` of the problems
+    listed in ``idx`` at the points ``x``; ``center`` is the (S,)
+    starting points and ``step`` one window half-width or one per
+    problem.  The control runs per problem on Python floats, and only
+    the scoring is batched: numpy calls on one to three problems cost
+    more than the float arithmetic they replace.  Each problem on its
+    own: from its current point, a Newton step on ``(s, s', s'')`` when
+    ``s'' < 0``, else a step to its window's edge in the direction of
+    ``s'``; the target is clamped to the window and the step halved
+    until the score is not worse.  Starting at ``center`` and moving
+    only uphill, it never returns a point scoring below ``center``.  A
+    problem stops once its step would move less than ``_NEWTON_TOL *
+    step`` and is scored no further, so each returns exactly what it
+    would alone.  Returns the (S,) end points.
     """
-    shape = np.shape(center)
-    x = np.ravel(center).astype(float).tolist()
+    x = np.array(center, dtype=float).tolist()
     step = np.full(len(x), step).tolist()
     lo = [c - w for c, w in zip(x, step)]
     hi = [c + w for c, w in zip(x, step)]
@@ -771,9 +776,7 @@ def _newton_ascent(score, center, step):
 
     def scored(idx, at):
         """Per-problem triples (s, s', s'') at points ``at``."""
-        out = [np.asarray(v, dtype=float) for v in score(np.array(at), idx)]
-        return zip(*(v.tolist() if v.ndim else [float(v)] * len(idx)
-                     for v in out))
+        return zip(*(v.tolist() for v in score(np.array(at), idx)))
 
     live = list(range(len(x)))
     state = list(scored(live, x))
@@ -799,7 +802,7 @@ def _newton_ascent(score, center, step):
         live = [i for i in live if abs(dx[i]) > tol[i]]
         if not live:
             break
-    return np.array(x).reshape(shape)[()]
+    return np.array(x)
 
 
 def _cyclic_polish(plans, grid, params, data, steps, passes):
@@ -1041,13 +1044,12 @@ def triangulate(bearings):
     if len(bearings) < 2:
         raise DegenerateTriangulation("need at least two bearings")
     angles = np.array([b.angle for b in bearings])
-    spread = np.abs(np.angle(np.exp(2j * (angles - angles[0]))))
-    if np.all(spread < 2 * _PARALLEL_TOL):
+    if np.all(np.abs(wrap_angle(2 * (angles - angles[0]))) < 2 * _PARALLEL_TOL):
         raise DegenerateTriangulation("bearings are parallel; no intersection")
+    normals = [np.array([-np.sin(b.angle), np.cos(b.angle)]) for b in bearings]
     a = np.zeros((2, 2))
     rhs = np.zeros(2)
-    for b in bearings:
-        n = np.array([-np.sin(b.angle), np.cos(b.angle)])
+    for b, n in zip(bearings, normals):
         a += b.weight * np.outer(n, n)
         rhs += b.weight * n * (n @ b.position)
     try:
@@ -1057,11 +1059,8 @@ def triangulate(bearings):
     behind = np.array([
         (point - b.position) @ unit_vector(b.angle) < 0 for b in bearings
     ])
-    errs = [
-        b.weight * ((point - b.position)
-                    @ np.array([-np.sin(b.angle), np.cos(b.angle)])) ** 2
-        for b in bearings
-    ]
+    errs = [b.weight * ((point - b.position) @ n) ** 2
+            for b, n in zip(bearings, normals)]
     return TriangulationResult(
         point=point,
         behind=behind,
@@ -1125,7 +1124,7 @@ def localization_heatmap(bearings, region, cell,
     cost = np.zeros((ny, nx))
     for b in bearings:
         ang = np.arctan2(gy - b.position[1], gx - b.position[0])
-        diff = np.angle(np.exp(1j * (ang - b.angle)))
+        diff = wrap_angle(ang - b.angle)
         cost += b.weight * diff * diff
     cost -= cost.min()
     scores = np.exp(-float(concentration) * cost)
@@ -1169,13 +1168,10 @@ class ParityDecision:
     parity: int
     ambiguous: bool
     energies: dict
-    aoa: float
-    aod: float
     margin: float
 
 
-def estimate_parity(mset: MeasurementSet, path: PwaPathParams, tau,
-                    residual=None):
+def estimate_parity(mset: MeasurementSet, path: PwaPathParams, tau, residual):
     """Decide reflection parity by exact-model fits of one path.
 
     Both hypotheses share the path's measured (aoa, aod, tau); each one
@@ -1195,8 +1191,8 @@ def estimate_parity(mset: MeasurementSet, path: PwaPathParams, tau,
 
     Parameters
     ----------
-    residual : optional (K, M, N, F) array
-        Data with other paths peeled off; defaults to the raw captures.
+    residual : (K, M, N, F) array
+        Data with the other paths peeled off.
 
     Returns
     -------
@@ -1204,7 +1200,7 @@ def estimate_parity(mset: MeasurementSet, path: PwaPathParams, tau,
         ``ambiguous`` is set when the energy gap is within rounding of
         zero, in which case ``parity`` falls back to +1.
     """
-    y = mset.responses if residual is None else np.asarray(residual, dtype=complex)
+    y = np.asarray(residual, dtype=complex)
     total = _energy(y)
     if total == 0.0:
         raise EmptyChannel("nothing to fit a parity against")
@@ -1222,18 +1218,16 @@ def estimate_parity(mset: MeasurementSet, path: PwaPathParams, tau,
         parity=parity,
         ambiguous=ambiguous,
         energies=energies,
-        aoa=path.aoa,
-        aod=path.aod,
         margin=margin,
     )
 
 
-def assemble_rm(result: ExtractionResult, anchor_tau, anchor_index, parities):
-    """Anchor an extraction to absolute time and package every path.
+def assemble_rm(result: ExtractionResult, taus, anchor_index, parities):
+    """Package every path of an extraction at its absolute delay.
 
-    ``anchor_index`` names the path in ``result.paths`` whose absolute
-    time of flight ``anchor_tau`` is known (from triangulation); every
-    delta is shifted accordingly.  Gain magnitudes are the RMS over
+    ``taus`` are the paths' absolute times of flight, anchored on the
+    path ``anchor_index`` of ``result.paths``
+    (:func:`recover_abs_delays`).  Gain magnitudes are the RMS over
     placements; phases are all read off the placement where the anchor
     path is strongest, the only deterministic common reference left once
     captures carry independent phases.  Each path's reflection map
@@ -1241,8 +1235,8 @@ def assemble_rm(result: ExtractionResult, anchor_tau, anchor_index, parities):
 
     Parameters
     ----------
-    parities : sequence of int
-        One parity per path, aligned with ``result.paths``.
+    taus, parities : sequences
+        One delay and one parity per path, aligned with ``result.paths``.
 
     Returns
     -------
@@ -1254,10 +1248,8 @@ def assemble_rm(result: ExtractionResult, anchor_tau, anchor_index, parities):
     if not 0 <= anchor_index < len(paths):
         raise InconsistentAnchor(f"anchor index {anchor_index} out of range")
     parities = [int(s) for s in parities]
-    if len(parities) != len(paths):
-        raise InvalidGeometry("need exactly one parity per path")
-    taus = recover_abs_delays(anchor_tau, paths[anchor_index].delta,
-                              [p.delta for p in paths])
+    if len(parities) != len(paths) or len(taus) != len(paths):
+        raise InvalidGeometry("need exactly one delay and one parity per path")
     k_star = int(np.argmax(np.abs(paths[anchor_index].gains)))
     out = []
     for p, tau, parity in zip(paths, taus, parities):

@@ -332,9 +332,9 @@ def localize_paths(plan, result, bearings):
                                       [p.delta for p in result.paths])
         except InconsistentAnchor:
             continue
-        images = np.array([image_from_polar(plan.rx_ref, p.aoa, t)
-                           for p, t in zip(result.paths, taus)])
-        return j, np.asarray(taus, dtype=float), images, tris
+        images = image_from_polar(plan.rx_ref,
+                                  [p.aoa for p in result.paths], taus)
+        return j, taus, images, tris
     return None, None, None, tris
 
 
@@ -398,7 +398,7 @@ class RunReport:
 
 
 def _wrapped_deg(a, b):
-    return math.degrees(abs(math.remainder(a - b, 2 * math.pi)))
+    return math.degrees(abs(wrap_angle(a - b)))
 
 
 def _assign(cost):
@@ -491,7 +491,8 @@ def _error_table(report, plan):
         "image_m": np.full(n, inf),
         "parity_ok": np.full(n, False, dtype=bool),
     }
-    true_images = [tp.image_point(plan.rx_ref) for tp in truth]
+    true_images = image_from_polar(plan.rx_ref, [tp.aoa for tp in truth],
+                                   [tp.tau for tp in truth])
     for i, p in enumerate(result.paths):
         j = report.matches[i]
         if j is None:
@@ -545,7 +546,7 @@ def run_estimate(mset, cfg: ScenarioConfig, truth=None) -> RunReport:
         decisions = parity_decisions(mset, result, taus)
         parities = [d.parity for d in decisions]
         ambiguous = [d.ambiguous for d in decisions]
-        rm_paths = assemble_rm(result, float(taus[anchor]), anchor, parities)
+        rm_paths = assemble_rm(result, taus, anchor, parities)
         for p in rm_paths:
             p.gain = complex(_ldexp(p.gain, e))
         timing["parity"] = time.perf_counter() - t1

@@ -292,7 +292,7 @@ def test_criterion_8_parity_ensemble(capfd):
                                  seed=seed)
         guess = PwaPathParams(np.ones(plan.n_placements), 0.0, path.aoa,
                               path.aod)
-        return estimate_parity(mset, guess, path.tau)
+        return estimate_parity(mset, guess, path.tau, mset.responses)
 
     noisy = [run(seed, 20.0) for seed in range(100)]
     clean = [run(seed, None) for seed in range(100)]

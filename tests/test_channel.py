@@ -29,6 +29,7 @@ from nfchan.channel import (
 )
 from nfchan.errors import EmptyChannel, InvalidGeometry
 from nfchan.aperture import plan_linear_track, simulate_campaign
+from nfchan.estimation import image_from_polar
 from nfchan.geometry import (
     OrthoMap2,
     Room,
@@ -459,4 +460,5 @@ class TestParamValidation:
         rx_ref = np.array([15.0, 4.0])
         for path in enumerate_images(room, tx, max_order=2):
             prm = image_to_rm_params(path, tx, rx_ref)
-            assert np.allclose(prm.image_point(rx_ref), path.image_point, atol=1e-8)
+            assert np.allclose(image_from_polar(rx_ref, prm.aoa, prm.tau),
+                               path.image_point, atol=1e-8)

@@ -2,7 +2,6 @@
 plus the scalar image recursion and back-trace that the batched kernel
 replaced, kept here as its bit-exact reference."""
 
-import hashlib
 import math
 import warnings
 from unittest import mock

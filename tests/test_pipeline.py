@@ -66,7 +66,7 @@ class TestEndToEnd:
     def test_rm_paths_consistent(self, quick_report):
         rep = quick_report
         for p, tau in zip(rep.rm_paths, rep.taus):
-            assert p.tau == pytest.approx(tau)
+            assert p.tau == tau
             assert p.parity in (-1, 1)
 
     def test_timing_keys(self, quick_report):
