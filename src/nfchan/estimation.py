@@ -41,17 +41,20 @@ out, and multiplies them out only for the arrival angle at hand:
 every receive phasor is a product of the two, so no bank of
 (aoa, placement, element, tone) phasors is held.
 
-The off-grid polish moves one coordinate of one path at a time.  Each
-path keeps its three factors, and a factor is built again only when its
-coordinate moved.  A coordinate search contracts the peeled data with
-the two fixed factors once, and each evaluation builds only the moving
-factor; that one build gives the score and its closed-form first and
-second derivatives, since the factor's derivatives are the factor times
-``2j pi f tau'`` and its square.  A safeguarded Newton ascent inside one
-grid step climbs the score in about three evaluations and never ends
-below where it started.  The polish runs S independent problems (one
-per placement subset) in lockstep on one stacked placement axis, so S
-problems pay one call's overhead; the sweep is the case S = 1.
+The off-grid polish moves one coordinate of one path at a time, by a
+safeguarded Newton ascent inside one grid step on the score and its
+closed-form first and second derivatives, which climbs in about three
+evaluations and never ends below where it started
+(:mod:`nfchan.linesearch`).  Each path keeps its three factors, and a
+factor is built again only when its coordinate moved.  When a path's
+turn comes, its conjugated atom times its peeled data is expanded once
+into tone moments, one GEMM over the element rows; every aoa and aod
+evaluation then reads its score off a short power series in each
+element pair's delay offset, and builds no phasor.  The delay search
+contracts the peeled data with the two angle factors once and builds
+one phasor row per evaluation.  The polish runs S independent problems
+(one per placement subset) in lockstep on one stacked placement axis,
+so S problems pay one call's overhead; the sweep is the case S = 1.
 
 Every gain comes from one fit (:func:`per_placement_lsq`): joint
 least squares per placement, all placements' normal equations solved in
@@ -101,16 +104,11 @@ from .errors import (
     InvalidGeometry,
 )
 from .geometry import wrap_angle
+from .linesearch import AngleLines, delay_line, newton_ascent
 from .rowbounds import RowBounds
 from .validation import as_vec2, check_positive, check_strictly_increasing
 
 _PARALLEL_TOL = 1e-6
-# The polish's Newton ascent stops once a step would move less than this
-# fraction of its window, or after this many steps.
-_NEWTON_TOL = 1e-7
-_NEWTON_MAX_STEPS = 30
-# An angle and the angle whose unit vector is its derivative.
-_QUARTER_TURN = np.array([0.0, np.pi / 2])
 # Delay-profile peaks more than this far (power) below the strongest are
 # not path candidates.
 PDP_THRESHOLD_DB = 30.0
@@ -670,8 +668,9 @@ class _PolishBatch:
         r, t, e = factors
         m, f = r.shape[1:]
         r = r.reshape(self.size, -1, m, 1, f)
-        atom = e[:, None, None, None, :] * r * t[:, None, None]
-        np.conjugate(atom.reshape(out.shape), out=out)
+        np.multiply(e[:, None, None, None, :] * r, t[:, None, None],
+                    out=out.reshape(r.shape[:3] + t.shape[1:]))
+        np.conjugate(out, out=out)
 
     def split(self, params, gains, residual):
         """Per-problem (params, gains, residual) lists."""
@@ -680,129 +679,6 @@ class _PolishBatch:
                      .swapaxes(0, 1)),
                 list(residual.reshape((self.size, self.k)
                                       + residual.shape[1:])))
-
-
-def _line_score(batch, comb, factors, coord, peeled):
-    """Energy an atom captures from ``peeled`` as one coordinate moves,
-    in each problem of a :class:`_PolishBatch`.
-
-    ``factors`` holds the atom's three conjugated stacked factors ``[r,
-    t, e]`` (:meth:`_PolishBatch.factor`, in the coordinate order [aoa,
-    aod, delay]); ``factors[coord]`` is not read.  Returns ``score(x,
-    idx)``: for problems ``idx`` at values ``x`` (n,), the arrays ``(s,
-    s', s'')`` in ``x`` of ``s = sum_k |c_k|^2 / (M N F)`` over the
-    problem's placements, with ``c_k = <atom_k, peeled_k>`` of that atom
-    with coordinate ``coord`` moved to ``x``.  The two fixed factors are
-    contracted with ``peeled`` once, so each call builds only the moving
-    factor, through :func:`_phase_factor` on the tone comb ``comb``: K*M,
-    N or 1 delays per problem for the aoa, the aod and the delay.
-
-    The conjugated moving factor is ``phi = exp(2j pi f tau(x))``, so
-    ``phi' = 2j pi f tau' phi`` and ``phi'' = (2j pi f tau'' + (2j pi f
-    tau')^2) phi``, with ``tau' = 1, tau'' = 0`` for the delay and
-    ``tau' = -u'(x).d / c, tau'' = -tau`` for an angle.  The product of
-    ``phi`` with the contracted data and its first three tone moments
-    therefore give ``c``, ``c'`` and ``c''`` from one build, and ``s' = 2
-    Re sum_k conj(c_k) c'_k / (M N F)``, ``s'' = 2 sum_k (|c'_k|^2 + Re
-    conj(c_k) c''_k) / (M N F)``.
-    """
-    kt, m, n, f = peeled.shape
-    mnf = m * n * f
-    r, t, e = factors
-    s, k = batch.size, batch.k
-    if coord == 0:
-        h = np.einsum("snf,skmnf->skmf", t * e[:, None],
-                      peeled.reshape(s, k, m, n, f))
-    elif coord == 1:
-        re = r.reshape(s, k, m, f) * e[:, None, None]
-        h = np.einsum("kmf,kmnf->knf", re.reshape(kt, m, f), peeled)
-    else:
-        h = np.einsum("snf,sknf->skf", t,
-                      np.einsum("kmf,kmnf->knf", r, peeled)
-                      .reshape(s, k, n, f))
-    h = h.reshape(s, k, -1, f)  # (S, k, R, F)
-    freqs = comb.tones()
-    powers = np.stack([np.ones(f), freqs, freqs * freqs], axis=1).astype(complex)
-
-    def score(x, idx):
-        hx = h if len(idx) == s else h[idx]
-        if coord == 2:
-            tau, dtau = x[:, None, None], 1.0
-        else:
-            # u'(x) = u(x + pi/2): tau and tau' from one projection
-            both = batch.delay(coord, x[:, None] + _QUARTER_TURN, idx)
-            tau, dtau = both[:, 0], both[:, 1]
-            if coord == 1:  # shared by the problem's placements
-                tau, dtau = tau[:, None], dtau[:, None]
-        p = (_phase_factor(-tau, comb) * hx).reshape(-1, hx.shape[2], f)
-        q = (p @ powers).reshape(hx.shape[:3] + (3,))  # (n, k, R, 3)
-        d1 = 2j * np.pi * dtau
-        d2 = 0.0 if coord == 2 else -2j * np.pi * tau
-        c0 = q[..., 0].sum(axis=-1)
-        c1 = (d1 * q[..., 1]).sum(axis=-1)
-        c2 = (d2 * q[..., 1] + d1 * d1 * q[..., 2]).sum(axis=-1)
-        return ((c0.real ** 2 + c0.imag ** 2).sum(axis=1) / mnf,
-                2.0 * (c0.conj() * c1).real.sum(axis=1) / mnf,
-                2.0 * (c1.real ** 2 + c1.imag ** 2
-                       + (c0.conj() * c2).real).sum(axis=1) / mnf)
-
-    return score
-
-
-def _newton_ascent(score, center, step):
-    """Safeguarded Newton ascents of independent problems in lockstep,
-    each of its ``score`` inside its ``center +- step``.
-
-    ``score(x, idx)`` gives the arrays ``(s, s', s'')`` of the problems
-    listed in ``idx`` at the points ``x``; ``center`` is the (S,)
-    starting points and ``step`` one window half-width or one per
-    problem.  The control runs per problem on Python floats, and only
-    the scoring is batched: numpy calls on one to three problems cost
-    more than the float arithmetic they replace.  Each problem on its
-    own: from its current point, a Newton step on ``(s, s', s'')`` when
-    ``s'' < 0``, else a step to its window's edge in the direction of
-    ``s'``; the target is clamped to the window and the step halved
-    until the score is not worse.  Starting at ``center`` and moving
-    only uphill, it never returns a point scoring below ``center``.  A
-    problem stops once its step would move less than ``_NEWTON_TOL *
-    step`` and is scored no further, so each returns exactly what it
-    would alone.  Returns the (S,) end points.
-    """
-    x = np.array(center, dtype=float).tolist()
-    step = np.full(len(x), step).tolist()
-    lo = [c - w for c, w in zip(x, step)]
-    hi = [c + w for c, w in zip(x, step)]
-    tol = [_NEWTON_TOL * w for w in step]
-
-    def scored(idx, at):
-        """Per-problem triples (s, s', s'') at points ``at``."""
-        return zip(*(v.tolist() for v in score(np.array(at), idx)))
-
-    live = list(range(len(x)))
-    state = list(scored(live, x))
-    dx = [0.0] * len(x)
-    for _ in range(_NEWTON_MAX_STEPS):
-        for i in live:
-            _, d1, d2 = state[i]
-            target = x[i] - d1 / d2 if d2 < 0 else (hi[i] if d1 > 0 else lo[i])
-            dx[i] = min(max(target, lo[i]), hi[i]) - x[i]
-        search = [i for i in live if abs(dx[i]) > tol[i]]
-        while search:
-            trials = scored(search, [x[i] + dx[i] for i in search])
-            halved = []
-            for i, trial in zip(search, trials):
-                if trial[0] >= state[i][0]:
-                    x[i] += dx[i]
-                    state[i] = trial
-                else:
-                    dx[i] /= 2.0
-                    if abs(dx[i]) > tol[i]:
-                        halved.append(i)
-            search = halved
-        live = [i for i in live if abs(dx[i]) > tol[i]]
-        if not live:
-            break
-    return np.array(x)
 
 
 def _cyclic_polish(plans, grid, params, data, steps, passes):
@@ -816,10 +692,16 @@ def _cyclic_polish(plans, grid, params, data, steps, passes):
     The problems run in lockstep on one stacked placement axis
     (:class:`_PolishBatch`).
     Each path in turn is peeled out of the running residual (``residual
-    + atom_j * gains_j``), then each coordinate climbs its separable
-    score (:func:`_line_score`) by safeguarded Newton ascents inside +-1
-    step (:func:`_newton_ascent`), one per problem, each of which never
-    ends below the current value.  Gains are refit after every path
+    + atom_j * gains_j``, written into one buffer kept for the call) and
+    expanded once into tone moments
+    (:class:`~nfchan.linesearch.AngleLines`), whose ``y`` overwrites the
+    spent residual.  Then the aoa, the aod
+    and the delay (:func:`~nfchan.linesearch.delay_line`) in turn climb
+    their line scores by safeguarded Newton ascents inside +-1 step
+    (:func:`~nfchan.linesearch.newton_ascent`), one per problem, each
+    of which never ends below the current value; the aod's score reads
+    the aoa its pass has just moved off the same expansion, so no
+    angle evaluation builds a phasor.  Gains are refit after every path
     update, every placement of every problem in one batch, so each
     problem's joint residual is non-increasing.  A problem's results
     are those of the same call on that problem alone; the sweep and its
@@ -847,13 +729,24 @@ def _cyclic_polish(plans, grid, params, data, steps, passes):
         batch.atom(fac, out=fit.atom(j))
         fit.update(j)
     gains, residual = fit.solve()
+    lines = AngleLines(batch, comb, steps)
+    peeled = np.empty_like(batch.y)
     for _ in range(max(passes, 0)):
         for j, fac in enumerate(factors):
-            peeled = residual + fit.atom(j) * gains[j][:, None, None, None]
+            np.multiply(fit.atom(j), gains[j][:, None, None, None], out=peeled)
+            peeled += residual
+            # The spent residual takes the expansion's y, and the refit
+            # below forms the next one: beside the data and the atoms,
+            # only the peeled buffer and one refit temporary of the
+            # data's size are alive at once.
+            if max(steps[:2]) > 0:
+                lines.expand(fit.atom(j), peeled, p[:, j, :2], out=residual)
+            del residual
             for coord in range(3):
                 if steps[coord] > 0:
-                    score = _line_score(batch, comb, fac, coord, peeled)
-                    x = _newton_ascent(score, p[:, j, coord], steps[coord])
+                    score = (lines.score(coord, p[:, j, :2]) if coord < 2
+                             else delay_line(batch, comb, fac, peeled))
+                    x = newton_ascent(score, p[:, j, coord], steps[coord])
                     if np.any(x != p[:, j, coord]):
                         fac[coord] = batch.factor(coord, x, comb)
                     p[:, j, coord] = x

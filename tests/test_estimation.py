@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -44,16 +45,20 @@ from nfchan.estimation import (
     triangulate,
 )
 from nfchan.estimation import (_GainFit, _PolishBatch, _cyclic_polish,
-                               _line_score, _model, _newton_ascent,
-                               _noise_energy, _phase_factor, _plane_delay,
-                               _repeats)
+                               _model, _noise_energy, _phase_factor,
+                               _plane_delay, _repeats)
+from nfchan.linesearch import (AngleLines, delay_line, newton_ascent,
+                               series_length)
 from nfchan.pipeline import (
     COARSE_AOA_STEP_DEG,
     COARSE_AOD_STEP_DEG,
+    FINE_STEP_DEG,
+    SUBSET_WINDOW_DEG,
     _angle_comb,
     _fold,
     _fold_setup,
     _pdp_delay_support,
+    subset_groups,
 )
 from nfchan.scenario import (
     build_grid,
@@ -589,13 +594,62 @@ class TestPlaneDelay:
                 got_t[s], np.tensordot(u, tx, axes=(-1, -1)) / -C)
 
 
-def line_score(plan, comb, params, coord, data):
-    """:func:`_line_score` of one problem at ``params``, as a scalar
-    function returning the float triple (s, s', s'')."""
+def line_score(plan, comb, params, coord, data, window=0.05):
+    """The polish's line score of one problem at ``params``, as a scalar
+    function returning the float triple (s, s', s''): the tone-moment
+    expansion (both angle windows ``window`` rad) for an angle, the
+    direct score for the delay."""
     batch = _PolishBatch([plan], data)
     factors = [batch.factor(c, np.array([params[c]]), comb) for c in range(3)]
-    score = _line_score(batch, comb, factors, coord, batch.y)
+    if coord == 2:
+        score = delay_line(batch, comb, factors, batch.y)
+    else:
+        atom = np.empty_like(batch.y)
+        batch.atom(factors, out=atom)
+        lines = AngleLines(batch, comb, (window, window))
+        angles = np.array([params[:2]])
+        lines.expand(atom, batch.y, angles, out=np.empty_like(atom))
+        score = lines.score(coord, angles)
     return lambda x: tuple(float(v[0]) for v in score(np.array([x]), [0]))
+
+
+def direct_angle_score(plan, grid, y, start, coord, angles):
+    """The angle line score the expansion stands for, one phasor per
+    element pair and tone: ``c_k = sum exp(2j pi f dtau) y`` with ``y =
+    conj(atom) data`` for the atom at angles ``start`` and ``dtau`` each
+    element pair's delay offset from ``start``, angle ``coord`` at ``x``
+    and the other at ``angles``.  ``score(x)`` returns ``(s, s', s'')``
+    and the sums of the magnitudes of their terms, ``sum |c|^2``, ``2
+    sum |c| |c'|`` and ``2 sum (|c'|^2 + |c| |c''|)`` (over M N F), the
+    size of their rounding."""
+    f = grid.comb.tones()
+    mnf = plan.n_rx * plan.n_tx * grid.num_tones
+    disp = (plan.rx_positions - plan.rx_ref, plan.tx_positions - plan.tx_ref)
+
+    def delays(c, angle):  # tau, tau' as (K, M, 1) or (N,)
+        tau = [-(disp[c] @ unit_vector(angle + q)) / C for q in (0, np.pi / 2)]
+        return [t[..., None] for t in tau] if c == 0 else tau
+
+    def score(x):
+        at = list(angles)
+        at[coord] = x
+        dtau = sum(delays(c, at[c])[0] - delays(c, start[c])[0]
+                   for c in range(2))
+        tau, tau1 = delays(coord, x)
+        z = np.exp(2j * np.pi * f * dtau[..., None]) * y
+        w = 2j * np.pi * f
+        w1 = w * tau1[..., None]
+        c0 = z.sum(axis=(1, 2, 3))
+        c1 = (w1 * z).sum(axis=(1, 2, 3))
+        c2 = ((w1 * w1 - w * tau[..., None]) * z).sum(axis=(1, 2, 3))
+        a0, a1, a2 = np.abs(c0), np.abs(c1), np.abs(c2)
+        got = (np.sum(a0 ** 2), 2 * np.sum((c0.conj() * c1).real),
+               2 * np.sum(a1 ** 2 + (c0.conj() * c2).real))
+        size = (np.sum(a0 ** 2), 2 * np.sum(a0 * a1),
+                2 * np.sum(a1 ** 2 + a0 * a2))
+        return np.array(got) / mnf, np.array(size) / mnf
+
+    return score
 
 
 class TestLineScore:
@@ -645,6 +699,183 @@ class TestLineScore:
                 fd2 = (16 * (sp1 + sm1) - (sp2 + sm2) - 30 * s) / (12 * h * h)
                 assert d1 == pytest.approx(fd1, rel=1e-6)
                 assert d2 == pytest.approx(fd2, rel=1e-6)
+
+    @pytest.mark.parametrize("name, n_tones", [
+        ("small", 64), ("room-20x10", 128), ("room-20x10-fs1ghz", 512)])
+    def test_sweep_matches_direct_line_score(self, name, n_tones):
+        # Nine points across each angle's window, at the sweep's polish
+        # windows: the aoa about the path's start, then the aod with the
+        # aoa already moved, as in a cyclic pass.  s, s' and s'' agree
+        # to 1e-13 of the magnitudes summed into each: s' crosses zero
+        # inside a window, and s'' is a difference of terms up to about
+        # a thousand times larger (the tones spread little about the
+        # carrier).
+        if name == "small":
+            grid, plan = grid64(), small_plan()
+            paths = [rm_from_alpha(1.0, 41.5e-9, 0.55, 0.0, 1),
+                     rm_from_alpha(0.4, 44.0e-9, 0.8, 0.3, -1)]
+        else:
+            cfg = replace(load_preset(name), n_tones=n_tones)
+            plan, grid = build_plan(cfg), build_grid(cfg)
+            paths = true_paths(cfg, plan)
+        assert grid.num_tones == n_tones
+        data = simulate_campaign(paths, plan, grid, snr_db=20, seed=3).responses
+        steps = np.deg2rad([COARSE_AOA_STEP_DEG, COARSE_AOD_STEP_DEG])
+        p = paths[0]
+        start = [p.aoa + 0.4 * steps[0], p.aod - 0.3 * steps[1],
+                 p.tau + 0.2 / (2 * grid.bandwidth)]
+        batch = _PolishBatch([plan], data)
+        atom = np.empty_like(data)
+        batch.atom([batch.factor(c, np.array([start[c]]), grid.comb)
+                    for c in range(3)], out=atom)
+        lines = AngleLines(batch, grid.comb, steps)
+        lines.expand(atom, data, np.array([start[:2]]), out=np.empty_like(data))
+        angles = list(start[:2])
+        for coord in range(2):
+            xs = angles[coord] + np.linspace(-1.0, 1.0, 9) * steps[coord]
+            score = lines.score(coord, np.array([angles]))
+            got = np.array(score(xs, [0] * 9)).T
+            direct = direct_angle_score(
+                plan, grid, response_atom(plan, grid, *start).conj() * data,
+                start, coord, angles)
+            for x, g in zip(xs, got):
+                want, size = direct(x)
+                assert np.all(np.abs(g - want) <= 1e-13 * size)
+            angles[0] += 0.6 * steps[0]  # where the aoa's ascent ended
+
+
+def checked_angle_lines(plan, grid, blocks):
+    """Patch :class:`AngleLines` so that every angle evaluation of a
+    one-problem polish on ``plan`` checks ``(s, s', s'')`` against
+    :func:`direct_angle_score` to 1e-13 of the magnitudes summed into
+    each, and appends the expansion's block count to ``blocks``."""
+    expand, score = AngleLines.expand, AngleLines.score
+
+    def checked_expand(self, atom, peeled, angles, out):
+        self.direct_y, self.direct_start = atom.conj() * peeled, angles[0].copy()
+        expand(self, atom, peeled, angles, out)
+
+    def checked_score(self, coord, angles):
+        evaluate = score(self, coord, angles)
+        direct = direct_angle_score(plan, grid, self.direct_y,
+                                    self.direct_start, coord, angles[0].copy())
+
+        def checked(x, idx):
+            got = evaluate(x, idx)
+            for at, g in zip(x, np.array(got).T):
+                want, size = direct(at)
+                assert np.all(np.abs(g - want) <= 1e-13 * size)
+            blocks.append(self.blocks)
+            return got
+
+        return checked
+
+    return mock.patch.multiple(AngleLines, expand=checked_expand,
+                               score=checked_score)
+
+
+class TestWideReach:
+    """Angle windows, bandwidth and aperture far past any preset: a 16 m
+    track of five placements, where a single expansion of the comb would
+    need 50 to 490 terms and lose every digit to cancellation."""
+
+    @staticmethod
+    def campaign(n_tones, bandwidth):
+        grid = FrequencyGrid(center=10e9, bandwidth=bandwidth, num_tones=n_tones)
+        plan = plan_linear_track([1.0, 1.0], np.linspace(0.0, 16.0, 5),
+                                 [WL / 2], TX3)
+        paths = [rm_from_alpha(1.0, 41.5e-9, 0.55, 0.0, 1),
+                 rm_from_alpha(0.4, 44.0e-9, -0.8, 0.3, -1)]
+        return simulate_campaign(paths, plan, grid, snr_db=20, seed=3), plan, grid
+
+    def test_wide_dictionary_polish_scores_match_direct(self):
+        # 0.5 rad dictionary steps at 4 GHz and 128 tones: no block
+        # series is shorter than its block, so each tone is its own block
+        mset, plan, grid = self.campaign(128, 4e9)
+        dic = DictionaryGrid(aoas=np.arange(-1.5, 1.6, 0.5),
+                             aods=np.arange(-1.5, 1.6, 0.5),
+                             delays=fft_delay_bins(grid))
+        blocks = []
+        with checked_angle_lines(plan, grid, blocks):
+            res = omp_extract(mset, dic, l_max=2, polish_passes=1)
+        assert res.iterations >= 1
+        assert blocks and set(blocks) == {128}
+
+    def test_wide_refinement_scores_match_direct(self):
+        # 0.05 rad steps at 2 GHz and 512 tones: a few tone blocks, each
+        # about its own centre, with a short series
+        mset, plan, grid = self.campaign(512, 2e9)
+        dic = DictionaryGrid(aoas=np.arange(-1.5, 1.6, 0.5),
+                             aods=np.arange(-1.5, 1.6, 0.5),
+                             delays=fft_delay_bins(grid))
+        res = omp_extract(mset, dic, l_max=2)
+        blocks = []
+        with checked_angle_lines(plan, grid, blocks):
+            refine_extraction(mset, res, 0.05, 0.05, passes=1)
+        assert blocks and 1 < min(blocks) == max(blocks) < 512
+
+
+class TestSeriesLength:
+    @pytest.mark.parametrize("reach, terms", [
+        (0.0, 1), (1e-20, 1), (1e-6, 3), (0.1, 11), (0.3, 14), (4.7, 37)])
+    def test_fewest_terms_under_2_to_minus_60(self, reach, terms):
+        # 4.7 rad, the turn of the band over the widest delay window, is
+        # why the delay keeps its direct score
+        n = series_length(reach)
+        assert n == terms
+        assert reach ** n / math.factorial(n) <= 2.0 ** -60
+        assert n == 1 or reach ** (n - 1) / math.factorial(n - 1) > 2.0 ** -60
+
+    @pytest.mark.parametrize("reach", [1e3, 1e4])
+    def test_returns_past_float_overflow(self, reach):
+        # reach^n / n! leaves the float range near a reach of 710
+        def log_term(n):
+            return n * math.log(reach) - math.lgamma(n + 1)
+
+        n = series_length(reach)
+        assert log_term(n) <= -60 * math.log(2.0) < log_term(n - 1)
+
+    def test_one_term_without_reach(self):
+        grid = grid64()
+        data = np.ones((3, 2, 3, 64), dtype=complex)
+        moving = _PolishBatch([small_plan()], np.ones((6, 2, 3, 64), dtype=complex))
+        assert AngleLines(moving, grid.comb, (0.0, 0.0)).terms == 1
+        still = MeasurementPlan(rx_positions=np.zeros((3, 2, 2)) + [1.0, 2.0],
+                                tx_positions=np.zeros((3, 2)) + [5.0, 1.0])
+        batch = _PolishBatch([still], data)
+        lines = AngleLines(batch, grid.comb, (0.1, 0.2))
+        assert lines.terms == 1
+        lines.expand(np.ones_like(data), data, np.array([[0.3, -0.4]]),
+                     out=np.empty_like(data))
+        for coord in range(2):
+            s, d1, d2 = lines.score(coord, np.array([[0.3, -0.4]]))(
+                np.array([0.25, 0.35]), [0, 0])
+            assert s.tolist() == [s[0], s[0]]
+            assert s[0] == pytest.approx(data.size)
+            assert d1.tolist() == [0.0, 0.0] and d2.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("name, terms", [
+        ("room-20x10", (12, 9, 7)), ("room-20x10-fs1ghz", (14, 11, 8)),
+        ("track-experiment", (11, 9, 7))])
+    def test_preset_stage_lengths(self, name, terms):
+        # the sweep's polish (3 and 6 degree windows over the whole
+        # track), the refinement (1 degree) and the subset polish (2
+        # degrees, each subset about its own centroid), each on one
+        # expansion of the whole comb
+        cfg = load_preset(name)
+        plan, grid = build_plan(cfg), build_grid(cfg)
+        data = np.zeros((plan.n_placements, plan.n_rx, plan.n_tx,
+                         grid.num_tones), dtype=complex)
+        whole = _PolishBatch([plan], data)
+        subsets = _PolishBatch([plan.subset(g) for g in subset_groups(plan)],
+                               data)
+        lines = [AngleLines(batch, grid.comb, np.deg2rad(windows))
+                 for batch, windows in [
+                     (whole, [COARSE_AOA_STEP_DEG, COARSE_AOD_STEP_DEG]),
+                     (whole, [FINE_STEP_DEG] * 2),
+                     (subsets, [SUBSET_WINDOW_DEG] * 2)]]
+        assert tuple(x.terms for x in lines) == terms
+        assert [x.blocks for x in lines] == [1, 1, 1]
 
 
 class TestPerPlacementLsq:
@@ -841,7 +1072,7 @@ class TestPolish:
             return x * x, 2.0 * x, np.full_like(x, 2.0)
 
         for score in (peak_at_3, convex):
-            [x] = _newton_ascent(score, np.array([0.5]), 1.0)
+            [x] = newton_ascent(score, np.array([0.5]), 1.0)
             assert x in (1.5, -0.5)
             assert score(x)[0] >= score(0.5)[0]
 
@@ -851,7 +1082,7 @@ class TestPolish:
         def score(x, idx):
             return np.cos(3 * x), -3 * np.sin(3 * x), -9 * np.cos(3 * x)
 
-        [x] = _newton_ascent(score, np.array([0.4]), 1.0)
+        [x] = newton_ascent(score, np.array([0.4]), 1.0)
         assert abs(x) < 1e-7
 
     def test_newton_ascent_lockstep_matches_one_problem(self):
@@ -871,8 +1102,8 @@ class TestPolish:
             return np.array([np.broadcast_to(scores[i](v), 3)
                              for i, v in zip(idx, x)]).T
 
-        got = _newton_ascent(batched, np.array(centers), np.array(steps))
-        want = [_newton_ascent(lambda x, idx, f=f: f(x), np.array([c]), w)
+        got = newton_ascent(batched, np.array(centers), np.array(steps))
+        want = [newton_ascent(lambda x, idx, f=f: f(x), np.array([c]), w)
                 for f, c, w in zip(scores, centers, steps)]
         assert got.tolist() == np.concatenate(want).tolist()
         # every problem is scored at its center, then only while it moves
